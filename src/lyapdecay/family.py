@@ -152,8 +152,9 @@ def uniform_envelope_exponential(alpha: float, beta: float, mu0: float, t: float
 def grid_sup_envelope(fam: ParamFamily, t_grid) -> np.ndarray:
     """Pointwise max over the z grid of ||exp(-C(z) t)||_2^2.
 
-    A lower bound of the true z-supremum: refining the grid never decreases
-    the result.
+    A lower bound of the true z-supremum.  Refining the grid cannot decrease
+    the result only when the finer grid contains the coarser one (nested
+    grids); a non-nested grid may miss the old maximizer.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.full(t_grid.shape, -np.inf)

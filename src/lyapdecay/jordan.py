@@ -288,7 +288,8 @@ def jordan_chains(
     """
     m = as_cmatrix(c)
     d = m.shape[0]
-    cluster_rel_tol = cluster_rel_tol or DEFAULT_CLUSTER_TOL
+    if cluster_rel_tol is None:
+        cluster_rel_tol = DEFAULT_CLUSTER_TOL
     if clusters is None:
         ev = np.linalg.eigvals(m)
         clusters = cluster_eigenvalues(ev, cluster_rel_tol)

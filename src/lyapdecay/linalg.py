@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "as_cmatrix",
     "expm",
+    "expm_apply",
     "spectral_norm",
     "hermitian_extremes",
     "eigenvalues",
@@ -31,6 +32,8 @@ __all__ = [
 # reaches relative error ~1e-16, well inside the 1e-12 contract.
 _EXPM_THETA = 0.5
 _EXPM_TERMS = 24
+#: matrices per stacked expm call in expm_apply: bounds the propagators held at once
+_APPLY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -45,39 +48,84 @@ class HermitianSpectrum:
         return self.lambda_max / self.lambda_min
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Validate and return a square complex matrix with finite entries."""
+def as_cmatrix(a, stack: bool = False) -> np.ndarray:
+    """Validate and return a square complex matrix with finite entries.
+
+    With ``stack=True`` a stack ``(..., d, d)`` of square matrices is accepted
+    as well.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("matrix entries must be finite")
     return m
 
 
-def expm(a, t: float = 1.0) -> np.ndarray:
+def expm(a, t=1.0) -> np.ndarray:
     """Matrix exponential ``exp(A t)`` by scaling and squaring.
 
     The scaled matrix is pushed below norm 1/2 and summed with a truncated
     Taylor series; relative error in spectral norm is ~1e-14 for the matrix
     scales used here (contract: <= 1e-12).
+
+    ``a`` may be a stack ``(..., d, d)`` with ``t`` broadcast over its leading
+    axes.  Every matrix of a stack takes exactly the arithmetic of its own
+    one-matrix call (its own 1-norm and squaring count), so the result equals
+    a loop of one-matrix calls bit for bit.
     """
-    m = as_cmatrix(a)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    at = m * t
-    d = at.shape[0]
-    norm = np.linalg.norm(at, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / _EXPM_THETA)))) if norm > _EXPM_THETA else 0
-    x = at / (2.0**squarings)
-    result = np.eye(d, dtype=complex)
-    term = np.eye(d, dtype=complex)
+    m = as_cmatrix(a, stack=True)
+    # isinstance first: np.ndim would convert a Python float to an array
+    if isinstance(t, float) or np.ndim(t) == 0:
+        if not np.isfinite(t):
+            raise ValueError("t must be finite")
+        at = m * t
+    else:
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t must be finite")
+        at = m * t[..., None, None]
+    d = at.shape[-1]
+    norm = np.abs(at).sum(axis=-2).max(axis=-1)
+    # ceil(log2(norm / theta)) where norm > theta, else 0
+    squarings = np.ceil(np.log2(np.maximum(norm, _EXPM_THETA) / _EXPM_THETA))
+    if squarings.ndim:
+        least, most = int(squarings.min()), int(squarings.max())
+        x = at / np.ldexp(1.0, squarings.astype(int))[..., None, None]
+    else:
+        least = most = int(squarings)
+        x = at / 2.0**least
+    result = term = np.eye(d, dtype=complex)
     for k in range(1, _EXPM_TERMS + 1):
         term = term @ x / k
         result = result + term
-    for _ in range(squarings):
+    for _ in range(least):
         result = result @ result
+    for level in range(least, most):
+        # only stacks get here: the matrices that need more squarings
+        idx = np.nonzero(squarings > level)
+        part = result[idx]
+        result[idx] = part @ part
     return result
+
+
+def expm_apply(a, v, t) -> np.ndarray:
+    """``exp(A_i t_j) v_i`` for matrices ``(n, d, d)``, vectors ``(n, d)``, times ``(T,)``.
+
+    Returns shape ``(n, T, d)``.  The (i, j) pairs go through :func:`expm` in
+    chunks of ``_APPLY_CHUNK`` matrices, each chunk applied to its vectors at
+    once, so the propagators are never all held.  Each ``y[i, j]`` equals
+    ``expm(a[i], t[j]) @ v[i]`` bit for bit.
+    """
+    a = np.asarray(a, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    t = np.asarray(t, dtype=float).ravel()
+    n, nt = a.shape[0], t.size
+    out = np.empty((n * nt, a.shape[-1]), dtype=complex)
+    for lo in range(0, n * nt, _APPLY_CHUNK):
+        i, j = np.divmod(np.arange(lo, min(lo + _APPLY_CHUNK, n * nt)), nt)
+        out[lo : lo + i.size] = (expm(a[i], t[j]) @ v[i][..., None])[..., 0]
+    return out.reshape(n, nt, -1)
 
 
 def spectral_norm(a) -> float:

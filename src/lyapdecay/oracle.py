@@ -34,14 +34,25 @@ DOMINANCE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class EnvelopeReport:
+    """Squared propagator norm against an envelope, both kept as logs so
+    their ratio stays finite where both sides underflow."""
+
     times: np.ndarray
-    propagator_sq: np.ndarray
-    bound: np.ndarray
+    log_prop: np.ndarray
+    log_bound: np.ndarray
     max_ratio: float
     dominated: bool
 
+    @property
+    def propagator_sq(self) -> np.ndarray:
+        return np.exp(self.log_prop)
+
+    @property
+    def bound(self) -> np.ndarray:
+        return np.exp(self.log_bound)
+
     def to_rows(self):
-        ratio = np.exp(np.log(self.propagator_sq) - np.log(self.bound))
+        ratio = np.exp(self.log_prop - self.log_bound)
         return zip(self.times, self.propagator_sq, self.bound, ratio)
 
 
@@ -99,8 +110,8 @@ def check_dominance(c, bound, times) -> EnvelopeReport:
     max_ratio = float(np.exp(max_log_ratio))
     return EnvelopeReport(
         times=times,
-        propagator_sq=np.exp(log_prop),
-        bound=np.exp(log_bound),
+        log_prop=log_prop,
+        log_bound=log_bound,
         max_ratio=max_ratio,
         dominated=bool(max_ratio <= 1.0 + DOMINANCE_SLACK),
     )

@@ -114,6 +114,22 @@ def test_verify_understated_order_fails(matrix_file, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("c_const, rc_want", [(None, 0), (1.0, 1)])
+def test_verify_ratio_column_finite_where_both_sides_underflow(matrix_file, tmp_path, c_const, rc_want):
+    # at t = 1000 exp(-2 t) t^2 and the envelope are both far below the
+    # smallest double, so the ratio must come from the log domain
+    out = tmp_path / "v.csv"
+    argv = ["verify", "--matrix", matrix_file(defect1_matrix(1.0)), "--t-max", "1000", "--points", "60"]
+    if c_const is not None:
+        argv += ["--c-const", str(c_const), "--mu", "1.0", "--m", "2"]
+    rc = main(argv + ["--out", str(out)])
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.any((rows[:, 1] == 0.0) & (rows[:, 2] == 0.0))
+    assert np.all(np.isfinite(rows[:, 3]))
+    assert rc == rc_want
+    assert (rows[:, 3].max() > 1.0 + 1e-9) == (rc == 1)
+
+
 def test_verify_rejects_partial_override(matrix_file, capsys):
     rc = main(["verify", "--matrix", matrix_file(np.eye(2)), "--c-const", "1.0"])
     assert rc == 2

@@ -345,3 +345,14 @@ def test_theorem_bound_second_order_small(field2):
     )
     assert rep["passed"]
     assert rep["tail_fraction"] < 1e-8
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_theorem_check_equals_per_cell_evolve(field2, order):
+    # 2K = 6 modes x 60 times span more than one stacked chunk
+    zs = np.array([-0.7, 0.0, 1.1])
+    ts = np.linspace(0.0, 9.0, 60)
+    state = lambda z: cd.gaussian_bump_state(3, order=order, v_amp=0.3, z=z)
+    rep = cd.theorem_bound_check(field2, state, zs, ts, order=order)
+    want = [[cd.deviation_norm_sq(cd.evolve_spectrum(field2, state(z), z, t)) for t in ts] for z in zs]
+    assert np.array_equal(rep["norm_sq"], np.array(want))

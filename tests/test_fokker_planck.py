@@ -256,6 +256,16 @@ def test_theorem_check_small(field):
     assert rep["tail_fraction"] < 1e-6
 
 
+def test_theorem_check_equals_per_cell_evolve(field):
+    # K = 8: the 2x2 pairs k = 1, 2 and six 3x3 triples, 40 times each
+    zs = np.array([0.4, 2.5, 5.0])
+    ts = np.linspace(0.0, 10.0, 40)
+    state = lambda z: fp.fp_gaussian_state(field, z=z, K=8)
+    rep = fp.fp_theorem_check(field, state, zs, ts)
+    want = [[fp.fp_deviation_norm_sq(field, fp.fp_evolve(field, state(z), z, t), z) for t in ts] for z in zs]
+    assert np.array_equal(rep["norm_sq"], np.array(want))
+
+
 def test_state_normalization_enforced():
     with pytest.raises(ValueError):
         fp.FPState(f=np.zeros(5), g=np.zeros(5))

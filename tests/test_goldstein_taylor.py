@@ -202,3 +202,16 @@ def test_theorem_check_tanh_field(field):
         uniform=uni,
     )
     assert rep["passed"] and rep["max_ratio"] < 1.0
+
+
+def test_theorem_check_equals_per_cell_evolve(field):
+    # 2K + 1 = 7 modes x 40 times span more than one stacked chunk
+    uni = gt.gt_uniform_constant(field, k_max=4, n_sigma=3, n_dsigma=3)
+    zs = np.array([-1.0, 0.3])
+    ts = np.linspace(0.0, 15.0, 40)
+    rep = gt.gt_theorem_check(field, lambda z: gt.gt_bump_state(3, z=z), zs, ts, uniform=uni)
+    want = [
+        [gt.gt_deviation_norm_sq(gt.gt_evolve(field, gt.gt_bump_state(3, z=z), z, t)) for t in ts]
+        for z in zs
+    ]
+    assert np.array_equal(rep["norm_sq"], np.array(want))

@@ -159,6 +159,12 @@ def test_same_eigenvalue_two_blocks():
     assert verify_chain(ch.conj().T, st) < 1e-8
 
 
+def test_explicit_zero_cluster_tolerance_is_rejected():
+    # 0 must not silently become the default tolerance
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        jordan_chains(geometry_matrix(), cluster_rel_tol=0.0)
+
+
 def test_inconsistent_clusters_raise():
     with pytest.raises(JordanAmbiguityError):
         jordan_chains(np.diag([1.0, 2.0]).astype(complex), clusters=[(1.5 + 0j, 2)])

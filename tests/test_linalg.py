@@ -8,6 +8,7 @@ from lyapdecay.linalg import (
     HermitianSpectrum,
     eigenvalues,
     expm,
+    expm_apply,
     hermitian_extremes,
     load_matrix_json,
     matrix_to_json,
@@ -64,6 +65,83 @@ def test_expm_rejects_bad_input():
         expm(np.ones((2, 3)))
     with pytest.raises(ValueError):
         expm(np.array([[np.nan, 0], [0, 1.0]]))
+
+
+def _loop_expm(a, t):
+    """Reference: one 2-D call per matrix of the broadcast stack."""
+    a, t = np.broadcast_arrays(a, np.asarray(t, dtype=float)[..., None, None])
+    out = np.empty(a.shape, dtype=complex)
+    for idx in np.ndindex(a.shape[:-2]):
+        out[idx] = expm(a[idx], t[idx][0, 0])
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expm_stack_bitwise_equals_loop(d):
+    rng = np.random.default_rng(100 + d)
+    a = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    a[::3] = np.tril(a[::3])
+    t = rng.uniform(0.0, 6.0, size=40)
+    assert np.array_equal(expm(a, t), _loop_expm(a, t))
+
+
+def test_expm_stack_mixes_squaring_counts():
+    # ||A t||_1 / (1/2) = 4 t: t = 0 and t <= 1/8 need no squaring, t = 10 needs 6
+    a = np.array([[1.0, 2.0], [0.5, -1.0 + 1j]])
+    t = np.array([0.0, 0.05, 0.125, 0.2, 0.4, 0.9, 1.7, 3.3, 10.0, 0.0])
+    norm = np.max(np.sum(np.abs(a), axis=0)) * t
+    squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5))
+    assert set(squarings[:2]) == {0.0} and squarings.max() >= 5
+    assert len(set(squarings)) >= 5
+    stack = np.broadcast_to(a, (t.size, 2, 2))
+    got = expm(stack, t)
+    assert np.array_equal(got, _loop_expm(stack, t))
+    assert np.array_equal(got[0], np.eye(2))
+
+
+def test_expm_broadcasts_t_over_leading_axes():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    t = np.array([[0.0], [0.7], [4.0], [25.0]])
+    got = expm(a, t)
+    assert got.shape == (4, 3, 2, 2)
+    assert np.array_equal(got, _loop_expm(a, t))
+    # scalar t on a stack, and a time vector on one matrix
+    assert np.array_equal(expm(a, 1.5), _loop_expm(a, 1.5))
+    assert np.array_equal(expm(a[0], t[:, 0]), _loop_expm(a[0], t[:, 0]))
+
+
+def test_expm_stack_rejects_bad_input():
+    good = np.ones((3, 2, 2))
+    with pytest.raises(ValueError):
+        expm(np.ones((3, 2, 3)))
+    with pytest.raises(ValueError):
+        expm(np.ones(2))
+    bad = good.copy()
+    bad[1, 0, 1] = np.inf
+    with pytest.raises(ValueError):
+        expm(bad, np.ones(3))
+    bad = good.astype(complex)
+    bad[2, 1, 1] = complex(0.0, np.nan)
+    with pytest.raises(ValueError):
+        expm(bad)
+    with pytest.raises(ValueError):
+        expm(good, np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        expm(good[0], np.inf)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expm_apply_bitwise_equals_loop(d):
+    # 7 matrices x 50 times span more than one chunk
+    rng = np.random.default_rng(200 + d)
+    a = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+    v = rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d))
+    ts = np.linspace(0.0, 12.0, 50)
+    got = expm_apply(a, v, ts)
+    want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(7)])
+    assert got.shape == (7, 50, d)
+    assert np.array_equal(got, want)
 
 
 def test_spectral_norm_identity():
