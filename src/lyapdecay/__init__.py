@@ -48,11 +48,11 @@ from .lyapunov import (
 from .oracle import (
     EnvelopeReport,
     check_dominance,
-    duhamel_mode_bound,
     duhamel_solve,
     nilpotent2_propagator_sq,
     propagator_curve,
     sharpness_order,
+    sweep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

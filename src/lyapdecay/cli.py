@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from . import convection_diffusion as cd
 from . import family as fam
 from . import fokker_planck as fp
 from . import goldstein_taylor as gt
-from .jordan import JordanAmbiguityError, jordan_chains
+from .jordan import DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, JordanAmbiguityError, jordan_chains
 from .linalg import load_matrix_json
 from .lyapunov import DecayEnvelope, build_form, decay_constant, suggest_case3_weights
-from .oracle import check_dominance
+from .oracle import DOMINANCE_SLACK, check_dominance
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -104,7 +105,7 @@ def _analysis_pipeline(matrix, rel_tol: float, cluster_tol: float, weights=None)
 
 
 def cmd_analyze(args) -> int:
-    defaults = {"rel_tol": 1e-8, "cluster_tol": 3e-4, "out": None}
+    defaults = {"rel_tol": DEFAULT_RANK_TOL, "cluster_tol": DEFAULT_CLUSTER_TOL, "out": None}
     cfg = _merge_config(args, defaults)
     matrix = load_matrix_json(args.matrix)
     weights = args.weights
@@ -129,8 +130,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     defaults = {
-        "rel_tol": 1e-8,
-        "cluster_tol": 3e-4,
+        "rel_tol": DEFAULT_RANK_TOL,
+        "cluster_tol": DEFAULT_CLUSTER_TOL,
         "t_max": 50.0,
         "points": 200,
         "out": None,
@@ -184,193 +185,171 @@ def cmd_family(args) -> int:
     env = np.array([env_fn(t) for t in ts])
     rows = zip(ts, sup, env, sup / env)
     _write_csv(cfg["out"], ["t", "grid_sup_propagator_sq", "envelope", "ratio"], rows)
-    return EXIT_OK if np.all(sup <= env * (1.0 + 1e-9)) else EXIT_BOUND_VIOLATION
+    return EXIT_OK if np.all(sup <= env * (1.0 + DOMINANCE_SLACK)) else EXIT_BOUND_VIOLATION
 
 
-def _cd_field(spec: str) -> cd.CoefficientField:
-    if spec == "builtin:tanh":
-        return cd.tanh_field()
-    if spec == "builtin:trig":
-        return cd.trig_field()
+def _interp(data: dict, key: str):
+    """The tabulated column ``data[key]``, linearly interpolated over ``data["z"]``."""
+    z = np.asarray(data["z"], dtype=float)
+    table = np.asarray(data[key], dtype=float)
+    return lambda zz: float(np.interp(zz, z, table))
+
+
+def _sup_abs(data: dict, key: str) -> float:
+    return float(np.max(np.abs(data[key])))
+
+
+def _field(spec: str, builtins: dict, from_table):
+    """A builtin coefficient field by name, else one tabulated in a JSON file."""
+    if spec in builtins:
+        return builtins[spec]()
     with open(spec) as fh:
-        data = json.load(fh)
-    return cd.tabulated_coefficient_field(
-        data["z"], data["a"], data["b"], data["da"], data["db"],
-        d2a=data.get("d2a"), d2b=data.get("d2b"), b0=data.get("b0"),
+        return from_table(json.load(fh))
+
+
+def _cd_table(data: dict) -> cd.CoefficientField:
+    derivatives = ["da", "db"] + [key for key in ("d2a", "d2b") if data.get(key) is not None]
+    return cd.CoefficientField(
+        **{key: _interp(data, key) for key in ["a", "b", *derivatives]},
+        **{"sup_" + key: _sup_abs(data, key) for key in derivatives},
+        b0=float(np.min(data["b"])) if data.get("b0") is None else float(data["b0"]),
     )
 
 
-def cmd_model_cd(args) -> int:
-    defaults = {
-        "order": 1,
-        "coeffs": "builtin:tanh",
-        "z_grid": "-3:3:13",
-        "K": 32,
-        "t_max": 10.0,
-        "t_points": 50,
-        "out": None,
-        "report": None,
-    }
-    cfg = _merge_config(args, defaults)
-    field = _cd_field(cfg["coeffs"])
-    zg = _parse_grid(cfg["z_grid"])
-    ts = np.linspace(0.0, cfg["t_max"], int(cfg["t_points"]))
+def _gt_table(data: dict) -> gt.RelaxationField:
+    return gt.RelaxationField(
+        sigma=_interp(data, "sigma"),
+        dsigma=_interp(data, "dsigma"),
+        sigma0=data.get("sigma0", float(np.min(data["sigma"]))),
+        sigma1=data.get("sigma1", float(np.max(data["sigma"]))),
+        L=data.get("L", _sup_abs(data, "dsigma")),
+    )
+
+
+def _fp_table(data: dict) -> fp.DriftField:
+    return fp.DriftField(
+        a=_interp(data, "a"),
+        da=_interp(data, "da"),
+        a0=data.get("a0", float(np.min(data["a"]))),
+        sup_da=data.get("sup_da", _sup_abs(data, "da")),
+    )
+
+
+def _run_cd(cfg: dict, zg, ts) -> dict:
+    field = _field(cfg["coeffs"], {"builtin:tanh": cd.tanh_field, "builtin:trig": cd.trig_field}, _cd_table)
     order = int(cfg["order"])
-    rep = cd.theorem_bound_check(
-        field,
-        lambda z: cd.gaussian_bump_state(int(cfg["K"]), order=order, v_amp=0.3, z=z),
-        zg,
-        ts,
-        order=order,
-    )
-    rows = [
-        (z, t, rep["norm_sq"][i, j], rep["bound"][j], rep["ratio"][i, j])
-        for i, z in enumerate(zg)
-        for j, t in enumerate(ts)
-    ]
-    _write_csv(cfg["out"], ["z", "t", "norm_sq", "bound", "ratio"], rows)
-    _write_json(
-        cfg["report"],
+    state = lambda z: cd.gaussian_bump_state(int(cfg["K"]), order=order, v_amp=0.3, z=z)
+    return cd.theorem_bound_check(field, state, zg, ts, order=order)
+
+
+def _run_gt(cfg: dict, zg, ts) -> dict:
+    field = _field(cfg["sigma"], {"builtin:tanh": gt.tanh_relaxation}, _gt_table)
+    state = lambda z: gt.gt_bump_state(int(cfg["K"]), z=z)
+    return gt.gt_theorem_check(field, state, zg, ts, k_max=int(cfg["k_max"]))
+
+
+def _run_fp(cfg: dict, zg, ts) -> dict:
+    field = _field(cfg["drift"], {"builtin:sin": fp.sin_drift}, _fp_table)
+    state = lambda z: fp.fp_gaussian_state(field, z=z, K=int(cfg["K"]))
+    return fp.fp_theorem_check(field, state, zg, ts)
+
+
+class _Model(NamedTuple):
+    #: defaults of the model's own options and the grids (``--out`` and
+    #: ``--report`` default to stdout for every model)
+    defaults: dict
+    run: Callable[[dict, np.ndarray, np.ndarray], dict]
+    #: entries of the check's result copied into the JSON report
+    keys: tuple[str, ...]
+
+
+_MODELS = {
+    "model-cd": _Model(
         {
-            "config": cfg,
-            "constants": rep["constants"],
-            "max_ratio": rep["max_ratio"],
-            "passed": rep["passed"],
-            "initial_sup": rep["initial_sup"],
-            "tail_fraction": rep["tail_fraction"],
+            "order": 1,
+            "coeffs": "builtin:tanh",
+            "z_grid": "-3:3:13",
+            "K": 32,
+            "t_max": 10.0,
+            "t_points": 50,
         },
-    )
-    return EXIT_OK if rep["passed"] else EXIT_BOUND_VIOLATION
+        _run_cd,
+        ("constants", "max_ratio", "passed", "initial_sup", "tail_fraction"),
+    ),
+    "model-gt": _Model(
+        {
+            "sigma": "builtin:tanh",
+            "z_grid": "-3:3:13",
+            "K": 32,
+            "k_max": 64,
+            "t_max": 20.0,
+            "t_points": 50,
+        },
+        _run_gt,
+        ("uniform", "max_ratio", "passed", "initial_sup"),
+    ),
+    "model-fp": _Model(
+        {
+            "drift": "builtin:sin",
+            "variant": "drift",
+            "z_grid": "0:6.283185307179586:13",
+            "K": 40,
+            "t_max": 12.0,
+            "t_points": 40,
+        },
+        _run_fp,
+        ("constants", "max_ratio", "passed", "initial_sup", "tail_fraction"),
+    ),
+}
 
 
-def _gt_field(spec: str) -> gt.RelaxationField:
-    if spec == "builtin:tanh":
-        return gt.tanh_relaxation()
-    with open(spec) as fh:
-        data = json.load(fh)
-    z = np.asarray(data["z"], dtype=float)
-    sig = np.asarray(data["sigma"], dtype=float)
-    dsig = np.asarray(data["dsigma"], dtype=float)
-    return gt.relaxation_field(
-        sigma=lambda zz: float(np.interp(zz, z, sig)),
-        dsigma=lambda zz: float(np.interp(zz, z, dsig)),
-        sigma0=data.get("sigma0", float(np.min(sig))),
-        sigma1=data.get("sigma1", float(np.max(sig))),
-        L=data.get("L", float(np.max(np.abs(dsig)))),
-    )
+def _fp_diffusion(cfg: dict, zg, ts) -> int:
+    """Diffusion-uncertainty variant: every mode pair k = 3..8 against its own envelope."""
+    dfield = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
+    rows, worst = [], 0.0
+    for k in range(3, 9):
+        for z in zg:
+            rep = check_dominance(*fp.fp_diffusion_variant(k, z, dfield), ts)
+            worst = max(worst, rep.max_ratio)
+            rows += [(k, z, *row) for row in rep.to_rows()]
+    _write_csv(cfg["out"], ["k", "z", "t", "propagator_sq", "bound", "ratio"], rows)
+    passed = worst <= 1.0 + DOMINANCE_SLACK
+    _write_json(cfg["report"], {"config": cfg, "max_ratio": worst, "passed": passed})
+    return EXIT_OK if passed else EXIT_BOUND_VIOLATION
 
 
-def cmd_model_gt(args) -> int:
-    defaults = {
-        "sigma": "builtin:tanh",
-        "z_grid": "-3:3:13",
-        "K": 32,
-        "k_max": 64,
-        "t_max": 20.0,
-        "t_points": 50,
-        "out": None,
-        "report": None,
-    }
-    cfg = _merge_config(args, defaults)
-    field = _gt_field(cfg["sigma"])
+def cmd_model(args) -> int:
+    """``model-cd``, ``model-gt`` and ``model-fp``: the global bound on a
+    (z, t) grid as a CSV row per point plus a JSON constants report."""
+    model = _MODELS[args.command]
+    cfg = _merge_config(args, {**model.defaults, "out": None, "report": None})
     zg = _parse_grid(cfg["z_grid"])
     ts = np.linspace(0.0, cfg["t_max"], int(cfg["t_points"]))
-    uniform = gt.gt_uniform_constant(field, k_max=int(cfg["k_max"]))
-    rep = gt.gt_theorem_check(
-        field, lambda z: gt.gt_bump_state(int(cfg["K"]), z=z), zg, ts, uniform=uniform
-    )
+    if cfg.get("variant") == "diffusion":
+        return _fp_diffusion(cfg, zg, ts)
+    rep = model.run(cfg, zg, ts)
     rows = [
         (z, t, rep["norm_sq"][i, j], rep["bound"][j], rep["ratio"][i, j])
         for i, z in enumerate(zg)
         for j, t in enumerate(ts)
     ]
     _write_csv(cfg["out"], ["z", "t", "norm_sq", "bound", "ratio"], rows)
-    _write_json(
-        cfg["report"],
-        {
-            "config": cfg,
-            "uniform": uniform,
-            "max_ratio": rep["max_ratio"],
-            "passed": rep["passed"],
-            "initial_sup": rep["initial_sup"],
-        },
-    )
+    _write_json(cfg["report"], {"config": cfg, **{key: rep[key] for key in model.keys}})
     return EXIT_OK if rep["passed"] else EXIT_BOUND_VIOLATION
 
 
-def _fp_field(spec: str) -> fp.DriftField:
-    if spec == "builtin:sin":
-        return fp.sin_drift()
-    with open(spec) as fh:
-        data = json.load(fh)
-    z = np.asarray(data["z"], dtype=float)
-    a = np.asarray(data["a"], dtype=float)
-    da = np.asarray(data["da"], dtype=float)
-    return fp.drift_field(
-        a=lambda zz: float(np.interp(zz, z, a)),
-        da=lambda zz: float(np.interp(zz, z, da)),
-        a0=data.get("a0", float(np.min(a))),
-        sup_da=data.get("sup_da", float(np.max(np.abs(da)))),
-    )
-
-
-def cmd_model_fp(args) -> int:
-    defaults = {
-        "drift": "builtin:sin",
-        "variant": "drift",
-        "z_grid": "0:6.283185307179586:13",
-        "K": 40,
-        "t_max": 12.0,
-        "t_points": 40,
-        "out": None,
-        "report": None,
-    }
-    cfg = _merge_config(args, defaults)
-    zg = _parse_grid(cfg["z_grid"])
-    ts = np.linspace(0.0, cfg["t_max"], int(cfg["t_points"]))
-    if cfg["variant"] == "diffusion":
-        dfield = fp.diffusion_field(
-            lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75
-        )
-        rows = []
-        worst = 0.0
-        for k in range(3, 9):
-            for z in zg:
-                a_mat, envm = fp.fp_diffusion_variant(k, z, dfield)
-                rep = check_dominance(a_mat, envm, ts)
-                worst = max(worst, rep.max_ratio)
-                rows += [
-                    (k, z, t, p, b, p / b)
-                    for t, p, b in zip(rep.times, rep.propagator_sq, rep.bound)
-                ]
-        _write_csv(cfg["out"], ["k", "z", "t", "propagator_sq", "bound", "ratio"], rows)
-        _write_json(cfg["report"], {"config": cfg, "max_ratio": worst, "passed": worst <= 1 + 1e-9})
-        return EXIT_OK if worst <= 1 + 1e-9 else EXIT_BOUND_VIOLATION
-    field = _fp_field(cfg["drift"])
-    rep = fp.fp_theorem_check(
-        field,
-        lambda z: fp.fp_gaussian_state(field, z=z, K=int(cfg["K"])),
-        zg,
-        ts,
-    )
-    rows = [
-        (z, t, rep["norm_sq"][i, j], rep["bound"][j], rep["ratio"][i, j])
-        for i, z in enumerate(zg)
-        for j, t in enumerate(ts)
-    ]
-    _write_csv(cfg["out"], ["z", "t", "norm_sq", "bound", "ratio"], rows)
-    _write_json(
-        cfg["report"],
-        {
-            "config": cfg,
-            "constants": rep["constants"],
-            "max_ratio": rep["max_ratio"],
-            "passed": rep["passed"],
-            "initial_sup": rep["initial_sup"],
-            "tail_fraction": rep["tail_fraction"],
-        },
-    )
-    return EXIT_OK if rep["passed"] else EXIT_BOUND_VIOLATION
+def _model_parser(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """Subparser with the options every ``model-*`` command shares."""
+    pm = sub.add_parser(name, help=help)
+    pm.add_argument("--z-grid", dest="z_grid")
+    pm.add_argument("--K", type=int)
+    pm.add_argument("--t-max", dest="t_max", type=float)
+    pm.add_argument("--t-points", dest="t_points", type=int)
+    pm.add_argument("--config")
+    pm.add_argument("--out")
+    pm.add_argument("--report")
+    pm.set_defaults(func=cmd_model)
+    return pm
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,41 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out")
     pf.set_defaults(func=cmd_family)
 
-    pcd = sub.add_parser("model-cd", help="convection-diffusion sensitivity bound check")
+    pcd = _model_parser(sub, "model-cd", "convection-diffusion sensitivity bound check")
     pcd.add_argument("--order", type=int, choices=[1, 2])
     pcd.add_argument("--coeffs")
-    pcd.add_argument("--z-grid", dest="z_grid")
-    pcd.add_argument("--K", type=int)
-    pcd.add_argument("--t-max", dest="t_max", type=float)
-    pcd.add_argument("--t-points", dest="t_points", type=int)
-    pcd.add_argument("--config")
-    pcd.add_argument("--out")
-    pcd.add_argument("--report")
-    pcd.set_defaults(func=cmd_model_cd)
 
-    pgt = sub.add_parser("model-gt", help="two-velocity relaxation sensitivity bound check")
+    pgt = _model_parser(sub, "model-gt", "two-velocity relaxation sensitivity bound check")
     pgt.add_argument("--sigma")
-    pgt.add_argument("--z-grid", dest="z_grid")
-    pgt.add_argument("--K", type=int)
     pgt.add_argument("--k-max", dest="k_max", type=int)
-    pgt.add_argument("--t-max", dest="t_max", type=float)
-    pgt.add_argument("--t-points", dest="t_points", type=int)
-    pgt.add_argument("--config")
-    pgt.add_argument("--out")
-    pgt.add_argument("--report")
-    pgt.set_defaults(func=cmd_model_gt)
 
-    pfp = sub.add_parser("model-fp", help="Fokker-Planck sensitivity bound check")
+    pfp = _model_parser(sub, "model-fp", "Fokker-Planck sensitivity bound check")
     pfp.add_argument("--drift")
     pfp.add_argument("--variant", choices=["drift", "diffusion"])
-    pfp.add_argument("--z-grid", dest="z_grid")
-    pfp.add_argument("--K", type=int)
-    pfp.add_argument("--t-max", dest="t_max", type=float)
-    pfp.add_argument("--t-points", dest="t_points", type=int)
-    pfp.add_argument("--config")
-    pfp.add_argument("--out")
-    pfp.add_argument("--report")
-    pfp.set_defaults(func=cmd_model_fp)
 
     return p
 

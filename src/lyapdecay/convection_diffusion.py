@@ -13,6 +13,7 @@ global bound with rate 2 b0 = 2 inf b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,12 +28,11 @@ from .lyapunov import (
     sup_poly_exp,
     w_vector,
 )
+from .oracle import sweep
 
 __all__ = [
     "CoefficientField",
     "SpectralState",
-    "coefficient_field",
-    "tabulated_coefficient_field",
     "tanh_field",
     "trig_field",
     "lambda_k",
@@ -91,33 +91,6 @@ class CoefficientField:
                 raise ValueError(f"|da({z})| exceeds sup_da")
             if abs(self.db(z)) > self.sup_db * (1.0 + 1e-9) + 1e-12:
                 raise ValueError(f"|db({z})| exceeds sup_db")
-
-
-def coefficient_field(a, b, da, db, b0, sup_da, sup_db, **second_order) -> CoefficientField:
-    return CoefficientField(a=a, b=b, da=da, db=db, b0=b0, sup_da=sup_da, sup_db=sup_db, **second_order)
-
-
-def tabulated_coefficient_field(z, a, b, da, db, d2a=None, d2b=None, b0=None) -> CoefficientField:
-    """Field built from sample arrays by linear interpolation."""
-    z = np.asarray(z, dtype=float)
-
-    def interp(table):
-        table = np.asarray(table, dtype=float)
-        return lambda zz: float(np.interp(zz, z, table))
-
-    return CoefficientField(
-        a=interp(a),
-        b=interp(b),
-        da=interp(da),
-        db=interp(db),
-        d2a=interp(d2a) if d2a is not None else None,
-        d2b=interp(d2b) if d2b is not None else None,
-        b0=float(np.min(b)) if b0 is None else float(b0),
-        sup_da=float(np.max(np.abs(da))),
-        sup_db=float(np.max(np.abs(db))),
-        sup_d2a=float(np.max(np.abs(d2a))) if d2a is not None else 0.0,
-        sup_d2b=float(np.max(np.abs(d2b))) if d2b is not None else 0.0,
-    )
 
 
 def tanh_field() -> CoefficientField:
@@ -433,37 +406,20 @@ def theorem_bound_check(
 
     Checks  sup_z ||y(., z, t) - y_inf||^2 <= C (1 + t^(2 order)) e^{-2 b0 t}
     times the supremum of the initial deviation, with C assembled from the
-    uniform mode constant and the k-folding factor.  Returns the full ratio
-    table plus the constants; ``passed`` means no ratio exceeded 1 + 1e-9.
+    uniform mode constant and the k-folding factor.  Returns the
+    :func:`~lyapdecay.oracle.sweep` report plus the order and the constants.
     """
-    z_grid = np.asarray(z_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
     field.validate_on(z_grid)
     consts = assembled_constants(field, order)
-    states0 = [initial_state_fn(z) for z in z_grid]
-    initial = np.array([deviation_norm_sq(s) for s in states0])
-    initial_sup = float(np.max(initial))
-    norm_sq = np.empty((z_grid.size, t_grid.size))
-    for i, (z, s0) in enumerate(zip(z_grid, states0)):
-        norm_sq[i] = [deviation_norm_sq(s) for s in _evolve_many(field, s0, z, t_grid)]
-    q = 2 * order
-    bound = consts["C_global"] * (1.0 + t_grid**q) * np.exp(-2.0 * field.b0 * t_grid) * initial_sup
-    ratio = norm_sq / bound[None, :]
-    tail = max(
-        float(np.sum(np.abs(s.coeffs[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)) for s in states0
+    rep = sweep(
+        initial_state_fn,
+        partial(_evolve_many, field),
+        lambda s, z: deviation_norm_sq(s),
+        z_grid,
+        t_grid,
+        consts["C_global"],
+        2.0 * field.b0,
+        2 * order,
+        tail=lambda s: float(np.sum(np.abs(s.coeffs[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
     )
-    tail_fraction = tail / initial_sup if initial_sup > 0 else 0.0
-    return {
-        "order": order,
-        "z_grid": z_grid,
-        "t_grid": t_grid,
-        "norm_sq": norm_sq,
-        "bound": bound,
-        "ratio": ratio,
-        "max_ratio": float(np.max(ratio)),
-        "passed": bool(np.max(ratio) <= 1.0 + 1e-9),
-        "constants": consts,
-        "initial_sup": initial_sup,
-        "tail_fraction": tail_fraction,
-        "tail_warning": bool(tail_fraction > 1e-8),
-    }
+    return {**rep, "order": order, "constants": consts}

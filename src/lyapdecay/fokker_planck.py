@@ -13,6 +13,7 @@ The steady state itself depends on z through g_inf = -(a'/(sqrt(2) a)) h_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,7 @@ from .lyapunov import (
     decay_constant,
     tilde_constant,
 )
+from .oracle import sweep
 
 __all__ = [
     "DriftField",
@@ -50,7 +52,6 @@ __all__ = [
     "fp_gaussian_state",
     "fp_semidiscrete_residual",
     "fp_diffusion_variant",
-    "diffusion_field",
 ]
 
 
@@ -316,31 +317,19 @@ def fp_theorem_check(
     t_grid,
 ) -> dict:
     """Verify sup_z deviations against C (1 + t^2) e^{-2 a0 t} x initial."""
-    z_grid = np.asarray(z_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
     consts = kuniform_constant(field)
-    states0 = [initial_state_fn(z) for z in z_grid]
-    initial_sup = max(fp_deviation_norm_sq(field, s, z) for s, z in zip(states0, z_grid))
-    norm_sq = np.empty((z_grid.size, t_grid.size))
-    for i, (z, s0) in enumerate(zip(z_grid, states0)):
-        norm_sq[i] = [fp_deviation_norm_sq(field, s, z) for s in _fp_evolve_many(field, s0, z, t_grid)]
-    bound = (
-        consts["C_global"] * (1.0 + t_grid**2) * np.exp(-2.0 * field.a0 * t_grid) * initial_sup
+    rep = sweep(
+        initial_state_fn,
+        partial(_fp_evolve_many, field),
+        partial(fp_deviation_norm_sq, field),
+        z_grid,
+        t_grid,
+        consts["C_global"],
+        2.0 * field.a0,
+        2,
+        tail=lambda s: float(s.f[-1] ** 2 + s.g[-1] ** 2),
     )
-    ratio = norm_sq / bound[None, :]
-    tail = max(float(s.f[-1] ** 2 + s.g[-1] ** 2) for s in states0)
-    return {
-        "z_grid": z_grid,
-        "t_grid": t_grid,
-        "norm_sq": norm_sq,
-        "bound": bound,
-        "ratio": ratio,
-        "max_ratio": float(np.max(ratio)),
-        "passed": bool(np.max(ratio) <= 1.0 + 1e-9),
-        "constants": consts,
-        "initial_sup": float(initial_sup),
-        "tail_fraction": float(tail / initial_sup) if initial_sup > 0 else 0.0,
-    }
+    return {**rep, "constants": consts}
 
 
 class HermiteBasis:
@@ -495,10 +484,6 @@ class DiffusionField:
     def __post_init__(self):
         if self.d0 <= 0:
             raise ValueError("d0 must be positive")
-
-
-def diffusion_field(d, dd, d0) -> DiffusionField:
-    return DiffusionField(d=d, dd=dd, d0=d0)
 
 
 def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.ndarray, ModeEnvelope]:

@@ -12,6 +12,7 @@ with the large-k limit 2I supplying the tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from .jordan import structure_from_chains
 from .linalg import expm_apply, hermitian_extremes
 from .lyapunov import DecayEnvelope, ModeEnvelope, build_form, decay_constant
+from .oracle import sweep
 
 __all__ = [
     "RelaxationField",
     "GTState",
-    "relaxation_field",
     "tanh_relaxation",
     "gt_eigenvalues",
     "gt_mode_matrix",
@@ -60,10 +61,6 @@ class RelaxationField:
             raise ValueError("need 0 < sigma0 <= sigma1 < 2")
         if self.L < 0:
             raise ValueError("L must be nonnegative")
-
-
-def relaxation_field(sigma, dsigma, sigma0, sigma1, L) -> RelaxationField:
-    return RelaxationField(sigma=sigma, dsigma=dsigma, sigma0=sigma0, sigma1=sigma1, L=L)
 
 
 def tanh_relaxation() -> RelaxationField:
@@ -346,24 +343,15 @@ def gt_theorem_check(
     precomputed report to avoid resweeping).  Ratios use the supremum of the
     initial deviation over the z grid, as the statement does.
     """
-    z_grid = np.asarray(z_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
     uniform = uniform or gt_uniform_constant(field, k_max=k_max)
-    states0 = [initial_state_fn(z) for z in z_grid]
-    initial_sup = max(gt_deviation_norm_sq(s) for s in states0)
-    norm_sq = np.empty((z_grid.size, t_grid.size))
-    for i, (z, s0) in enumerate(zip(z_grid, states0)):
-        norm_sq[i] = [gt_deviation_norm_sq(s) for s in _gt_evolve_many(field, s0, z, t_grid)]
-    bound = uniform["C_global"] * (1.0 + t_grid**2) * np.exp(-field.sigma0 * t_grid) * initial_sup
-    ratio = norm_sq / bound[None, :]
-    return {
-        "z_grid": z_grid,
-        "t_grid": t_grid,
-        "norm_sq": norm_sq,
-        "bound": bound,
-        "ratio": ratio,
-        "max_ratio": float(np.max(ratio)),
-        "passed": bool(np.max(ratio) <= 1.0 + 1e-9),
-        "uniform": uniform,
-        "initial_sup": float(initial_sup),
-    }
+    rep = sweep(
+        initial_state_fn,
+        partial(_gt_evolve_many, field),
+        lambda s, z: gt_deviation_norm_sq(s),
+        z_grid,
+        t_grid,
+        uniform["C_global"],
+        field.sigma0,
+        2,
+    )
+    return {**rep, "uniform": uniform}

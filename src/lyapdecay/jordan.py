@@ -284,12 +284,16 @@ def jordan_chains(
 
     ``clusters`` may be supplied from :func:`cluster_eigenvalues`; otherwise
     eigenvalues are computed and clustered with ``cluster_rel_tol`` (default
-    :data:`DEFAULT_CLUSTER_TOL`).  ``rel_tol`` governs rank decisions.
+    :data:`DEFAULT_CLUSTER_TOL`); it also sets the radius of the cluster
+    refinement, so it must be positive either way.  ``rel_tol`` governs rank
+    decisions.
     """
     m = as_cmatrix(c)
     d = m.shape[0]
     if cluster_rel_tol is None:
         cluster_rel_tol = DEFAULT_CLUSTER_TOL
+    elif cluster_rel_tol <= 0:
+        raise ValueError("cluster_rel_tol must be positive")
     if clusters is None:
         ev = np.linalg.eigvals(m)
         clusters = cluster_eigenvalues(ev, cluster_rel_tol)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jordan import JordanBlock, JordanStructure, NotPositiveStableError
+from .jordan import DEFAULT_RANK_TOL, JordanBlock, JordanStructure, NotPositiveStableError
 from .linalg import as_cmatrix, hermitian_extremes, is_hermitian
 
 __all__ = [
@@ -65,8 +65,6 @@ CASE1 = "case1"
 CASE2 = "case2"
 CASE3 = "case3"
 CASE3_TILDE = "case3_tilde"
-
-_GAP_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def build_form(
     structure: JordanStructure,
     block_weights: dict[int, object] | None = None,
     tilde_blocks: tuple[int, ...] = (),
-    gap_rel_tol: float = _GAP_REL_TOL,
+    gap_rel_tol: float = DEFAULT_RANK_TOL,
 ) -> LyapunovForm:
     """Assign case tags and weights to every block of a structure.
 

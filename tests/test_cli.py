@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,3 +317,70 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["M"] == 1
+
+
+def test_model_fp_diffusion_ratio_column_finite_where_both_sides_underflow(tmp_path):
+    out = tmp_path / "d.csv"
+    rc = main(
+        [
+            "model-fp", "--variant", "diffusion", "--t-max", "400", "--t-points", "5",
+            "--z-grid=0:1:2", "--out", str(out), "--report", str(tmp_path / "d.json"),
+        ]
+    )
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.any((rows[:, 3] == 0.0) & (rows[:, 4] == 0.0))
+    assert np.all(np.isfinite(rows[:, 5]))
+    assert (rows[:, 5].max() > 1.0 + 1e-9) == (rc == 1)
+
+
+def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch):
+    # the reports record the output names, so they are passed bare as the
+    # benchmark passes them, and LYAPDECAY_THREADS is left unset
+    digests = json.loads((Path(__file__).parents[1] / "bench" / "seed_digests.json").read_text())["files"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LYAPDECAY_THREADS", raising=False)
+    runs = {
+        "model-cd-1": ["model-cd", "--order", "1"],
+        "model-cd-2": ["model-cd", "--order", "2"],
+        "model-gt": ["model-gt"],
+        "model-fp": ["model-fp"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", f"{name}.csv", "--report", f"{name}.json"]) == 0
+        for ext in ("csv", "json"):
+            got = hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
+            assert got == digests[f"{name}.{ext}"], f"{name}.{ext}"
+
+
+def test_model_gt_tabulated_sigma(tmp_path):
+    z = np.linspace(-3.0, 3.0, 61)
+    sigma = 1.0 + 0.5 * np.tanh(z)
+    table = {"z": z.tolist(), "sigma": sigma.tolist(), "dsigma": (0.5 / np.cosh(z) ** 2).tolist()}
+    tfile = tmp_path / "sigma.json"
+    tfile.write_text(json.dumps(table))
+    rep = tmp_path / "gt.json"
+    rc = main(
+        [
+            "model-gt", "--sigma", str(tfile), "--K", "4", "--k-max", "4", "--z-grid=-1:1:3",
+            "--t-max", "5", "--t-points", "4", "--out", str(tmp_path / "gt.csv"), "--report", str(rep),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(rep.read_text())["uniform"]["sigma0"] == float(sigma.min())
+
+
+def test_model_fp_tabulated_drift(tmp_path):
+    z = np.linspace(0.0, 2.0 * np.pi, 61)
+    a = 1.0 + 0.3 * np.sin(z)
+    table = {"z": z.tolist(), "a": a.tolist(), "da": (0.3 * np.cos(z)).tolist()}
+    tfile = tmp_path / "drift.json"
+    tfile.write_text(json.dumps(table))
+    rep = tmp_path / "fp.json"
+    rc = main(
+        [
+            "model-fp", "--drift", str(tfile), "--K", "8", "--z-grid=0:6:3",
+            "--t-max", "5", "--t-points", "4", "--out", str(tmp_path / "fp.csv"), "--report", str(rep),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(rep.read_text())["constants"]["a0"] == float(a.min())

@@ -18,7 +18,7 @@ def field2():
 
 
 def test_lambda_k_constant_coefficients():
-    f = cd.coefficient_field(
+    f = cd.CoefficientField(
         a=lambda z: 0.0, b=lambda z: 1.0, da=lambda z: 0.0, db=lambda z: 0.0,
         b0=1.0, sup_da=0.0, sup_db=0.0,
     )
@@ -29,7 +29,7 @@ def test_lambda_k_constant_coefficients():
 
 
 def test_lambda_k_polynomial_coefficients():
-    f = cd.coefficient_field(
+    f = cd.CoefficientField(
         a=lambda z: z, b=lambda z: 1.0 + z * z, da=lambda z: 1.0, db=lambda z: 2.0 * z,
         b0=1.0, sup_da=1.0, sup_db=4.0,
     )
@@ -55,7 +55,7 @@ def test_first_order_system_structure(field):
 
 
 def test_first_order_diagonal_case_decays_exactly():
-    f = cd.coefficient_field(
+    f = cd.CoefficientField(
         a=lambda z: 1.0, b=lambda z: 2.0, da=lambda z: 0.0, db=lambda z: 0.0,
         b0=2.0, sup_da=0.0, sup_db=0.0,
     )
@@ -79,7 +79,7 @@ def test_first_order_matches_defect1_propagator_after_scaling(field):
 
 
 def test_first_order_envelope_constant(field):
-    f1 = cd.coefficient_field(
+    f1 = cd.CoefficientField(
         a=lambda z: z, b=lambda z: 2.0, da=lambda z: 1.0, db=lambda z: 0.0,
         b0=2.0, sup_da=1.0, sup_db=0.0,
     )
@@ -106,7 +106,7 @@ def test_second_order_rank_classification(field2):
     lam1, dlam1, _ = cd.lambda_k(field2, 1, 0.8)
     m1 = cd.second_order_system(field2, 1, 0.8)
     assert np.linalg.matrix_rank(m1 - np.eye(3) * m1[0, 0], tol=1e-9) == 2
-    const = cd.coefficient_field(
+    const = cd.CoefficientField(
         a=lambda z: 1.0, b=lambda z: 1.0, da=lambda z: 0.0, db=lambda z: 0.0,
         b0=1.0, sup_da=0.0, sup_db=0.0, d2a=lambda z: 0.0, d2b=lambda z: 0.0,
     )
@@ -127,7 +127,7 @@ def test_second_order_expm_vs_duhamel(field2):
 
 def test_second_order_envelope_constants(field2):
     # fully defective at |dlam| = |d2lam| = 1
-    f = cd.coefficient_field(
+    f = cd.CoefficientField(
         a=lambda z: z + z * z / 2, b=lambda z: 2.0, da=lambda z: 1.0 + z, db=lambda z: 0.0,
         b0=2.0, sup_da=2.0, sup_db=0.0, d2a=lambda z: 1.0, d2b=lambda z: 0.0,
         sup_d2a=1.0, sup_d2b=0.0,
@@ -136,7 +136,7 @@ def test_second_order_envelope_constants(field2):
     assert envm.meta["case"] == 3
     assert envm.env.C_const == pytest.approx(1.0 + (12.0 + 585.0 * 2.0) * 1.0)  # 1183
     # defect-one branch at |d2lam| = 1 (quadratic convection, flat diffusion)
-    fq = cd.coefficient_field(
+    fq = cd.CoefficientField(
         a=lambda z: 0.5 * z * z, b=lambda z: 2.0, da=lambda z: z, db=lambda z: 0.0,
         b0=2.0, sup_da=3.0, sup_db=0.0, d2a=lambda z: 1.0, d2b=lambda z: 0.0,
         sup_d2a=1.0, sup_d2b=0.0,

@@ -281,14 +281,14 @@ def test_state_normalization_enforced():
 
 
 def test_diffusion_variant_eigenvalues_exact():
-    df = fp.diffusion_field(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
+    df = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
     for k in (2, 3, 7):
         a_mat, _ = fp.fp_diffusion_variant(k, 0.6, df)
         np.testing.assert_allclose(sorted(np.linalg.eigvals(a_mat).real), [k - 2, k], atol=1e-12)
 
 
 def test_diffusion_variant_steady_sensitivity():
-    df = fp.diffusion_field(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
+    df = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
     z = 0.6
     a_mat, envm = fp.fp_diffusion_variant(2, z, df)
     # v_2 relaxes towards +(d'/d)/sqrt(2) times the conserved u_0
@@ -301,7 +301,7 @@ def test_diffusion_variant_steady_sensitivity():
 
 
 def test_diffusion_variant_envelope_dominance():
-    df = fp.diffusion_field(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
+    df = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
     for k in (3, 4, 8):
         for z in (0.0, 1.2):
             a_mat, envm = fp.fp_diffusion_variant(k, z, df)

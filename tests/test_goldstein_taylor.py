@@ -45,7 +45,7 @@ def test_mode_eigenvalue_formula(field):
 
 
 def test_flat_relaxation_block_diagonal():
-    f = gt.relaxation_field(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
+    f = gt.RelaxationField(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
     d = gt.gt_mode_matrix(f, 2, 0.3)
     np.testing.assert_allclose(d[2:, :2], 0.0, atol=1e-15)
     np.testing.assert_allclose(d[:2, 2:], 0.0, atol=1e-15)
@@ -53,9 +53,9 @@ def test_flat_relaxation_block_diagonal():
 
 def test_sigma_bounds_enforced():
     with pytest.raises(ValueError):
-        gt.relaxation_field(lambda z: 2.5, lambda z: 0.0, 2.5, 2.5, 0.0)
+        gt.RelaxationField(lambda z: 2.5, lambda z: 0.0, 2.5, 2.5, 0.0)
     with pytest.raises(ValueError):
-        gt.relaxation_field(lambda z: 1.0, lambda z: 0.0, 0.0, 1.0, 0.0)
+        gt.RelaxationField(lambda z: 1.0, lambda z: 0.0, 0.0, 1.0, 0.0)
 
 
 def test_chain_residuals_random(field):
@@ -69,7 +69,7 @@ def test_chain_residuals_random(field):
 
 
 def test_nondefective_chains_are_four_eigenvectors():
-    f = gt.relaxation_field(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
+    f = gt.RelaxationField(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
     chains = gt.gt_chains(f, 1, 0.0)
     assert len(chains) == 4 and all(len(c) == 1 for _, c in chains)
     lp, lm = gt.gt_eigenvalues(1.0, 1)
@@ -102,7 +102,7 @@ def test_p_positive_definite_across_box(field):
 
 
 def test_uniform_constant_flat_field_reduces_to_condition_number():
-    f = gt.relaxation_field(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
+    f = gt.RelaxationField(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
     uni = gt.gt_uniform_constant(f, k_max=16, n_sigma=3, n_dsigma=1)
     nd = uni["nondefective"]
     assert nd["C"] == pytest.approx(nd["lambda_max"] / nd["lambda_min"])
@@ -117,11 +117,11 @@ def test_uniform_constant_monotone_under_refinement(field):
 
 
 def test_zero_mode_envelope_constant():
-    f = gt.relaxation_field(
+    f = gt.RelaxationField(
         lambda z: 1.0 + 0.5 * np.tanh(z), lambda z: 0.5 / np.cosh(z) ** 2, 0.5, 1.5, 1.0
     )
     # pick z with |dsigma| = 1: impossible for this field; use a synthetic one
-    f1 = gt.relaxation_field(lambda z: 1.0, lambda z: 1.0, 1.0, 1.0, 1.0)
+    f1 = gt.RelaxationField(lambda z: 1.0, lambda z: 1.0, 1.0, 1.0, 1.0)
     envm = gt.gt_mode_envelope(f1, 0, 0.0)
     assert envm.env.C_const == pytest.approx(24.0)
     assert envm.env.M == 2 and envm.env.mu == pytest.approx(1.0)
@@ -184,7 +184,7 @@ def test_conservation_and_steady_state(field):
 
 
 def test_theorem_check_flat_relaxation_trivial():
-    f = gt.relaxation_field(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
+    f = gt.RelaxationField(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
     uni = gt.gt_uniform_constant(f, k_max=8, n_sigma=2, n_dsigma=1)
     rep = gt.gt_theorem_check(
         f, lambda z: gt.gt_bump_state(8, z=z), np.array([0.0]), np.linspace(0, 10, 11), uniform=uni

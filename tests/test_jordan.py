@@ -160,9 +160,13 @@ def test_same_eigenvalue_two_blocks():
 
 
 def test_explicit_zero_cluster_tolerance_is_rejected():
-    # 0 must not silently become the default tolerance
+    # 0 must not silently become the default tolerance, nor a zero
+    # refinement radius when the clusters are supplied
     with pytest.raises(ValueError, match="rel_tol must be positive"):
         jordan_chains(geometry_matrix(), cluster_rel_tol=0.0)
+    clusters = cluster_eigenvalues(np.linalg.eigvals(geometry_matrix()), 3e-4)
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        jordan_chains(geometry_matrix(), clusters=clusters, cluster_rel_tol=0.0)
 
 
 def test_inconsistent_clusters_raise():

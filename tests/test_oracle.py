@@ -6,7 +6,6 @@ from lyapdecay.linalg import expm, spectral_norm
 from lyapdecay.lyapunov import DecayEnvelope, build_form, decay_constant
 from lyapdecay.oracle import (
     check_dominance,
-    duhamel_mode_bound,
     duhamel_solve,
     nilpotent2_propagator_sq,
     propagator_curve,
@@ -153,13 +152,6 @@ def test_duhamel_matches_expm_random_triangular():
 def test_duhamel_rejects_non_triangular():
     with pytest.raises(ValueError):
         duhamel_solve(np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2), 1.0)
-
-
-def test_duhamel_mode_bound_constant():
-    assert duhamel_mode_bound(1) == pytest.approx(4.0 / 3.0)
-    assert duhamel_mode_bound(3) == pytest.approx(4.0 / 3.0)
-    with pytest.raises(ValueError):
-        duhamel_mode_bound(0)
 
 
 def test_duhamel_mode_bound_dominates_and_exceeds_one_at_zero():
