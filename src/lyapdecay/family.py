@@ -159,7 +159,5 @@ def grid_sup_envelope(fam: ParamFamily, t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.full(t_grid.shape, -np.inf)
     for z in fam.z_grid:
-        c = family_matrix(fam, z)
-        vals = np.array([2.0 * propagator_lognorm(c, t) for t in t_grid])
-        out = np.maximum(out, vals)
+        out = np.maximum(out, 2.0 * propagator_lognorm(family_matrix(fam, z), t_grid))
     return np.exp(out)

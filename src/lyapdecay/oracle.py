@@ -30,6 +30,9 @@ __all__ = [
 
 #: a report is "dominated" iff max propagator_sq / bound <= 1 + this slack
 DOMINANCE_SLACK = 1e-9
+#: times per stacked squaring ladder in propagator_lognorm: bounds the
+#: propagators held at once, as linalg._APPLY_CHUNK does for expm_apply
+_LOGNORM_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -56,33 +59,52 @@ class EnvelopeReport:
         return zip(self.times, self.propagator_sq, self.bound, ratio)
 
 
-def propagator_lognorm(c, t: float) -> float:
+def propagator_lognorm(c, t) -> float | np.ndarray:
     """log ||exp(-C t)||_2, stable far past the underflow threshold.
 
     exp(-C t) is formed as the 2^m-th power of exp(-C t / 2^m) by repeated
     squaring with renormalization, accumulating the log of the scale factors,
     so the result stays meaningful when the norm itself underflows.
+
+    ``t`` is a scalar (the result is a float) or an array of times (the
+    result has its shape).  Each time takes its own squaring count; the
+    scaled exponentials of a chunk of times come from one stacked
+    :func:`expm` call and the squarings run level by level over the times
+    that still need them, so every value equals its one-time call bit for bit.
     """
     cm = as_cmatrix(c)
-    if t == 0:
-        return 0.0
-    scale = max(np.linalg.norm(cm, 2) * abs(t), 1e-30)
-    m = max(0, int(np.ceil(np.log2(scale))))
-    a = expm(-cm, t / 2.0**m)
-    log_acc = 0.0
-    for _ in range(m):
-        nrm = np.linalg.norm(a, 2)
-        a = (a / nrm) @ (a / nrm)
-        log_acc = 2.0 * (log_acc + np.log(nrm))
-    return float(log_acc + np.log(np.linalg.norm(a, 2)))
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts)) or np.any(ts < 0):
+        raise ValueError("times must be finite and nonnegative")
+    flat = ts.ravel()
+    out = np.zeros(flat.shape)
+    c_norm = np.linalg.norm(cm, 2)
+    for lo in range(0, flat.size, _LOGNORM_CHUNK):
+        idx = lo + np.nonzero(flat[lo : lo + _LOGNORM_CHUNK])[0]
+        if idx.size:
+            out[idx] = _lognorm_ladder(cm, c_norm, flat[idx])
+    return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+
+
+def _lognorm_ladder(cm, c_norm, t) -> np.ndarray:
+    """log ||exp(-C t_j)||_2 for positive times ``t``, squaring counts mixed."""
+    scale = np.maximum(c_norm * t, 1e-30)
+    m = np.maximum(0, np.ceil(np.log2(scale))).astype(int)
+    a = expm(np.broadcast_to(-cm, t.shape + cm.shape), t / np.ldexp(1.0, m))
+    log_acc = np.zeros(t.shape)
+    for level in range(int(m.max())):
+        idx = np.nonzero(m > level)[0]
+        part = a[idx]
+        nrm = np.linalg.norm(part, 2, axis=(-2, -1))
+        part = part / nrm[:, None, None]
+        a[idx] = part @ part
+        log_acc[idx] = 2.0 * (log_acc[idx] + np.log(nrm))
+    return log_acc + np.log(np.linalg.norm(a, 2, axis=(-2, -1)))
 
 
 def propagator_curve(c, times) -> np.ndarray:
     """||exp(-C t)||_2^2 per time point."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
-    return np.exp([2.0 * propagator_lognorm(c, t) for t in times])
+    return np.exp(2.0 * propagator_lognorm(c, times))
 
 
 def _log_bound_values(bound, times) -> np.ndarray:
@@ -104,7 +126,7 @@ def check_dominance(c, bound, times) -> EnvelopeReport:
     check stays meaningful where both sides underflow.
     """
     times = np.asarray(times, dtype=float)
-    log_prop = np.array([2.0 * propagator_lognorm(c, t) for t in times])
+    log_prop = 2.0 * propagator_lognorm(c, times)
     log_bound = _log_bound_values(bound, times)
     max_log_ratio = float(np.max(log_prop - log_bound))
     max_ratio = float(np.exp(max_log_ratio))
@@ -164,7 +186,7 @@ def sharpness_order(c, mu: float, window: tuple[float, float] = (20.0, 60.0), po
     if not 0 < t0 < t1:
         raise ValueError("window must satisfy 0 < t0 < t1")
     ts = np.linspace(t0, t1, points)
-    ys = np.array([propagator_lognorm(c, t) + mu * t for t in ts])
+    ys = propagator_lognorm(c, ts) + mu * ts
     xs = np.log(ts)
     slope = np.polynomial.polynomial.polyfit(xs, ys, 1)[1]
     return float(slope)

@@ -334,8 +334,9 @@ def test_model_fp_diffusion_ratio_column_finite_where_both_sides_underflow(tmp_p
 
 
 def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch):
-    # the reports record the output names, so they are passed bare as the
-    # benchmark passes them, and LYAPDECAY_THREADS is left unset
+    # the model-* and family outputs at their defaults; the reports record the
+    # output names, so they are passed bare as the benchmark passes them, and
+    # LYAPDECAY_THREADS is left unset
     digests = json.loads((Path(__file__).parents[1] / "bench" / "seed_digests.json").read_text())["files"]
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LYAPDECAY_THREADS", raising=False)
@@ -347,9 +348,10 @@ def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch):
     }
     for name, argv in runs.items():
         assert main(argv + ["--out", f"{name}.csv", "--report", f"{name}.json"]) == 0
-        for ext in ("csv", "json"):
-            got = hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
-            assert got == digests[f"{name}.{ext}"], f"{name}.{ext}"
+    assert main(["family", "--out", "family.csv"]) == 0
+    assert len(digests) == 9
+    for fname, digest in digests.items():
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
 
 
 def test_model_gt_tabulated_sigma(tmp_path):

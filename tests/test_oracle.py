@@ -51,6 +51,68 @@ def test_propagator_lognorm_beyond_underflow():
     assert val == pytest.approx(-2000.0, rel=1e-10)
 
 
+#: squaring counts from 0 (t = 0, tiny t) to 22-24 (t = 1e6), over four chunks
+PARITY_TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 199)])
+
+
+def _stable_matrix(rng, d):
+    c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return c + (0.1 - np.linalg.eigvals(c).real.min()) * np.eye(d)
+
+
+def _lognorm_reference(c, t):
+    """One time at a time: one-matrix expm and a Python squaring loop."""
+    if t == 0:
+        return 0.0
+    m = max(0, int(np.ceil(np.log2(max(np.linalg.norm(c, 2) * t, 1e-30)))))
+    a = expm(-np.asarray(c, dtype=complex), t / 2.0**m)
+    log_acc = 0.0
+    for _ in range(m):
+        nrm = np.linalg.norm(a, 2)
+        a = (a / nrm) @ (a / nrm)
+        log_acc = 2.0 * (log_acc + np.log(nrm))
+    return log_acc + np.log(np.linalg.norm(a, 2))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_propagator_lognorm_vector_bitwise_equals_scalar_loop(d):
+    c = _stable_matrix(np.random.default_rng(500 + d), d)
+    vec = propagator_lognorm(c, PARITY_TIMES)
+    loop = np.array([propagator_lognorm(c, t) for t in PARITY_TIMES])
+    assert vec.shape == PARITY_TIMES.shape and vec[0] == 0.0
+    assert np.array_equal(vec, loop)
+    assert np.array_equal(vec, [_lognorm_reference(c, t) for t in PARITY_TIMES])
+    assert isinstance(propagator_lognorm(c, 2.5), float)
+
+
+def test_propagator_lognorm_vector_beyond_underflow():
+    times = np.array([2000.0, 0.0, 1.0, 2000.0])
+    for c in (geometry_matrix(), np.eye(2)):
+        vec = propagator_lognorm(c, times)
+        assert np.array_equal(vec, [propagator_lognorm(c, t) for t in times])
+    np.testing.assert_allclose(vec, -times, rtol=1e-10)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, -1.0, [0.0, 1.0, -1e-3], [1.0, np.nan]])
+def test_propagator_lognorm_rejects_bad_times(t):
+    c = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        propagator_lognorm(c, t)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        propagator_curve(c, t)
+
+
+def test_check_dominance_rejects_negative_times_with_callable_bound():
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        check_dominance(np.eye(2), lambda t: 1.0, [-1.0, 0.0, 1.0])
+
+
+def test_check_dominance_log_prop_equals_scalar_calls():
+    c = _stable_matrix(np.random.default_rng(7), 5)
+    rep = check_dominance(c, DecayEnvelope(50.0, 0.05, 2), PARITY_TIMES)
+    assert np.array_equal(rep.log_prop, 2 * np.array([propagator_lognorm(c, t) for t in PARITY_TIMES]))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0, 10.0])
 def test_check_dominance_defect1_family(eps):
     c = defect1_matrix(eps)
