@@ -14,7 +14,6 @@ from .linalg import (
     spectral_norm,
     hermitian_extremes,
     eigenvalues,
-    nullspace_rank,
     HermitianSpectrum,
 )
 from .jordan import (
@@ -22,7 +21,6 @@ from .jordan import (
     JordanStructure,
     cluster_eigenvalues,
     jordan_chains,
-    spectral_gap_data,
     structure_from_chains,
     verify_chain,
     JordanAmbiguityError,
@@ -50,7 +48,6 @@ from .oracle import (
     check_dominance,
     duhamel_solve,
     nilpotent2_propagator_sq,
-    propagator_curve,
     sharpness_order,
     sweep,
 )

@@ -282,9 +282,6 @@ class SpectralState:
             raise ValueError("state is not normalized (u_0 = 1 and zero-mass sensitivities)")
         object.__setattr__(self, "coeffs", c)
 
-    def mode(self, k: int) -> np.ndarray:
-        return self.coeffs[k + self.K]
-
 
 def fourier_coefficients(samples, K: int) -> np.ndarray:
     """Coefficients c_k = (1/N) sum_j f(x_j) exp(-i k x_j), k = -K..K.
@@ -333,30 +330,22 @@ def gaussian_bump_state(
     return SpectralState(K=K, order=order, coeffs=coeffs, z=z)
 
 
-def _mode_matrix(field: CoefficientField, k: int, z: float, order: int) -> np.ndarray:
-    return first_order_system(field, k, z) if order == 1 else second_order_system(field, k, z)
+def evolve_spectrum(field: CoefficientField, state: SpectralState, z: float, t_grid) -> list[SpectralState]:
+    """The state propagated to every time of ``t_grid`` by the matrix
+    exponential, one stacked propagation over all (mode, t) pairs.
 
-
-def _evolve_many(field: CoefficientField, state: SpectralState, z: float, t_grid) -> list[SpectralState]:
-    """The state propagated to every time of ``t_grid``, one stacked
-    propagation over all (mode, t) pairs."""
+    The k = 0 mode is pinned to its conserved value; no time stepping is
+    involved, so the times are independent of each other.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.repeat(state.coeffs[None], t_grid.size, axis=0)
     ks = [k for k in range(-state.K, state.K + 1) if k != 0]
     if ks:
         rows = np.array(ks) + state.K
-        mats = np.array([-_mode_matrix(field, k, z, state.order) for k in ks])
+        system = first_order_system if state.order == 1 else second_order_system
+        mats = np.array([-system(field, k, z) for k in ks])
         out[:, rows] = expm_apply(mats, state.coeffs[rows], t_grid).swapaxes(0, 1)
     return [SpectralState(K=state.K, order=state.order, coeffs=c, z=z) for c in out]
-
-
-def evolve_spectrum(field: CoefficientField, state: SpectralState, z: float, t: float) -> SpectralState:
-    """Exact propagation of every mode by the matrix exponential.
-
-    The k = 0 mode is pinned to its conserved value; no time stepping is
-    involved, so calls for different t are independent.
-    """
-    return _evolve_many(field, state, z, [t])[0]
 
 
 def deviation_norm_sq(state: SpectralState) -> float:
@@ -413,7 +402,7 @@ def theorem_bound_check(
     consts = assembled_constants(field, order)
     rep = sweep(
         initial_state_fn,
-        partial(_evolve_many, field),
+        partial(evolve_spectrum, field),
         lambda s, z: deviation_norm_sq(s),
         z_grid,
         t_grid,

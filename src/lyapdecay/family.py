@@ -26,7 +26,6 @@ __all__ = [
     "quadratic_family",
     "exponential_family",
     "constant_family",
-    "tabulated_family",
     "sup_f1",
     "uniform_envelope_quadratic",
     "uniform_envelope_exponential",
@@ -48,7 +47,7 @@ class ParamFamily:
         if np.any(mu < self.mu_min * (1.0 - 1e-12)):
             raise ValueError("mu(z) drops below mu_min on the grid")
         # sanity: the supplied derivative must match central differences
-        # (interior points only; tabulated families clamp at the edges)
+        # (interior points only; a sampled family may clamp at the grid edges)
         zin = zg[1:-1] if zg.size >= 3 else zg
         h = 1e-5 * (1.0 + np.abs(zin))
         num = np.array([
@@ -94,19 +93,6 @@ def constant_family(mu0: float, z_grid=None) -> ParamFamily:
     return ParamFamily(lambda z: mu0, lambda z: 0.0, mu_min=mu0, **kw)
 
 
-def tabulated_family(z, mu, dmu, mu_min=None) -> ParamFamily:
-    """Family defined by linear interpolation of (z, mu, mu') samples."""
-    z = np.asarray(z, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    dmu = np.asarray(dmu, dtype=float)
-    return ParamFamily(
-        mu_of_z=lambda zz: float(np.interp(zz, z, mu)),
-        dmu_of_z=lambda zz: float(np.interp(zz, z, dmu)),
-        mu_min=float(np.min(mu)) if mu_min is None else float(mu_min),
-        z_grid=z,
-    )
-
-
 def family_matrix(fam: ParamFamily, z: float) -> np.ndarray:
     return np.array(
         [[fam.mu_of_z(z), fam.dmu_of_z(z)], [0.0, fam.mu_of_z(z)]], dtype=complex
@@ -150,14 +136,15 @@ def uniform_envelope_exponential(alpha: float, beta: float, mu0: float, t: float
 
 
 def grid_sup_envelope(fam: ParamFamily, t_grid) -> np.ndarray:
-    """Pointwise max over the z grid of ||exp(-C(z) t)||_2^2.
+    """Pointwise max over the z grid of log ||exp(-C(z) t)||_2^2.
 
-    A lower bound of the true z-supremum.  Refining the grid cannot decrease
-    the result only when the finer grid contains the coarser one (nested
-    grids); a non-nested grid may miss the old maximizer.
+    Kept as a log, so it stays finite where the norm underflows; its
+    ``np.exp`` is a lower bound of the true z-supremum.  Refining the grid
+    cannot decrease the result only when the finer grid contains the coarser
+    one (nested grids); a non-nested grid may miss the old maximizer.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.full(t_grid.shape, -np.inf)
     for z in fam.z_grid:
         out = np.maximum(out, 2.0 * propagator_lognorm(family_matrix(fam, z), t_grid))
-    return np.exp(out)
+    return out

@@ -268,9 +268,10 @@ class FPState:
         return self.f.size - 1
 
 
-def _fp_evolve_many(field: DriftField, state: FPState, z: float, t_grid) -> list[FPState]:
-    """The state propagated to every time of ``t_grid``: one stacked
-    propagation for the 2x2 pairs k = 1, 2 and one for the 3x3 triples."""
+def fp_evolve(field: DriftField, state: FPState, z: float, t_grid) -> list[FPState]:
+    """Exact propagation of all coupled mode systems to every time of
+    ``t_grid``: one stacked propagation for the 2x2 pairs k = 1, 2 and one
+    for the 3x3 triples."""
     t_grid = np.asarray(t_grid, dtype=float)
     a = field.a(z)
     shift = field.alpha(z) / np.sqrt(2.0)
@@ -292,11 +293,6 @@ def _fp_evolve_many(field: DriftField, state: FPState, z: float, t_grid) -> list
     ]
 
 
-def fp_evolve(field: DriftField, state: FPState, z: float, t: float) -> FPState:
-    """Exact propagation of all coupled mode systems."""
-    return _fp_evolve_many(field, state, z, [t])[0]
-
-
 def fp_deviation_norm_sq(field: DriftField, state: FPState, z: float) -> float:
     """Squared weighted-L2 distance of (f, g) to its z-dependent steady state.
 
@@ -316,11 +312,19 @@ def fp_theorem_check(
     z_grid,
     t_grid,
 ) -> dict:
-    """Verify sup_z deviations against C (1 + t^2) e^{-2 a0 t} x initial."""
+    """Verify sup_z deviations against C (1 + t^2) e^{-2 a0 t} x initial.
+
+    A field that leaves its declared a0 or sup_da on the z grid raises ValueError.
+    """
+    for z in np.asarray(z_grid, dtype=float):
+        if field.a(z) < field.a0 * (1.0 - 1e-12):
+            raise ValueError(f"a({z}) < a0")
+        if abs(field.da(z)) > field.sup_da * (1.0 + 1e-9) + 1e-12:
+            raise ValueError(f"|da({z})| exceeds sup_da")
     consts = kuniform_constant(field)
     rep = sweep(
         initial_state_fn,
-        partial(_fp_evolve_many, field),
+        partial(fp_evolve, field),
         partial(fp_deviation_norm_sq, field),
         z_grid,
         t_grid,

@@ -28,7 +28,6 @@ __all__ = [
     "tanh_relaxation",
     "gt_eigenvalues",
     "gt_mode_matrix",
-    "gt_zero_mode_submatrix",
     "gt_chains",
     "gt_p_from_params",
     "gt_case1_p_from_params",
@@ -94,11 +93,6 @@ def gt_mode_matrix(field: RelaxationField, k: int, z: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def gt_zero_mode_submatrix(field: RelaxationField, z: float) -> np.ndarray:
-    """The decaying (second/fourth component) block of the k = 0 mode."""
-    return np.array([[field.sigma(z), 0.0], [field.dsigma(z), field.sigma(z)]], dtype=complex)
 
 
 def _v0(lam_opp: complex, k: int) -> np.ndarray:
@@ -280,9 +274,6 @@ class GTState:
             raise ValueError("zero mode is not normalized (masses 1 and 0)")
         object.__setattr__(self, "coeffs", c)
 
-    def mode(self, k: int) -> np.ndarray:
-        return self.coeffs[k + self.K]
-
 
 def gt_state_from_functions(f_plus, f_minus, g_plus, g_minus, K: int, z: float = 0.0) -> GTState:
     """Project the four densities onto modes via uniform-grid quadrature."""
@@ -310,16 +301,12 @@ def gt_bump_state(K: int, z: float = 0.0) -> GTState:
     )
 
 
-def _gt_evolve_many(field: RelaxationField, state: GTState, z: float, t_grid) -> list[GTState]:
+def gt_evolve(field: RelaxationField, state: GTState, z: float, t_grid) -> list[GTState]:
     """The state propagated to every time of ``t_grid``, one stacked
     propagation over all (mode, t) pairs."""
     mats = np.array([-gt_mode_matrix(field, k, z) for k in range(-state.K, state.K + 1)])
     out = expm_apply(mats, state.coeffs, t_grid).swapaxes(0, 1).copy()
     return [GTState(K=state.K, coeffs=c, z=z) for c in out]
-
-
-def gt_evolve(field: RelaxationField, state: GTState, z: float, t: float) -> GTState:
-    return _gt_evolve_many(field, state, z, [t])[0]
 
 
 def gt_deviation_norm_sq(state: GTState) -> float:
@@ -341,12 +328,18 @@ def gt_theorem_check(
 
     The uniform constant defaults to :func:`gt_uniform_constant` (pass a
     precomputed report to avoid resweeping).  Ratios use the supremum of the
-    initial deviation over the z grid, as the statement does.
+    initial deviation over the z grid, as the statement does.  A field that
+    leaves its declared sigma0, sigma1 or L on the z grid raises ValueError.
     """
+    for z in np.asarray(z_grid, dtype=float):
+        if not field.sigma0 * (1.0 - 1e-12) <= field.sigma(z) <= field.sigma1 * (1.0 + 1e-12):
+            raise ValueError(f"sigma({z}) outside [sigma0, sigma1]")
+        if abs(field.dsigma(z)) > field.L * (1.0 + 1e-9) + 1e-12:
+            raise ValueError(f"|dsigma({z})| exceeds L")
     uniform = uniform or gt_uniform_constant(field, k_max=k_max)
     rep = sweep(
         initial_state_fn,
-        partial(_gt_evolve_many, field),
+        partial(gt_evolve, field),
         lambda s, z: gt_deviation_norm_sq(s),
         z_grid,
         t_grid,

@@ -34,7 +34,6 @@ __all__ = [
     "NotPositiveStableError",
     "cluster_eigenvalues",
     "jordan_chains",
-    "spectral_gap_data",
     "structure_from_chains",
     "verify_chain",
 ]
@@ -311,18 +310,10 @@ def jordan_chains(
     return structure
 
 
-def spectral_gap_data(structure: JordanStructure) -> tuple[float, int, frozenset[int]]:
-    """(mu, M, I_mu) for a structure; raises if not positive stable."""
-    if structure.mu <= 0:
-        raise NotPositiveStableError(f"spectral gap mu = {structure.mu:.6g} is not positive")
-    return structure.mu, structure.max_defective_block, structure.defective_gap_indices
-
-
 def structure_from_chains(
     blocks_data,
     dim: int | None = None,
     gap_rel_tol: float = DEFAULT_RANK_TOL,
-    require_stable: bool = True,
 ) -> JordanStructure:
     """Assemble a structure from explicit (eigenvalue, chain) pairs.
 
@@ -341,7 +332,7 @@ def structure_from_chains(
     if total != d:
         raise ValueError(f"chain lengths sum to {total}, expected dimension {d}")
     mu = min(b.eigenvalue.real for b in blocks)
-    if require_stable and mu <= 0:
+    if mu <= 0:
         raise NotPositiveStableError(f"spectral gap mu = {mu:.6g} is not positive")
     gap_tol = gap_rel_tol * (1.0 + abs(mu))
     i_mu = frozenset(

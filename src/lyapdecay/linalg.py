@@ -22,7 +22,6 @@ __all__ = [
     "spectral_norm",
     "hermitian_extremes",
     "eigenvalues",
-    "nullspace_rank",
     "HermitianSpectrum",
     "load_matrix_json",
     "matrix_to_json",
@@ -42,10 +41,6 @@ class HermitianSpectrum:
 
     lambda_min: float
     lambda_max: float
-
-    @property
-    def condition(self) -> float:
-        return self.lambda_max / self.lambda_min
 
 
 def as_cmatrix(a, stack: bool = False) -> np.ndarray:
@@ -163,21 +158,6 @@ def eigenvalues(a) -> np.ndarray:
     ev = np.linalg.eigvals(m)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
-
-
-def nullspace_rank(a, tol: float = 1e-8) -> tuple[int, np.ndarray]:
-    """Numerical rank and an orthonormal nullspace basis via SVD.
-
-    ``tol`` is relative to the largest singular value.  The basis is returned
-    as rows; for a full-rank matrix it has shape (0, d).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = as_cmatrix(a)
-    _, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return rank, vh[rank:].conj()
 
 
 def load_matrix_json(obj) -> np.ndarray:

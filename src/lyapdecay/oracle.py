@@ -22,7 +22,6 @@ __all__ = [
     "check_dominance",
     "duhamel_solve",
     "nilpotent2_propagator_sq",
-    "propagator_curve",
     "propagator_lognorm",
     "sharpness_order",
     "sweep",
@@ -44,6 +43,8 @@ class EnvelopeReport:
     log_prop: np.ndarray
     log_bound: np.ndarray
     max_ratio: float
+    #: log of max_ratio, finite where max_ratio overflows to inf
+    max_log_ratio: float
     dominated: bool
 
     @property
@@ -55,7 +56,8 @@ class EnvelopeReport:
         return np.exp(self.log_bound)
 
     def to_rows(self):
-        ratio = np.exp(self.log_prop - self.log_bound)
+        with np.errstate(over="ignore"):
+            ratio = np.exp(self.log_prop - self.log_bound)
         return zip(self.times, self.propagator_sq, self.bound, ratio)
 
 
@@ -102,11 +104,6 @@ def _lognorm_ladder(cm, c_norm, t) -> np.ndarray:
     return log_acc + np.log(np.linalg.norm(a, 2, axis=(-2, -1)))
 
 
-def propagator_curve(c, times) -> np.ndarray:
-    """||exp(-C t)||_2^2 per time point."""
-    return np.exp(2.0 * propagator_lognorm(c, times))
-
-
 def _log_bound_values(bound, times) -> np.ndarray:
     if isinstance(bound, DecayEnvelope):
         return np.asarray(envelope_log_eval(bound, times))
@@ -129,12 +126,14 @@ def check_dominance(c, bound, times) -> EnvelopeReport:
     log_prop = 2.0 * propagator_lognorm(c, times)
     log_bound = _log_bound_values(bound, times)
     max_log_ratio = float(np.max(log_prop - log_bound))
-    max_ratio = float(np.exp(max_log_ratio))
+    with np.errstate(over="ignore"):
+        max_ratio = float(np.exp(max_log_ratio))
     return EnvelopeReport(
         times=times,
         log_prop=log_prop,
         log_bound=log_bound,
         max_ratio=max_ratio,
+        max_log_ratio=max_log_ratio,
         dominated=bool(max_ratio <= 1.0 + DOMINANCE_SLACK),
     )
 

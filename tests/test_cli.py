@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,3 +387,73 @@ def test_model_fp_tabulated_drift(tmp_path):
     )
     assert rc == 0
     assert json.loads(rep.read_text())["constants"]["a0"] == float(a.min())
+
+
+def test_family_ratio_finite_where_both_sides_underflow(tmp_path):
+    # at t = 400 the grid supremum and the envelope are both 0.0 in double
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["family", "--t-max", "400", "--points", "5", "--z-points", "5", "--out", str(out)])
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[-1, 1] == 0.0 and rows[-1, 2] == 0.0
+    assert np.all(np.isfinite(rows[:, 3]))
+    assert (rows[:, 3].max() > 1.0 + 1e-9) == (rc == 1)
+
+
+def test_verify_reports_finite_log_ratio_past_overflow(matrix_file, tmp_path, capsys):
+    # eigenvalues 1 +- 1e-4 against the envelope of a double eigenvalue 1: the
+    # ratio passes the largest double long before t = 1e7
+    m = np.array([[1.0, 1.0], [1e-8, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--matrix", matrix_file(m), "--t-max", "1e7", "--out", str(tmp_path / "v.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "inf" not in err
+    log_ratio = float(err.split("max_log_ratio = ")[1])
+    assert 709.0 < log_ratio < np.inf
+
+
+def _table_run(tmp_path, command, option, table):
+    tfile = tmp_path / "table.json"
+    tfile.write_text(json.dumps(table))
+    return main(
+        [
+            command, option, str(tfile), "--K", "4", "--z-grid=0:6:7", "--t-max", "2", "--t-points", "3",
+            "--out", str(tmp_path / "m.csv"), "--report", str(tmp_path / "m.json"),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "declared, message",
+    [
+        ({"sigma0": 1.2, "L": 0.01}, "sigma"),
+        ({"sigma0": 1.2}, "sigma"),
+        ({"sigma1": 1.2}, "sigma"),
+        ({"L": 0.01}, "exceeds L"),
+    ],
+)
+def test_model_gt_rejects_table_contradicting_its_bounds(tmp_path, capsys, declared, message):
+    # on the z grid 0..6 the column spans sigma in [1.0, 1.5] with |sigma'| up to 0.5
+    z = np.linspace(-6.0, 6.0, 41)
+    table = {
+        "z": z.tolist(),
+        "sigma": (1.0 + 0.5 * np.tanh(z)).tolist(),
+        "dsigma": (0.5 / np.cosh(z) ** 2).tolist(),
+    }
+    assert _table_run(tmp_path, "model-gt", "--sigma", {**table, **declared}) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "declared, message",
+    [({"a0": 0.95, "sup_da": 0.01}, "sup_da"), ({"a0": 0.95}, "< a0"), ({"sup_da": 0.01}, "sup_da")],
+)
+def test_model_fp_rejects_table_contradicting_its_bounds(tmp_path, capsys, declared, message):
+    # on the z grid 0..6 the column has min a = 0.71 and max |a'| = 0.3
+    z = np.linspace(0.0, 6.0, 41)
+    table = {"z": z.tolist(), "a": (1.0 + 0.3 * np.sin(z)).tolist(), "da": (0.3 * np.cos(z)).tolist()}
+    assert _table_run(tmp_path, "model-fp", "--drift", {**table, **declared}) == 2
+    assert message in capsys.readouterr().err

@@ -9,11 +9,10 @@ from lyapdecay.family import (
     grid_sup_envelope,
     quadratic_family,
     sup_f1,
-    tabulated_family,
     uniform_envelope_exponential,
     uniform_envelope_quadratic,
 )
-from lyapdecay.oracle import propagator_curve
+from lyapdecay.oracle import propagator_lognorm
 
 
 def test_family_matrix_constant_rate():
@@ -65,7 +64,7 @@ def test_uniform_quadratic_dominates_grid_propagators():
     fam = quadratic_family(alpha, mu_min, z_grid=np.linspace(-4, 4, 81))
     ts = np.linspace(0.0, 12.0, 25)
     for z in fam.z_grid[::8]:
-        prop = propagator_curve(family_matrix(fam, z), ts)
+        prop = np.exp(2.0 * propagator_lognorm(family_matrix(fam, z), ts))
         env = np.array([uniform_envelope_quadratic(alpha, mu_min, t) for t in ts])
         assert np.all(prop <= env * (1 + 1e-9))
 
@@ -93,7 +92,7 @@ def test_uniform_exponential_values_and_dominance():
     assert uniform_envelope_exponential(alpha, beta, mu0, 0.0) == pytest.approx(2.0)
     fam = exponential_family(alpha, beta, mu0, z_grid=np.linspace(-6, 2, 41))
     for z in fam.z_grid[::10]:
-        prop = propagator_curve(family_matrix(fam, z), ts)
+        prop = np.exp(2.0 * propagator_lognorm(family_matrix(fam, z), ts))
         env = np.array([uniform_envelope_exponential(alpha, beta, mu0, t) for t in ts])
         assert np.all(prop <= env * (1 + 1e-9))
     with pytest.raises(ValueError):
@@ -103,14 +102,14 @@ def test_uniform_exponential_values_and_dominance():
 def test_grid_sup_envelope_constant_family():
     fam = constant_family(0.9)
     ts = np.linspace(0.0, 6.0, 7)
-    np.testing.assert_allclose(grid_sup_envelope(fam, ts), np.exp(-1.8 * ts), rtol=1e-10)
+    np.testing.assert_allclose(np.exp(grid_sup_envelope(fam, ts)), np.exp(-1.8 * ts), rtol=1e-10)
 
 
 def test_grid_sup_envelope_within_closed_form():
     alpha, mu_min = 1.0, 1.0
     fam = quadratic_family(alpha, mu_min, z_grid=np.linspace(-3, 3, 61))
     ts = np.linspace(0.0, 8.0, 9)
-    sup = grid_sup_envelope(fam, ts)
+    sup = np.exp(grid_sup_envelope(fam, ts))
     closed = np.array([uniform_envelope_quadratic(alpha, mu_min, t) for t in ts])
     assert np.all(sup <= closed * (1 + 1e-9))
 
@@ -120,14 +119,7 @@ def test_grid_sup_envelope_refinement_monotone():
     ts = np.linspace(0.0, 5.0, 6)
     coarse = grid_sup_envelope(quadratic_family(alpha, mu_min, z_grid=np.linspace(-3, 3, 11)), ts)
     fine = grid_sup_envelope(quadratic_family(alpha, mu_min, z_grid=np.linspace(-3, 3, 21)), ts)
-    assert np.all(fine >= coarse - 1e-14)
-
-
-def test_tabulated_family_and_derivative_check():
-    z = np.linspace(-2, 2, 401)
-    fam = tabulated_family(z, 1.0 + z**2, 2.0 * z)
-    assert fam.mu_min == pytest.approx(1.0)
-    assert fam.mu_of_z(0.5) == pytest.approx(1.25, abs=1e-4)
+    assert np.all(np.exp(fine) >= np.exp(coarse) - 1e-14)
 
 
 def test_family_rejects_inconsistent_derivative():

@@ -219,7 +219,7 @@ def test_gap_structure_only_modes_1_and_3_attain_rate(field):
 
 def test_g2_relaxes_to_steady_shift(field):
     st0 = fp.fp_gaussian_state(field, z=0.5, K=16)
-    out = fp.fp_evolve(field, st0, 0.5, 20.0)
+    (out,) = fp.fp_evolve(field, st0, 0.5, [20.0])
     assert abs(out.g[2] + field.alpha(0.5) / np.sqrt(2.0)) < 1e-12
 
 
@@ -262,7 +262,7 @@ def test_theorem_check_equals_per_cell_evolve(field):
     ts = np.linspace(0.0, 10.0, 40)
     state = lambda z: fp.fp_gaussian_state(field, z=z, K=8)
     rep = fp.fp_theorem_check(field, state, zs, ts)
-    want = [[fp.fp_deviation_norm_sq(field, fp.fp_evolve(field, state(z), z, t), z) for t in ts] for z in zs]
+    want = [[fp.fp_deviation_norm_sq(field, fp.fp_evolve(field, state(z), z, [t])[0], z) for t in ts] for z in zs]
     assert np.array_equal(rep["norm_sq"], np.array(want))
 
 

@@ -6,7 +6,6 @@ from lyapdecay.jordan import (
     NotPositiveStableError,
     cluster_eigenvalues,
     jordan_chains,
-    spectral_gap_data,
     structure_from_chains,
     verify_chain,
 )
@@ -63,14 +62,14 @@ def test_chains_defect1_family():
 
 def test_gap_data_geometry():
     st = jordan_chains(geometry_matrix())
-    mu, m, i_mu = spectral_gap_data(st)
+    mu, m, i_mu = st.mu, st.max_defective_block, st.defective_gap_indices
     assert mu == pytest.approx(0.5, abs=1e-9)
     assert m == 2 and i_mu == frozenset({0})
 
 
 def test_gap_data_diagonal():
     st = jordan_chains(np.diag([1.0, 2.0]).astype(complex))
-    mu, m, i_mu = spectral_gap_data(st)
+    mu, m, i_mu = st.mu, st.max_defective_block, st.defective_gap_indices
     assert (mu, m, i_mu) == (pytest.approx(1.0), 1, frozenset())
 
 
@@ -82,19 +81,15 @@ def test_gap_data_defect_off_the_gap():
         [[(k - 2) / k, 0, 0], [0, 1, 0], [np.sqrt((k - 1) / k) * al, al, 1]], dtype=complex
     )
     st = jordan_chains(c)
-    mu, m, i_mu = spectral_gap_data(st)
+    mu, m, i_mu = st.mu, st.max_defective_block, st.defective_gap_indices
     assert mu == pytest.approx((k - 2) * a, abs=1e-9)
     assert m == 1 and i_mu == frozenset()
     assert sorted(b.length for b in st.blocks) == [1, 2]
 
 
 def test_gap_data_rejects_unstable():
-    st = structure_from_chains(
-        [(-0.5, [np.array([1.0, 0.0])]), (1.0, [np.array([0.0, 1.0])])],
-        require_stable=False,
-    )
     with pytest.raises(NotPositiveStableError):
-        spectral_gap_data(st)
+        structure_from_chains([(-0.5, [np.array([1.0, 0.0])]), (1.0, [np.array([0.0, 1.0])])])
 
 
 def test_verify_chain_exact_and_perturbed():

@@ -12,7 +12,6 @@ from lyapdecay.linalg import (
     hermitian_extremes,
     load_matrix_json,
     matrix_to_json,
-    nullspace_rank,
     spectral_norm,
 )
 
@@ -265,26 +264,6 @@ def test_eigenvalues_adjoint_conjugate_multiset():
     for lam in ev:
         i = int(np.argmin([abs(np.conj(lam) - other) for other in pool]))
         assert abs(np.conj(lam) - pool.pop(i)) < 1e-8
-
-
-def test_nullspace_rank_zero_matrix():
-    rank, basis = nullspace_rank(np.zeros((3, 3)), tol=1e-10)
-    assert rank == 0 and basis.shape == (3, 3)
-    np.testing.assert_allclose(basis @ basis.conj().T, np.eye(3), atol=1e-12)
-
-
-def test_nullspace_rank_geometry_shifted():
-    c = geometry_matrix()
-    b = c.conj().T - 0.5 * np.eye(2)
-    rank, basis = nullspace_rank(b, tol=1e-8)
-    assert rank == 1 and basis.shape == (1, 2)
-    direction = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert abs(abs(basis[0] @ direction.conj()) - 1.0) < 1e-12
-
-
-def test_nullspace_rank_identity():
-    rank, basis = nullspace_rank(np.eye(4), tol=1e-10)
-    assert rank == 4 and basis.shape == (0, 4)
 
 
 def test_matrix_json_round_trip(tmp_path):

@@ -8,7 +8,6 @@ from lyapdecay.oracle import (
     check_dominance,
     duhamel_solve,
     nilpotent2_propagator_sq,
-    propagator_curve,
     propagator_lognorm,
     sharpness_order,
 )
@@ -16,18 +15,18 @@ from lyapdecay.oracle import (
 from conftest import defect1_matrix, geometry_matrix
 
 
-def test_propagator_curve_defect1_value():
+def test_propagator_lognorm_defect1_value():
     c = defect1_matrix(1.0)
-    got = propagator_curve(c, [1.0])[0]
+    got = np.exp(2.0 * propagator_lognorm(c, 1.0))
     want = np.exp(-2.0) * (1.5 + np.sqrt(5.0) / 2.0)
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_propagator_curve_scalar_rate():
+def test_propagator_lognorm_scalar_rate():
     mu = 0.8
     c = mu * np.eye(3)
     ts = np.linspace(0.0, 10.0, 11)
-    np.testing.assert_allclose(propagator_curve(c, ts), np.exp(-2 * mu * ts), rtol=1e-12)
+    np.testing.assert_allclose(np.exp(2.0 * propagator_lognorm(c, ts)), np.exp(-2 * mu * ts), rtol=1e-12)
 
 
 def test_geometry_solution_swings_to_eigendirection():
@@ -98,8 +97,6 @@ def test_propagator_lognorm_rejects_bad_times(t):
     c = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite and nonnegative"):
         propagator_lognorm(c, t)
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        propagator_curve(c, t)
 
 
 def test_check_dominance_rejects_negative_times_with_callable_bound():
@@ -157,7 +154,7 @@ def test_nilpotent2_closed_form_matches_expm():
         c = defect1_matrix(eps)
         ts = np.linspace(0, 10, 21)
         np.testing.assert_allclose(
-            nilpotent2_propagator_sq(1.0, eps, ts), propagator_curve(c, ts), rtol=1e-11
+            nilpotent2_propagator_sq(1.0, eps, ts), np.exp(2.0 * propagator_lognorm(c, ts)), rtol=1e-11
         )
 
 
