@@ -98,7 +98,9 @@ def _analysis_pipeline(matrix, rel_tol: float, cluster_tol: float, weights=None)
             for n in structure.defective_gap_indices
         }
     elif weights:
-        block_weights = {i: np.asarray(w, dtype=float) for i, w in enumerate(weights)}
+        if not isinstance(weights, list):
+            raise ValueError("--weights must be a JSON list of per-block weight lists")
+        block_weights = dict(enumerate(weights))
     form = build_form(structure, block_weights=block_weights)
     env = decay_constant(structure, form)
     return structure, form, env
@@ -189,9 +191,9 @@ def cmd_family(args) -> int:
     log_sup = fam.grid_sup_envelope(family, ts)
     sup = np.exp(log_sup)
     env = np.array([env_fn(t) for t in ts])
-    # where the envelope underflows, the ratio and the verdict come from the logs
+    # where the envelope is subnormal or 0, ratio and verdict come from the logs
     log_ratio = log_sup - np.array([np.log(prefactor(t)) - 2.0 * cfg["mu_min"] * t for t in ts])
-    live = env > 0
+    live = env >= np.finfo(float).tiny
     ratio = np.empty_like(sup)
     ratio[live] = sup[live] / env[live]
     ratio[~live] = np.exp(log_ratio[~live])
@@ -211,6 +213,14 @@ def _sup_abs(data: dict, key: str) -> float:
     return float(np.max(np.abs(data[key])))
 
 
+def _bound(data: dict, key: str, derived: float) -> float:
+    """The declared bound ``data[key]``, or ``derived`` where it is absent or null."""
+    value = derived if data.get(key) is None else data[key]
+    if type(value) not in (int, float) or not np.isfinite(value):
+        raise ValueError(f"bound {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _field(spec: str, builtins: dict, from_table):
     """A builtin coefficient field by name, else one tabulated in a JSON file."""
     if spec in builtins:
@@ -224,7 +234,7 @@ def _cd_table(data: dict) -> cd.CoefficientField:
     return cd.CoefficientField(
         **{key: _interp(data, key) for key in ["a", "b", *derivatives]},
         **{"sup_" + key: _sup_abs(data, key) for key in derivatives},
-        b0=float(np.min(data["b"])) if data.get("b0") is None else float(data["b0"]),
+        b0=_bound(data, "b0", float(np.min(data["b"]))),
     )
 
 
@@ -232,9 +242,9 @@ def _gt_table(data: dict) -> gt.RelaxationField:
     return gt.RelaxationField(
         sigma=_interp(data, "sigma"),
         dsigma=_interp(data, "dsigma"),
-        sigma0=data.get("sigma0", float(np.min(data["sigma"]))),
-        sigma1=data.get("sigma1", float(np.max(data["sigma"]))),
-        L=data.get("L", _sup_abs(data, "dsigma")),
+        sigma0=_bound(data, "sigma0", float(np.min(data["sigma"]))),
+        sigma1=_bound(data, "sigma1", float(np.max(data["sigma"]))),
+        L=_bound(data, "L", _sup_abs(data, "dsigma")),
     )
 
 
@@ -242,8 +252,8 @@ def _fp_table(data: dict) -> fp.DriftField:
     return fp.DriftField(
         a=_interp(data, "a"),
         da=_interp(data, "da"),
-        a0=data.get("a0", float(np.min(data["a"]))),
-        sup_da=data.get("sup_da", _sup_abs(data, "da")),
+        a0=_bound(data, "a0", float(np.min(data["a"]))),
+        sup_da=_bound(data, "sup_da", _sup_abs(data, "da")),
     )
 
 

@@ -28,7 +28,7 @@ from .lyapunov import (
     sup_poly_exp,
     w_vector,
 )
-from .oracle import sweep
+from .oracle import _check_field_bounds, sweep
 
 __all__ = [
     "CoefficientField",
@@ -82,15 +82,6 @@ class CoefficientField:
     def __post_init__(self):
         if self.b0 <= 0:
             raise ValueError("b0 must be positive")
-
-    def validate_on(self, z_grid) -> None:
-        for z in np.asarray(z_grid, dtype=float):
-            if self.b(z) < self.b0 * (1.0 - 1e-12):
-                raise ValueError(f"b({z}) < b0")
-            if abs(self.da(z)) > self.sup_da * (1.0 + 1e-9) + 1e-12:
-                raise ValueError(f"|da({z})| exceeds sup_da")
-            if abs(self.db(z)) > self.sup_db * (1.0 + 1e-9) + 1e-12:
-                raise ValueError(f"|db({z})| exceeds sup_db")
 
 
 def tanh_field() -> CoefficientField:
@@ -398,7 +389,14 @@ def theorem_bound_check(
     uniform mode constant and the k-folding factor.  Returns the
     :func:`~lyapdecay.oracle.sweep` report plus the order and the constants.
     """
-    field.validate_on(z_grid)
+    _check_field_bounds(
+        z_grid,
+        values=[(field.b, field.b0, np.inf, "b({z}) < b0")],
+        slopes=[
+            (field.da, field.sup_da, "|da({z})| exceeds sup_da"),
+            (field.db, field.sup_db, "|db({z})| exceeds sup_db"),
+        ],
+    )
     consts = assembled_constants(field, order)
     rep = sweep(
         initial_state_fn,

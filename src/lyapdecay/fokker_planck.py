@@ -27,7 +27,7 @@ from .lyapunov import (
     decay_constant,
     tilde_constant,
 )
-from .oracle import sweep
+from .oracle import _check_field_bounds, sweep
 
 __all__ = [
     "DriftField",
@@ -316,11 +316,11 @@ def fp_theorem_check(
 
     A field that leaves its declared a0 or sup_da on the z grid raises ValueError.
     """
-    for z in np.asarray(z_grid, dtype=float):
-        if field.a(z) < field.a0 * (1.0 - 1e-12):
-            raise ValueError(f"a({z}) < a0")
-        if abs(field.da(z)) > field.sup_da * (1.0 + 1e-9) + 1e-12:
-            raise ValueError(f"|da({z})| exceeds sup_da")
+    _check_field_bounds(
+        z_grid,
+        values=[(field.a, field.a0, np.inf, "a({z}) < a0")],
+        slopes=[(field.da, field.sup_da, "|da({z})| exceeds sup_da")],
+    )
     consts = kuniform_constant(field)
     rep = sweep(
         initial_state_fn,

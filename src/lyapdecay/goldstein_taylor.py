@@ -20,7 +20,7 @@ import numpy as np
 from .jordan import structure_from_chains
 from .linalg import expm_apply, hermitian_extremes
 from .lyapunov import DecayEnvelope, ModeEnvelope, build_form, decay_constant
-from .oracle import sweep
+from .oracle import _check_field_bounds, sweep
 
 __all__ = [
     "RelaxationField",
@@ -331,11 +331,11 @@ def gt_theorem_check(
     initial deviation over the z grid, as the statement does.  A field that
     leaves its declared sigma0, sigma1 or L on the z grid raises ValueError.
     """
-    for z in np.asarray(z_grid, dtype=float):
-        if not field.sigma0 * (1.0 - 1e-12) <= field.sigma(z) <= field.sigma1 * (1.0 + 1e-12):
-            raise ValueError(f"sigma({z}) outside [sigma0, sigma1]")
-        if abs(field.dsigma(z)) > field.L * (1.0 + 1e-9) + 1e-12:
-            raise ValueError(f"|dsigma({z})| exceeds L")
+    _check_field_bounds(
+        z_grid,
+        values=[(field.sigma, field.sigma0, field.sigma1, "sigma({z}) outside [sigma0, sigma1]")],
+        slopes=[(field.dsigma, field.L, "|dsigma({z})| exceeds L")],
+    )
     uniform = uniform or gt_uniform_constant(field, k_max=k_max)
     rep = sweep(
         initial_state_fn,

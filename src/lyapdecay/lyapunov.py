@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jordan import DEFAULT_RANK_TOL, JordanBlock, JordanStructure, NotPositiveStableError
+from .jordan import JordanBlock, JordanStructure
 from .linalg import as_cmatrix, hermitian_extremes, is_hermitian
 
 __all__ = [
@@ -166,68 +166,41 @@ def build_form(
     structure: JordanStructure,
     block_weights: dict[int, object] | None = None,
     tilde_blocks: tuple[int, ...] = (),
-    gap_rel_tol: float = DEFAULT_RANK_TOL,
 ) -> LyapunovForm:
     """Assign case tags and weights to every block of a structure.
 
-    ``block_weights`` maps block index to either a positive scalar (case 1/2
-    multiplier, or a uniform case-3 weight) or a full array of per-entry
-    weights (case-3 beta^1..beta^l, or an explicit case-2 ladder).  Defaults:
-    case-1/2 multiplier 1 and case-3 weights all one.  Indices listed in
-    ``tilde_blocks`` use the time-dependent construction even though their
-    eigenvalue sits off the gap.
+    Blocks in ``structure.defective_gap_indices`` are case 3, other blocks of
+    length > 1 case 2 and length-1 blocks case 1; indices in ``tilde_blocks``
+    name off-gap blocks that take the time-dependent construction instead.
+    ``block_weights`` maps a block index to one positive weight per chain
+    vector, b^1..b^l for case 2 and beta^1..beta^l otherwise (a scalar will do
+    for a length-1 block); omitted blocks take weight 1, the case-2 ladder in
+    tau = 2 (Re lam - mu), or all ones.  A wrong length, a weight that is not
+    finite and positive, or an index with no block raises ValueError.
     """
-    block_weights = block_weights or {}
-    mu = structure.mu
-    gap_tol = gap_rel_tol * (1.0 + abs(mu))
+    block_weights = dict(block_weights or {})
     fbs = []
     for n, b in enumerate(structure.blocks):
-        spec = block_weights.get(n)
-        at_gap = b.eigenvalue.real <= mu + gap_tol
+        at_gap = n in structure.defective_gap_indices
         if n in tilde_blocks:
-            if b.length < 1 or at_gap:
+            if at_gap:
                 raise ValueError("tilde treatment targets off-gap blocks")
             case = CASE3_TILDE
-            weights = _case3_weights(spec, b.length)
-        elif b.length == 1:
-            case = CASE1
-            weights = np.array([_scalar_weight(spec)])
-        elif at_gap:
-            case = CASE3
-            weights = _case3_weights(spec, b.length)
         else:
-            case = CASE2
-            tau = 2.0 * (b.eigenvalue.real - mu)
-            if isinstance(spec, (list, tuple, np.ndarray)):
-                weights = np.asarray(spec, dtype=float)
-                if weights.size != b.length:
-                    raise ValueError("case-2 ladder must have one weight per chain vector")
-            else:
-                weights = _scalar_weight(spec) * case2_weights(b.length, tau)
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
+            case = CASE3 if at_gap else CASE2 if b.length > 1 else CASE1
+        spec = block_weights.pop(n, None)
+        if spec is not None:
+            weights = np.atleast_1d(np.asarray(spec, dtype=float))
+        elif case == CASE2:
+            weights = case2_weights(b.length, 2.0 * (b.eigenvalue.real - structure.mu))
+        else:
+            weights = np.ones(b.length)
+        if weights.shape != (b.length,) or not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError(f"block {n}: need one finite weight > 0 per chain vector, got {weights}")
         fbs.append(FormBlock(case=case, block=b, weights=weights))
-    return LyapunovForm(blocks=tuple(fbs), mu=mu, dim=structure.dim)
-
-
-def _scalar_weight(spec) -> float:
-    if spec is None:
-        return 1.0
-    w = float(spec)
-    if w <= 0:
-        raise ValueError("weights must be strictly positive")
-    return w
-
-
-def _case3_weights(spec, l: int) -> np.ndarray:
-    if spec is None:
-        return np.ones(l)
-    if np.isscalar(spec):
-        return float(spec) * np.ones(l)
-    w = np.asarray(spec, dtype=float)
-    if w.size != l:
-        raise ValueError(f"expected {l} weights, got {w.size}")
-    return w
+    if block_weights:
+        raise ValueError(f"weights given for blocks {sorted(block_weights)} that do not exist")
+    return LyapunovForm(blocks=tuple(fbs), mu=structure.mu, dim=structure.dim)
 
 
 def _rank_one(v: np.ndarray) -> np.ndarray:
@@ -285,18 +258,13 @@ def build_p_epsilon(structure: JordanStructure, epsilon: float) -> np.ndarray:
         raise ValueError("epsilon must be positive")
     if epsilon >= structure.mu:
         raise ValueError("epsilon must be below the spectral gap (degenerate rate)")
-    p = np.zeros((structure.dim, structure.dim), dtype=complex)
-    for n, b in enumerate(structure.blocks):
-        if b.length == 1:
-            p += _rank_one(b.chain[0])
-            continue
-        if n in structure.defective_gap_indices:
-            ladder = case2_weights(b.length, 2.0 * epsilon)
-        else:
-            ladder = case2_weights(b.length, 2.0 * (b.eigenvalue.real - structure.mu))
-        for j in range(b.length):
-            p += ladder[j] * _rank_one(b.chain[b.length - 1 - j])
-    return 0.5 * (p + p.conj().T)
+    # a case-3 block at t = 0 with the tau = 2 epsilon ladder reversed (its
+    # largest weight on the eigenvector) has exactly the case-2 ladder's terms
+    ladders = {
+        n: case2_weights(structure.blocks[n].length, 2.0 * epsilon)[::-1]
+        for n in structure.defective_gap_indices
+    }
+    return build_p(build_form(structure, block_weights=ladders), 0.0)
 
 
 def c_m_constant(m: int) -> float:
@@ -321,13 +289,9 @@ def decay_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvel
     C = 2 lambda_max / lambda_min * c_M * max over gap-defective blocks of
     sum_m beta^m / min_{k<=m} beta^k.
     """
-    if structure.mu <= 0:
-        raise NotPositiveStableError(f"mu = {structure.mu:.6g} is not positive")
     if any(fb.case == CASE3_TILDE for fb in form.blocks):
         raise ValueError("forms with tilde-treated blocks use tilde_constant")
-    ext = hermitian_extremes(build_p(form, 0.0))
-    if ext.lambda_min <= 0:
-        raise ValueError("P(0) is not positive definite")
+    ext = _p0_extremes(form)
     m_def = structure.max_defective_block
     if m_def == 1:
         return DecayEnvelope(ext.lambda_max / ext.lambda_min, structure.mu, 1)
@@ -336,6 +300,14 @@ def decay_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvel
     )
     c = 2.0 * ext.lambda_max / ext.lambda_min * c_m_constant(m_def) * factor
     return DecayEnvelope(c, structure.mu, m_def)
+
+
+def _p0_extremes(form: LyapunovForm):
+    """Extreme eigenvalues of P(0); raises unless P(0) is positive definite."""
+    ext = hermitian_extremes(build_p(form, 0.0))
+    if ext.lambda_min <= 0:
+        raise ValueError("P(0) is not positive definite")
+    return ext
 
 
 def _weight_sum_term(betas: np.ndarray) -> float:
@@ -461,9 +433,7 @@ def tilde_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvel
         raise ValueError("remaining structure must be non-defective at the gap (M = 1)")
     fb = form.blocks[n2]
     l = fb.block.length
-    ext = hermitian_extremes(build_p(form, 0.0))
-    if ext.lambda_min <= 0:
-        raise ValueError("P(0) is not positive definite")
+    ext = _p0_extremes(form)
     if l == 1:
         # a length-one treated block is an ordinary rank-one term; the form
         # is time-independent and the plain condition-number constant applies

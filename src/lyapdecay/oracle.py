@@ -138,6 +138,20 @@ def check_dominance(c, bound, times) -> EnvelopeReport:
     )
 
 
+def _check_field_bounds(z_grid, values, slopes) -> None:
+    """Raise ValueError at the first z where a field leaves a declared bound:
+    ``values`` (f, lo, hi, message) need lo <= f(z) <= hi to a relative 1e-12,
+    ``slopes`` (df, sup, message) need |df(z)| <= sup to a relative 1e-9 plus
+    an absolute 1e-12.  The message is formatted with z."""
+    for z in np.asarray(z_grid, dtype=float):
+        for f, lo, hi, message in values:
+            if not lo * (1.0 - 1e-12) <= f(z) <= hi * (1.0 + 1e-12):
+                raise ValueError(message.format(z=z))
+        for df, sup, message in slopes:
+            if abs(df(z)) > sup * (1.0 + 1e-9) + 1e-12:
+                raise ValueError(message.format(z=z))
+
+
 def sweep(initial_state_fn, evolve, deviation_sq, z_grid, t_grid, C_global, rate, power, tail=None) -> dict:
     """Check a global bound  C (1 + t^power) e^{-rate t} sup_z ||y(0, z) - y_inf||^2
     on a (z, t) grid of a mode model.

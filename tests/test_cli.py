@@ -415,13 +415,13 @@ def test_verify_reports_finite_log_ratio_past_overflow(matrix_file, tmp_path, ca
     assert 709.0 < log_ratio < np.inf
 
 
-def _table_run(tmp_path, command, option, table):
+def _table_run(tmp_path, command, option, table, *extra):
     tfile = tmp_path / "table.json"
     tfile.write_text(json.dumps(table))
     return main(
         [
             command, option, str(tfile), "--K", "4", "--z-grid=0:6:7", "--t-max", "2", "--t-points", "3",
-            "--out", str(tmp_path / "m.csv"), "--report", str(tmp_path / "m.json"),
+            "--out", str(tmp_path / "m.csv"), "--report", str(tmp_path / "m.json"), *extra,
         ]
     )
 
@@ -457,3 +457,48 @@ def test_model_fp_rejects_table_contradicting_its_bounds(tmp_path, capsys, decla
     table = {"z": z.tolist(), "a": (1.0 + 0.3 * np.sin(z)).tolist(), "da": (0.3 * np.cos(z)).tolist()}
     assert _table_run(tmp_path, "model-fp", "--drift", {**table, **declared}) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "weights, rc_want",
+    [("[[2.0], [3.0]]", 0), ("[[2.0, 1.0], [3.0]]", 2), ("[[2.0], [3.0], [1.0]]", 2), ("5", 2)],
+)
+def test_analyze_weights_one_per_chain_vector(matrix_file, capsys, weights, rc_want):
+    # [[1, 1], [0, 2]] has two length-1 blocks
+    rc = main(["analyze", "--matrix", matrix_file(np.array([[1.0, 1.0], [0.0, 2.0]])), "--weights", weights])
+    assert rc == rc_want
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_family_ratio_from_logs_where_envelope_is_subnormal(tmp_path):
+    # the last two envelopes (4e-313 and 2e-323) are subnormal; the last ratio
+    # of subnormals would read 0.25
+    out = tmp_path / "f.csv"
+    argv = ["family", "--family", "exponential", "--t-max", "372", "--points", "32", "--z-points", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert 0.0 < rows[-1, 2] < np.finfo(float).tiny
+    assert rows[-1, 3] == pytest.approx(0.19299, rel=1e-4)
+
+
+_Z = np.linspace(-6.0, 6.0, 41)
+
+
+@pytest.mark.parametrize(
+    "command, option, key, columns",
+    [
+        ("model-cd", "--coeffs", "b0", {"a": _Z, "b": 2.0 + np.tanh(_Z), "da": np.ones_like(_Z), "db": np.cosh(_Z) ** -2}),
+        ("model-gt", "--sigma", "sigma0", {"sigma": 1.0 + 0.5 * np.tanh(_Z), "dsigma": 0.5 * np.cosh(_Z) ** -2}),
+        ("model-fp", "--drift", "a0", {"a": 1.0 + 0.25 * np.sin(_Z), "da": 0.25 * np.cos(_Z)}),
+    ],
+)
+def test_model_table_null_bound_is_derived_and_string_bound_rejected(tmp_path, capsys, command, option, key, columns):
+    table = {"z": _Z.tolist(), **{name: col.tolist() for name, col in columns.items()}}
+    extra = ["--k-max", "4"] if command == "model-gt" else []
+    assert _table_run(tmp_path, command, option, table, *extra) == 0
+    absent = [(tmp_path / name).read_bytes() for name in ("m.csv", "m.json")]
+    assert _table_run(tmp_path, command, option, {**table, key: None}, *extra) == 0
+    assert [(tmp_path / name).read_bytes() for name in ("m.csv", "m.json")] == absent
+    assert _table_run(tmp_path, command, option, {**table, key: "0.5"}, *extra) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err

@@ -6,6 +6,7 @@ from lyapdecay.linalg import expm, hermitian_extremes
 from lyapdecay.lyapunov import (
     CASE1,
     CASE2,
+    CASE3,
     DecayEnvelope,
     build_form,
     build_p,
@@ -167,6 +168,15 @@ def test_decay_constant_monotone_weights_sum_to_m():
     ext = hermitian_extremes(build_p(form, 0.0))
     want = 2.0 * ext.lambda_max / ext.lambda_min * 6.0 * 2.0  # factor = M = 2
     assert env.C_const == pytest.approx(want, rel=1e-12)
+
+
+def test_build_form_takes_the_gap_from_the_structure():
+    # two defect-one blocks 1e-7 apart, both at the gap under the structure's tolerance
+    e = np.eye(4)
+    st = structure_from_chains([(1.0, [e[0], e[1]]), (1.0 + 1e-7, [e[2], e[3]])], gap_rel_tol=1e-6)
+    form = build_form(st)
+    assert [fb.case for fb in form.blocks] == [CASE3, CASE3]
+    assert decay_constant(st, form).C_const == pytest.approx(24.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- envelope
