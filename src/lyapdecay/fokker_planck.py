@@ -357,28 +357,29 @@ class HermiteBasis:
         # total weights w_j e^{s_j^2}, formed in log space to dodge underflow
         self.total_weights = np.exp(np.log(w) + s * s)
 
-    def hermite_normalized(self, k: int, y) -> np.ndarray:
-        """H_k(y)/sqrt(k!) for the probabilists' polynomials."""
-        if not 0 <= k <= self.K:
-            raise IndexError(f"k = {k} outside 0..{self.K}")
+    def hermite_table(self, y) -> np.ndarray:
+        """H_k(y)/sqrt(k!) for the probabilists' polynomials, k = 0..K, as
+        rows of one (K + 1, ...) table from one run of the recurrence."""
         y = np.asarray(y, dtype=float)
-        h_prev = np.ones_like(y)
-        if k == 0:
-            return h_prev
-        h = y.copy()
-        for j in range(1, k):
-            h, h_prev = (y * h - np.sqrt(j) * h_prev) / np.sqrt(j + 1.0), h
-        return h
+        table = np.empty((self.K + 1,) + y.shape)
+        table[0] = 1.0
+        if self.K >= 1:
+            table[1] = y
+        for j in range(1, self.K):
+            table[j + 1] = (y * table[j] - np.sqrt(j) * table[j - 1]) / np.sqrt(j + 1.0)
+        return table
+
+    def _eval_table(self, x) -> np.ndarray:
+        """h_k(x) = sqrt(a) H_k(y) e^{-y^2/2} / sqrt(2 pi k!), y = x sqrt(a),
+        as rows k = 0..K."""
+        y = np.asarray(x, dtype=float) * np.sqrt(self.a)
+        return np.sqrt(self.a / (2.0 * np.pi)) * self.hermite_table(y) * np.exp(-0.5 * y * y)
 
     def eval_h(self, k: int, x) -> np.ndarray:
-        """h_k(x) = sqrt(a) H_k(y) e^{-y^2/2} / sqrt(2 pi k!), y = x sqrt(a)."""
-        x = np.asarray(x, dtype=float)
-        y = x * np.sqrt(self.a)
-        return (
-            np.sqrt(self.a / (2.0 * np.pi))
-            * self.hermite_normalized(k, y)
-            * np.exp(-0.5 * y * y)
-        )
+        """h_k(x), one row of the evaluation table."""
+        if not 0 <= k <= self.K:
+            raise IndexError(f"k = {k} outside 0..{self.K}")
+        return self._eval_table(x)[k]
 
     def project(self, f: Callable[[float], float]) -> np.ndarray:
         """Coefficients <f, h_k> in the (steady-state weighted) inner product.
@@ -389,21 +390,18 @@ class HermiteBasis:
         x = self.nodes * np.sqrt(2.0 / self.a)
         fx = np.asarray([f(xi) for xi in x], dtype=float)
         scale = np.sqrt(2.0 / self.a)
-        out = np.empty(self.K + 1)
-        ys = np.sqrt(2.0) * self.nodes
-        for k in range(self.K + 1):
-            out[k] = scale * np.sum(self.total_weights * fx * self.hermite_normalized(k, ys))
-        return out
+        table = self.hermite_table(np.sqrt(2.0) * self.nodes)
+        return scale * np.sum(self.total_weights * fx * table, axis=1)
 
     def gram(self) -> np.ndarray:
         """Quadrature Gram matrix of h_0..h_K in the weighted inner product."""
-        ys = np.sqrt(2.0) * self.nodes
-        table = np.vstack([self.hermite_normalized(k, ys) for k in range(self.K + 1)])
+        table = self.hermite_table(np.sqrt(2.0) * self.nodes)
         return (table * self.weights) @ table.T / np.sqrt(np.pi)
 
     def synthesize(self, coeffs, x) -> np.ndarray:
         c = np.asarray(coeffs, dtype=float)
-        return sum(c[k] * self.eval_h(k, x) for k in range(c.size))
+        h = self._eval_table(x)
+        return sum(c[k] * h[k] for k in range(c.size))
 
 
 def fp_gaussian_state(field: DriftField, z: float, K: int = 40, mean: float = 0.4, prec: float = 1.0, g_amp: float = 0.5) -> FPState:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .jordan import structure_from_chains
-from .linalg import expm_apply, hermitian_extremes
+from .linalg import expm_apply
 from .lyapunov import DecayEnvelope, ModeEnvelope, build_form, decay_constant
 from .oracle import _check_field_bounds, sweep
 
@@ -73,10 +73,9 @@ def tanh_relaxation() -> RelaxationField:
     )
 
 
-def gt_eigenvalues(sigma: float, k: int) -> tuple[complex, complex]:
-    """lambda_+ and lambda_- of the 2x2 transport-relaxation block."""
-    disc = k * k - 0.25 * sigma * sigma
-    root = np.sqrt(complex(disc))
+def gt_eigenvalues(sigma, k: int):
+    """lambda_+ and lambda_- of the 2x2 transport-relaxation block, broadcast over sigma."""
+    root = np.sqrt(np.asarray(k * k - 0.25 * sigma * sigma, dtype=complex))
     return sigma / 2.0 + 1j * root, sigma / 2.0 - 1j * root
 
 
@@ -95,39 +94,41 @@ def gt_mode_matrix(field: RelaxationField, k: int, z: float) -> np.ndarray:
     )
 
 
-def _v0(lam_opp: complex, k: int) -> np.ndarray:
-    return np.array([-1j * lam_opp / k, 1.0, 0.0, 0.0], dtype=complex)
+def _vec(*entries) -> np.ndarray:
+    """(..., 4) complex vectors from four entries that broadcast together."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1, dtype=complex)
 
 
-def _v1(lam_opp: complex, k: int, sz: float) -> np.ndarray:
-    c = 1.0 - lam_opp**2 / k**2
-    return np.array(
-        [
-            1j * lam_opp**2 / (2.0 * k**3),
-            lam_opp / (2.0 * k**2),
-            -1j * lam_opp * c / (sz * k),
-            c / sz,
-        ],
-        dtype=complex,
-    )
+def _v0(lam_opp, k: int) -> np.ndarray:
+    return _vec(-1j * lam_opp / k, 1.0, 0.0, 0.0)
 
 
-def _v1_scaled(lam_opp: complex, k: int, sz: float) -> np.ndarray:
+def _cmul(a, b):
+    """a * b from separately rounded products, as numpy's scalar multiply forms it (its array
+    loops may fuse them, and a stacked P would then differ from one built point by point)."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _v1_scaled(lam_opp, k: int, sz) -> np.ndarray:
     """(sigma_z / 2) v1, continuous through sigma_z = 0."""
-    c = 1.0 - lam_opp**2 / k**2
-    return np.array(
-        [
-            1j * sz * lam_opp**2 / (4.0 * k**3),
-            sz * lam_opp / (4.0 * k**2),
-            -1j * lam_opp * c / (2.0 * k),
-            c / 2.0,
-        ],
-        dtype=complex,
+    lam_sq = _cmul(lam_opp, lam_opp)
+    c = 1.0 - lam_sq / k**2
+    return _vec(
+        1j * sz * lam_sq / (4.0 * k**3),
+        sz * lam_opp / (4.0 * k**2),
+        _cmul(-1j * lam_opp, c) / (2.0 * k),
+        c / 2.0,
     )
 
 
-def _v2(lam_opp: complex, k: int) -> np.ndarray:
-    return np.array([0.0, 0.0, -1j * lam_opp / k, 1.0], dtype=complex)
+def _v2(lam_opp, k: int) -> np.ndarray:
+    return _vec(0.0, 0.0, -1j * lam_opp / k, 1.0)
+
+
+def _dyad_sum(branches) -> np.ndarray:
+    """Hermitian part of sum v v^H over each branch's (..., 4) vector stacks, branch by branch."""
+    p = sum(sum(v[..., :, None] * v[..., None, :].conj() for v in vs) for vs in branches)
+    return 0.5 * (p + np.swapaxes(p, -1, -2).conj())
 
 
 def gt_chains(field: RelaxationField, k: int, z: float):
@@ -144,8 +145,8 @@ def gt_chains(field: RelaxationField, k: int, z: float):
     lp, lm = gt_eigenvalues(s, k)
     if sz != 0.0:
         return [
-            (np.conj(lp), [_v0(lm, k), _v1(lm, k, sz)]),
-            (np.conj(lm), [_v0(lp, k), _v1(lp, k, sz)]),
+            (np.conj(lp), [_v0(lm, k), (2.0 / sz) * _v1_scaled(lm, k, sz)]),
+            (np.conj(lm), [_v0(lp, k), (2.0 / sz) * _v1_scaled(lp, k, sz)]),
         ]
     return [
         (np.conj(lp), [_v0(lm, k)]),
@@ -155,30 +156,28 @@ def gt_chains(field: RelaxationField, k: int, z: float):
     ]
 
 
-def gt_p_from_params(sigma: float, sigma_z: float, k: int) -> np.ndarray:
+def gt_p_from_params(sigma, sigma_z, k: int) -> np.ndarray:
     """Defective-branch P(0) as a function of the parameter box point.
 
     Built from the eigenvectors plus the sigma_z-scaled generalized vectors
     (weights 1 and sigma_z^2/4), which extends continuously to sigma_z = 0
-    and converges to 2I as |k| grows.
+    and converges to 2I as |k| grows.  ``sigma`` and ``sigma_z`` broadcast;
+    the result has shape (..., 4, 4).
     """
     lp, lm = gt_eigenvalues(sigma, k)
-    p = np.zeros((4, 4), dtype=complex)
-    for lam_opp in (lm, lp):
-        v0 = _v0(lam_opp, k)
-        u = _v1_scaled(lam_opp, k, sigma_z)
-        p += np.outer(v0, v0.conj()) + np.outer(u, u.conj())
-    return 0.5 * (p + p.conj().T)
+    return _dyad_sum([(_v0(lam, k), _v1_scaled(lam, k, sigma_z)) for lam in (lm, lp)])
 
 
-def gt_case1_p_from_params(sigma: float, k: int) -> np.ndarray:
-    """Non-defective P(0): all four eigenvector dyads with unit weights."""
+def gt_case1_p_from_params(sigma, k: int) -> np.ndarray:
+    """Non-defective P(0): all four eigenvector dyads with unit weights, shape (..., 4, 4)."""
     lp, lm = gt_eigenvalues(sigma, k)
-    p = np.zeros((4, 4), dtype=complex)
-    for lam_opp in (lm, lp):
-        for v in (_v0(lam_opp, k), _v2(lam_opp, k)):
-            p += np.outer(v, v.conj())
-    return 0.5 * (p + p.conj().T)
+    return _dyad_sum([(_v0(lam, k), _v2(lam, k)) for lam in (lm, lp)])
+
+
+def _box_range(tail, stacks) -> tuple[float, float]:
+    """Smallest and largest of ``tail`` and the eigenvalues of Hermitian stacks, one eigvalsh each."""
+    lo, hi = zip(tail, *((w[..., 0].min(), w[..., -1].max()) for w in map(np.linalg.eigvalsh, stacks)))
+    return float(min(lo)), float(max(hi))
 
 
 def gt_uniform_constant(
@@ -198,22 +197,11 @@ def gt_uniform_constant(
     """
     sigmas = np.linspace(field.sigma0, field.sigma1, n_sigma)
     dsigmas = np.linspace(-field.L, field.L, n_dsigma) if field.L > 0 else np.array([0.0])
-    lam_min_def, lam_max_def = np.inf, -np.inf
-    lam_min_c1, lam_max_c1 = np.inf, -np.inf
-    for k in range(1, k_max + 1):
-        for s in sigmas:
-            ext1 = hermitian_extremes(gt_case1_p_from_params(s, k))
-            lam_min_c1 = min(lam_min_c1, ext1.lambda_min)
-            lam_max_c1 = max(lam_max_c1, ext1.lambda_max)
-            for sz in dsigmas:
-                ext = hermitian_extremes(gt_p_from_params(s, sz, k))
-                lam_min_def = min(lam_min_def, ext.lambda_min)
-                lam_max_def = max(lam_max_def, ext.lambda_max)
+    ks = range(1, k_max + 1)
     # k -> infinity limit of both constructions is 2I; pad it with the margin
-    lam_min_def = min(lam_min_def, 2.0 / tail_margin)
-    lam_max_def = max(lam_max_def, 2.0 * tail_margin)
-    lam_min_c1 = min(lam_min_c1, 2.0 / tail_margin)
-    lam_max_c1 = max(lam_max_c1, 2.0 * tail_margin)
+    tail = (2.0 / tail_margin, 2.0 * tail_margin)
+    lam_min_def, lam_max_def = _box_range(tail, (gt_p_from_params(sigmas[:, None], dsigmas, k) for k in ks))
+    lam_min_c1, lam_max_c1 = _box_range(tail, (gt_case1_p_from_params(sigmas, k) for k in ks))
     c_def = 12.0 * (lam_max_def / lam_min_def) * max(2.0, 1.0 + field.L**2 / 4.0)
     c_nondef = lam_max_c1 / lam_min_c1
     c_zero = 12.0 * max(2.0, 1.0 + field.L**2)
@@ -276,15 +264,14 @@ class GTState:
 
 
 def gt_state_from_functions(f_plus, f_minus, g_plus, g_minus, K: int, z: float = 0.0) -> GTState:
-    """Project the four densities onto modes via uniform-grid quadrature."""
+    """Project the four densities onto modes via uniform-grid quadrature,
+    calling each once on the array of nodes."""
     n = max(512, 8 * K)
     x = 2.0 * np.pi * np.arange(n) / n
     ks = np.arange(-K, K + 1)
     ft = np.exp(-1j * np.outer(ks, x)) / n
-    fp = ft @ np.asarray([f_plus(xi) for xi in x], dtype=complex)
-    fm = ft @ np.asarray([f_minus(xi) for xi in x], dtype=complex)
-    gp = ft @ np.asarray([g_plus(xi) for xi in x], dtype=complex)
-    gm = ft @ np.asarray([g_minus(xi) for xi in x], dtype=complex)
+    densities = (f_plus, f_minus, g_plus, g_minus)
+    fp, fm, gp, gm = (ft @ np.broadcast_to(f(x), x.shape).astype(complex) for f in densities)
     coeffs = np.column_stack([fp + fm, fp - fm, gp + gm, gp - gm])
     return GTState(K=K, coeffs=coeffs, z=z)
 

@@ -190,7 +190,10 @@ def build_form(
             case = CASE3 if at_gap else CASE2 if b.length > 1 else CASE1
         spec = block_weights.pop(n, None)
         if spec is not None:
-            weights = np.atleast_1d(np.asarray(spec, dtype=float))
+            try:
+                weights = np.atleast_1d(np.asarray(spec, dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"block {n}: weights must be numbers, got {spec!r}") from exc
         elif case == CASE2:
             weights = case2_weights(b.length, 2.0 * (b.eigenvalue.real - structure.mu))
         else:

@@ -461,7 +461,13 @@ def test_model_fp_rejects_table_contradicting_its_bounds(tmp_path, capsys, decla
 
 @pytest.mark.parametrize(
     "weights, rc_want",
-    [("[[2.0], [3.0]]", 0), ("[[2.0, 1.0], [3.0]]", 2), ("[[2.0], [3.0], [1.0]]", 2), ("5", 2)],
+    [
+        ("[[2.0], [3.0]]", 0),
+        ("[[2.0, 1.0], [3.0]]", 2),
+        ("[[2.0], [3.0], [1.0]]", 2),
+        ("5", 2),
+        ('[{"a": 1}, [1]]', 2),
+    ],
 )
 def test_analyze_weights_one_per_chain_vector(matrix_file, capsys, weights, rc_want):
     # [[1, 1], [0, 2]] has two length-1 blocks

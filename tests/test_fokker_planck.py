@@ -57,6 +57,28 @@ def test_quadrature_orthonormality_to_order_40():
         assert np.max(np.abs(gram - np.eye(41))) < 1e-8
 
 
+def test_hermite_table_and_project_equal_per_degree_recurrence():
+    basis = fp.HermiteBasis(40, 1.3)
+    ys = np.sqrt(2.0) * basis.nodes
+    table = basis.hermite_table(ys)
+    assert table.shape == (41, ys.size)
+
+    def density(x):
+        return np.exp(-0.5 * (x - 0.4) ** 2) / np.sqrt(2 * np.pi)
+
+    fx = np.array([density(x) for x in basis.nodes * np.sqrt(2.0 / basis.a)])
+    coeffs = basis.project(density)
+    for k in range(41):
+        # H_k(y)/sqrt(k!), the recurrence rerun up to degree k
+        h_prev, h = np.ones_like(ys), ys.copy()
+        for j in range(1, k):
+            h, h_prev = (ys * h - np.sqrt(j) * h_prev) / np.sqrt(j + 1.0), h
+        want = h_prev if k == 0 else h
+        assert np.array_equal(table[k], want)
+        assert coeffs[k] == np.sqrt(2.0 / basis.a) * np.sum(basis.total_weights * fx * want)
+    assert np.array_equal(fp.HermiteBasis(0, 1.3).hermite_table(ys), np.ones((1, ys.size)))
+
+
 # ----------------------------------------------------------------- systems
 
 

@@ -101,6 +101,48 @@ def test_p_positive_definite_across_box(field):
                 assert hermitian_extremes(gt.gt_p_from_params(s, sz, k)).lambda_min > 0
 
 
+# unlike the tanh box's, the extremes of this box move when P moves in the last bit
+_WIDE_BOX = gt.RelaxationField(lambda z: 1.0, lambda z: 0.3, 0.2, 1.9, 1.7)
+
+
+@pytest.mark.parametrize("box", ["tanh", "wide"])
+def test_p_from_params_broadcast_equals_per_point_calls(field, box):
+    f = field if box == "tanh" else _WIDE_BOX
+    sigmas = np.linspace(f.sigma0, f.sigma1, 13)
+    dsigmas = np.linspace(-f.L, f.L, 9)
+    assert gt.gt_p_from_params(1.2, 0.3, 3).shape == (4, 4)
+    assert gt.gt_case1_p_from_params(1.2, 3).shape == (4, 4)
+    for k in (1, 2, 7, 64):
+        stack = gt.gt_p_from_params(sigmas[:, None], dsigmas, k)
+        case1 = gt.gt_case1_p_from_params(sigmas, k)
+        assert stack.shape == (13, 9, 4, 4) and case1.shape == (13, 4, 4)
+        want = np.array([[gt.gt_p_from_params(s, sz, k) for sz in dsigmas] for s in sigmas])
+        assert np.array_equal(stack, want)
+        assert np.array_equal(case1, np.array([gt.gt_case1_p_from_params(s, k) for s in sigmas]))
+
+
+@pytest.mark.parametrize("box, k_max", [("tanh", 8), ("wide", 8), ("tanh", 0)])
+def test_uniform_constant_equals_per_cell_loop(field, box, k_max):
+    # k_max 0 leaves only the padded 2I tail
+    f = field if box == "tanh" else _WIDE_BOX
+    uni = gt.gt_uniform_constant(f, k_max=k_max)
+    sigmas = np.linspace(f.sigma0, f.sigma1, 13)
+    dsigmas = np.linspace(-f.L, f.L, 9)
+    lo_def, hi_def, lo_c1, hi_c1 = np.inf, -np.inf, np.inf, -np.inf
+    for k in range(1, k_max + 1):
+        for s in sigmas:
+            ext = hermitian_extremes(gt.gt_case1_p_from_params(s, k))
+            lo_c1, hi_c1 = min(lo_c1, ext.lambda_min), max(hi_c1, ext.lambda_max)
+            for sz in dsigmas:
+                ext = hermitian_extremes(gt.gt_p_from_params(s, sz, k))
+                lo_def, hi_def = min(lo_def, ext.lambda_min), max(hi_def, ext.lambda_max)
+    tail_lo, tail_hi = 2.0 / 1.1, 2.0 * 1.1
+    assert uni["defective"]["lambda_min"] == min(lo_def, tail_lo)
+    assert uni["defective"]["lambda_max"] == max(hi_def, tail_hi)
+    assert uni["nondefective"]["lambda_min"] == min(lo_c1, tail_lo)
+    assert uni["nondefective"]["lambda_max"] == max(hi_c1, tail_hi)
+
+
 def test_uniform_constant_flat_field_reduces_to_condition_number():
     f = gt.RelaxationField(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
     uni = gt.gt_uniform_constant(f, k_max=16, n_sigma=3, n_dsigma=1)
