@@ -41,24 +41,22 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+def _write(path: str | None, text: str) -> None:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _write_csv(path: str | None, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str | None, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -69,21 +67,102 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid spec must be lo:hi:n, got {spec!r}") from exc
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
+def _count(text) -> int:
+    """An integer >= 1 (a number of points or modes)."""
+    if not str(text).strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+class _Opt(NamedTuple):
+    """A config-able option: its flag converter, default and allowed values."""
+
+    type: Callable
+    default: object = None
+    choices: tuple | None = None
+
+
+#: the JSON value types each converter accepts from a config file (``bool``
+#: is not ``int`` here: the check compares exact types)
+_CONFIG_TYPES = {int: (int,), _count: (int,), float: (int, float), str: (str,)}
+
+_TOLS = {"rel_tol": _Opt(float, DEFAULT_RANK_TOL), "cluster_tol": _Opt(float, DEFAULT_CLUSTER_TOL)}
+_OUTPUTS = {"out": _Opt(str), "report": _Opt(str)}
+
+#: every option a command takes from a flag or a ``--config`` file; flag
+#: ``--k-max`` is key ``k_max``.  ``--out`` and ``--report`` default to stdout.
+_OPTIONS = {
+    "analyze": {**_TOLS, "out": _Opt(str)},
+    "verify": {**_TOLS, "t_max": _Opt(float, 50.0), "points": _Opt(_count, 200), "out": _Opt(str)},
+    "family": {
+        "family": _Opt(str, "quadratic", ("quadratic", "exponential", "constant")),
+        "alpha": _Opt(float, 1.0),
+        "beta": _Opt(float, 1.0),
+        "mu_min": _Opt(float, 1.0),
+        "t_max": _Opt(float, 20.0),
+        "points": _Opt(_count, 100),
+        "z_max": _Opt(float, 6.0),
+        "z_points": _Opt(_count, 241),
+        "out": _Opt(str),
+    },
+    "model-cd": {
+        "order": _Opt(int, 1, (1, 2)),
+        "coeffs": _Opt(str, "builtin:tanh"),
+        "z_grid": _Opt(str, "-3:3:13"),
+        "K": _Opt(_count, 32),
+        "t_max": _Opt(float, 10.0),
+        "t_points": _Opt(_count, 50),
+        **_OUTPUTS,
+    },
+    "model-gt": {
+        "sigma": _Opt(str, "builtin:tanh"),
+        "k_max": _Opt(int, 64),
+        "z_grid": _Opt(str, "-3:3:13"),
+        "K": _Opt(_count, 32),
+        "t_max": _Opt(float, 20.0),
+        "t_points": _Opt(_count, 50),
+        **_OUTPUTS,
+    },
+    "model-fp": {
+        "drift": _Opt(str, "builtin:sin"),
+        "variant": _Opt(str, "drift", ("drift", "diffusion")),
+        "z_grid": _Opt(str, "0:6.283185307179586:13"),
+        "K": _Opt(_count, 40),
+        "t_max": _Opt(float, 12.0),
+        "t_points": _Opt(_count, 40),
+        **_OUTPUTS,
+    },
+}
+
+
+def _config_value(key: str, value, opt: _Opt):
+    """``value`` from a config file, held to what flag ``key`` accepts."""
+    if type(value) not in _CONFIG_TYPES[opt.type]:
+        kinds = " or ".join(t.__name__ for t in _CONFIG_TYPES[opt.type])
+        raise ValueError(f"config {key}: expected {kinds}, got {value!r}")
+    try:
+        value = opt.type(value)
+    except (argparse.ArgumentTypeError, OverflowError) as exc:
+        raise ValueError(f"config {key}: {exc}") from exc
+    if opt.choices is not None and value not in opt.choices:
+        raise ValueError(f"config {key}: expected one of {list(opt.choices)}, got {value!r}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
     """CLI flags override config-file values override defaults."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config must hold a JSON object, got {type(cfg).__name__}")
     resolved = {}
-    for key, default in parser_defaults.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            resolved[key] = cli_val
-        elif key in cfg:
-            resolved[key] = cfg[key]
-        else:
-            resolved[key] = default
+    for key, opt in _OPTIONS[args.command].items():
+        value = getattr(args, key)
+        if value is None and key in cfg:
+            value = _config_value(key, cfg[key], opt)
+        resolved[key] = opt.default if value is None else value
     resolved["threads_env"] = os.environ.get("LYAPDECAY_THREADS")
     return resolved
 
@@ -107,8 +186,7 @@ def _analysis_pipeline(matrix, rel_tol: float, cluster_tol: float, weights=None)
 
 
 def cmd_analyze(args) -> int:
-    defaults = {"rel_tol": DEFAULT_RANK_TOL, "cluster_tol": DEFAULT_CLUSTER_TOL, "out": None}
-    cfg = _merge_config(args, defaults)
+    cfg = _merge_config(args)
     matrix = load_matrix_json(args.matrix)
     weights = args.weights
     if weights and weights != "heuristic":
@@ -131,14 +209,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    defaults = {
-        "rel_tol": DEFAULT_RANK_TOL,
-        "cluster_tol": DEFAULT_CLUSTER_TOL,
-        "t_max": 50.0,
-        "points": 200,
-        "out": None,
-    }
-    cfg = _merge_config(args, defaults)
+    cfg = _merge_config(args)
     matrix = load_matrix_json(args.matrix)
     if args.c_const is not None or args.mu is not None or args.m is not None:
         if None in (args.c_const, args.mu, args.m):
@@ -146,7 +217,7 @@ def cmd_verify(args) -> int:
         env = DecayEnvelope(args.c_const, args.mu, args.m)
     else:
         _, _, env = _analysis_pipeline(matrix, cfg["rel_tol"], cfg["cluster_tol"])
-    times = np.concatenate([[0.0], np.geomspace(1e-3, cfg["t_max"], int(cfg["points"]) - 1)])
+    times = np.concatenate([[0.0], np.geomspace(1e-3, cfg["t_max"], cfg["points"] - 1)])
     report = check_dominance(matrix, env, times)
     _write_csv(cfg["out"], ["t", "propagator_sq", "bound", "ratio"], report.to_rows())
     if not report.dominated:
@@ -157,19 +228,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    defaults = {
-        "family": "quadratic",
-        "alpha": 1.0,
-        "beta": 1.0,
-        "mu_min": 1.0,
-        "t_max": 20.0,
-        "points": 100,
-        "z_max": 6.0,
-        "z_points": 241,
-        "out": None,
-    }
-    cfg = _merge_config(args, defaults)
-    zg = np.linspace(-cfg["z_max"], cfg["z_max"], int(cfg["z_points"]))
+    cfg = _merge_config(args)
+    zg = np.linspace(-cfg["z_max"], cfg["z_max"], cfg["z_points"])
     if cfg["family"] == "quadratic":
         family = fam.quadratic_family(cfg["alpha"], cfg["mu_min"], z_grid=zg)
         env_fn = lambda t: fam.uniform_envelope_quadratic(cfg["alpha"], cfg["mu_min"], t)
@@ -181,13 +241,11 @@ def cmd_family(args) -> int:
             cfg["alpha"], cfg["beta"], cfg["mu_min"], t
         )
         prefactor = lambda t: 2.0
-    elif cfg["family"] == "constant":
+    else:
         family = fam.constant_family(cfg["mu_min"], z_grid=zg)
         env_fn = lambda t: np.exp(-2.0 * cfg["mu_min"] * t)
         prefactor = lambda t: 1.0
-    else:
-        raise ValueError(f"unknown family {cfg['family']!r}")
-    ts = np.linspace(0.0, cfg["t_max"], int(cfg["points"]))
+    ts = np.linspace(0.0, cfg["t_max"], cfg["points"])
     log_sup = fam.grid_sup_envelope(family, ts)
     sup = np.exp(log_sup)
     env = np.array([env_fn(t) for t in ts])
@@ -259,27 +317,24 @@ def _fp_table(data: dict) -> fp.DriftField:
 
 def _run_cd(cfg: dict, zg, ts) -> dict:
     field = _field(cfg["coeffs"], {"builtin:tanh": cd.tanh_field, "builtin:trig": cd.trig_field}, _cd_table)
-    order = int(cfg["order"])
-    state = lambda z: cd.gaussian_bump_state(int(cfg["K"]), order=order, v_amp=0.3, z=z)
-    return cd.theorem_bound_check(field, state, zg, ts, order=order)
+    state = lambda z: cd.gaussian_bump_state(cfg["K"], order=cfg["order"], v_amp=0.3, z=z)
+    return cd.theorem_bound_check(field, state, zg, ts, order=cfg["order"])
 
 
 def _run_gt(cfg: dict, zg, ts) -> dict:
     field = _field(cfg["sigma"], {"builtin:tanh": gt.tanh_relaxation}, _gt_table)
-    state = lambda z: gt.gt_bump_state(int(cfg["K"]), z=z)
-    return gt.gt_theorem_check(field, state, zg, ts, k_max=int(cfg["k_max"]))
+    state = lambda z: gt.gt_bump_state(cfg["K"], z=z)
+    return gt.gt_theorem_check(field, state, zg, ts, k_max=cfg["k_max"])
 
 
 def _run_fp(cfg: dict, zg, ts) -> dict:
     field = _field(cfg["drift"], {"builtin:sin": fp.sin_drift}, _fp_table)
-    state = lambda z: fp.fp_gaussian_state(field, z=z, K=int(cfg["K"]))
+    state = lambda z: fp.fp_gaussian_state(field, z=z, K=cfg["K"])
     return fp.fp_theorem_check(field, state, zg, ts)
 
 
 class _Model(NamedTuple):
-    #: defaults of the model's own options and the grids (``--out`` and
-    #: ``--report`` default to stdout for every model)
-    defaults: dict
+    help: str
     run: Callable[[dict, np.ndarray, np.ndarray], dict]
     #: entries of the check's result copied into the JSON report
     keys: tuple[str, ...]
@@ -287,38 +342,17 @@ class _Model(NamedTuple):
 
 _MODELS = {
     "model-cd": _Model(
-        {
-            "order": 1,
-            "coeffs": "builtin:tanh",
-            "z_grid": "-3:3:13",
-            "K": 32,
-            "t_max": 10.0,
-            "t_points": 50,
-        },
+        "convection-diffusion sensitivity bound check",
         _run_cd,
         ("constants", "max_ratio", "passed", "initial_sup", "tail_fraction"),
     ),
     "model-gt": _Model(
-        {
-            "sigma": "builtin:tanh",
-            "z_grid": "-3:3:13",
-            "K": 32,
-            "k_max": 64,
-            "t_max": 20.0,
-            "t_points": 50,
-        },
+        "two-velocity relaxation sensitivity bound check",
         _run_gt,
         ("uniform", "max_ratio", "passed", "initial_sup"),
     ),
     "model-fp": _Model(
-        {
-            "drift": "builtin:sin",
-            "variant": "drift",
-            "z_grid": "0:6.283185307179586:13",
-            "K": 40,
-            "t_max": 12.0,
-            "t_points": 40,
-        },
+        "Fokker-Planck sensitivity bound check",
         _run_fp,
         ("constants", "max_ratio", "passed", "initial_sup", "tail_fraction"),
     ),
@@ -344,9 +378,9 @@ def cmd_model(args) -> int:
     """``model-cd``, ``model-gt`` and ``model-fp``: the global bound on a
     (z, t) grid as a CSV row per point plus a JSON constants report."""
     model = _MODELS[args.command]
-    cfg = _merge_config(args, {**model.defaults, "out": None, "report": None})
+    cfg = _merge_config(args)
     zg = _parse_grid(cfg["z_grid"])
-    ts = np.linspace(0.0, cfg["t_max"], int(cfg["t_points"]))
+    ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
     if cfg.get("variant") == "diffusion":
         return _fp_diffusion(cfg, zg, ts)
     rep = model.run(cfg, zg, ts)
@@ -360,71 +394,30 @@ def cmd_model(args) -> int:
     return EXIT_OK if rep["passed"] else EXIT_BOUND_VIOLATION
 
 
-def _model_parser(sub, name: str, help: str) -> argparse.ArgumentParser:
-    """Subparser with the options every ``model-*`` command shares."""
-    pm = sub.add_parser(name, help=help)
-    pm.add_argument("--z-grid", dest="z_grid")
-    pm.add_argument("--K", type=int)
-    pm.add_argument("--t-max", dest="t_max", type=float)
-    pm.add_argument("--t-points", dest="t_points", type=int)
-    pm.add_argument("--config")
-    pm.add_argument("--out")
-    pm.add_argument("--report")
-    pm.set_defaults(func=cmd_model)
-    return pm
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lyapdecay", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="Jordan structure, adapted form and envelope constant")
+    commands = {
+        "analyze": ("Jordan structure, adapted form and envelope constant", cmd_analyze),
+        "verify": ("check envelope dominance against the propagator", cmd_verify),
+        "family": ("uniform-in-parameter envelopes of the 2x2 rate family", cmd_family),
+        **{name: (model.help, cmd_model) for name, model in _MODELS.items()},
+    }
+    parsers = {}
+    for name, (summary, func) in commands.items():
+        parsers[name] = sp = sub.add_parser(name, help=summary)
+        for key, opt in _OPTIONS[name].items():
+            sp.add_argument("--" + key.replace("_", "-"), type=opt.type, choices=opt.choices)
+        sp.add_argument("--config")
+        sp.set_defaults(func=func)
+    # options a config file cannot set
+    pa, pv = parsers["analyze"], parsers["verify"]
     pa.add_argument("--matrix", required=True, help="matrix JSON file")
     pa.add_argument("--weights", help="JSON list of per-block weight lists, or 'heuristic'")
-    pa.add_argument("--rel-tol", dest="rel_tol", type=float)
-    pa.add_argument("--cluster-tol", dest="cluster_tol", type=float)
-    pa.add_argument("--config")
-    pa.add_argument("--out")
-    pa.set_defaults(func=cmd_analyze)
-
-    pv = sub.add_parser("verify", help="check envelope dominance against the propagator")
     pv.add_argument("--matrix", required=True)
-    pv.add_argument("--t-max", dest="t_max", type=float)
-    pv.add_argument("--points", type=int)
     pv.add_argument("--c-const", dest="c_const", type=float)
     pv.add_argument("--mu", type=float)
     pv.add_argument("--m", type=int)
-    pv.add_argument("--rel-tol", dest="rel_tol", type=float)
-    pv.add_argument("--cluster-tol", dest="cluster_tol", type=float)
-    pv.add_argument("--config")
-    pv.add_argument("--out")
-    pv.set_defaults(func=cmd_verify)
-
-    pf = sub.add_parser("family", help="uniform-in-parameter envelopes of the 2x2 rate family")
-    pf.add_argument("--family", choices=["quadratic", "exponential", "constant"])
-    pf.add_argument("--alpha", type=float)
-    pf.add_argument("--beta", type=float)
-    pf.add_argument("--mu-min", dest="mu_min", type=float)
-    pf.add_argument("--t-max", dest="t_max", type=float)
-    pf.add_argument("--points", type=int)
-    pf.add_argument("--z-max", dest="z_max", type=float)
-    pf.add_argument("--z-points", dest="z_points", type=int)
-    pf.add_argument("--config")
-    pf.add_argument("--out")
-    pf.set_defaults(func=cmd_family)
-
-    pcd = _model_parser(sub, "model-cd", "convection-diffusion sensitivity bound check")
-    pcd.add_argument("--order", type=int, choices=[1, 2])
-    pcd.add_argument("--coeffs")
-
-    pgt = _model_parser(sub, "model-gt", "two-velocity relaxation sensitivity bound check")
-    pgt.add_argument("--sigma")
-    pgt.add_argument("--k-max", dest="k_max", type=int)
-
-    pfp = _model_parser(sub, "model-fp", "Fokker-Planck sensitivity bound check")
-    pfp.add_argument("--drift")
-    pfp.add_argument("--variant", choices=["drift", "diffusion"])
-
     return p
 
 
@@ -433,7 +426,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, JordanAmbiguityError) as exc:
+    except (ValueError, KeyError, OSError, JordanAmbiguityError) as exc:
         # NotPositiveStableError is a ValueError and lands here as well
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

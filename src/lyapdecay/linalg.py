@@ -173,6 +173,8 @@ def load_matrix_json(obj) -> np.ndarray:
         else:
             with open(text) as fh:
                 obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix JSON must be an object with dim and entries, got {type(obj).__name__}")
     d = int(obj["dim"])
     entries = obj["entries"]
     if len(entries) != d * d:

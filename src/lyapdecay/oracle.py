@@ -61,6 +61,13 @@ class EnvelopeReport:
         return zip(self.times, self.propagator_sq, self.bound, ratio)
 
 
+def _times(t) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts)) or np.any(ts < 0):
+        raise ValueError("times must be finite and nonnegative")
+    return ts
+
+
 def propagator_lognorm(c, t) -> float | np.ndarray:
     """log ||exp(-C t)||_2, stable far past the underflow threshold.
 
@@ -75,9 +82,7 @@ def propagator_lognorm(c, t) -> float | np.ndarray:
     that still need them, so every value equals its one-time call bit for bit.
     """
     cm = as_cmatrix(c)
-    ts = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(ts)) or np.any(ts < 0):
-        raise ValueError("times must be finite and nonnegative")
+    ts = _times(t)
     flat = ts.ravel()
     out = np.zeros(flat.shape)
     c_norm = np.linalg.norm(cm, 2)
@@ -164,7 +169,7 @@ def sweep(initial_state_fn, evolve, deviation_sq, z_grid, t_grid, C_global, rate
     means no ratio exceeded 1 + DOMINANCE_SLACK.
     """
     z_grid = np.asarray(z_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _times(t_grid)
     states0 = [initial_state_fn(z) for z in z_grid]
     initial_sup = float(max(deviation_sq(s, z) for s, z in zip(states0, z_grid)))
     norm_sq = np.array(

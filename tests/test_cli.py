@@ -245,9 +245,64 @@ def test_config_file_precedence(tmp_path, matrix_file):
 
 def test_invalid_matrix_file_is_reported(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    rc = main(["analyze", "--matrix", str(bad)])
-    assert rc == 2
+    for text in ("{not json", "[[1, 1], [0, 2]]"):
+        bad.write_text(text)
+        rc = main(["analyze", "--matrix", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["model-fp"], {"variant": "diffusionX"}, "variant"),
+        (["model-cd"], {"order": 2.7}, "order"),
+        (["verify"], [1, 2], "JSON object"),
+        (["verify"], {"t_max": "5"}, "t_max"),
+        (["verify"], {"t_max": 10**400}, "t_max"),
+        (["model-cd"], {"z_grid": [0, 1, 3]}, "z_grid"),
+        (["model-gt"], {"k_max": True}, "k_max"),
+        (["model-cd", "--K", "0"], None, "--K"),
+        (["model-fp", "--K", "0"], None, "--K"),
+        (["model-gt", "--K", "0"], None, "--K"),
+        (["model-cd", "--t-points", "0"], None, "--t-points"),
+        (["family", "--z-points", "0"], None, "--z-points"),
+        (["verify", "--points", "0"], None, "--points"),
+    ],
+)
+def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
+    if argv[0] == "verify":
+        argv = argv + ["--matrix", matrix_file(np.eye(2))]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert _exit_code(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+    assert "Traceback" not in err
+
+
+def test_config_value_gives_the_bytes_of_the_same_flag(tmp_path, monkeypatch):
+    # t_max is an int in the file and "4" on the command line: both become 4.0
+    settings = {"order": 2, "K": 4, "z_grid": "-1:1:3", "t_max": 4, "t_points": 5}
+    flags = ["--order", "2", "--K", "4", "--z-grid=-1:1:3", "--t-max", "4", "--t-points", "5"]
+    (tmp_path / "cfg.json").write_text(json.dumps(settings))
+    outputs = {}
+    for name, argv in (("config", ["--config", str(tmp_path / "cfg.json")]), ("flags", flags)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["model-cd", *argv, "--out", "cd.csv", "--report", "cd.json"]) == 0
+        outputs[name] = [(tmp_path / name / f).read_bytes() for f in ("cd.csv", "cd.json")]
+    assert outputs["config"] == outputs["flags"]
 
 
 def test_bound_column_reproducible_from_report(tmp_path):

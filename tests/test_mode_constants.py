@@ -4,14 +4,14 @@ of its branch, on the grids the ``model-*`` commands use by default."""
 from lyapdecay import convection_diffusion as cd
 from lyapdecay import fokker_planck as fp
 from lyapdecay import goldstein_taylor as gt
-from lyapdecay.cli import _MODELS, _parse_grid
+from lyapdecay.cli import _OPTIONS, _parse_grid
 
 REL_TOL = 1e-12
 
 
 def _defaults(command):
-    d = _MODELS[command].defaults
-    return _parse_grid(d["z_grid"]), int(d["K"])
+    options = _OPTIONS[command]
+    return _parse_grid(options["z_grid"].default), options["K"].default
 
 
 def _covered(c_mode, c_global):
@@ -32,7 +32,7 @@ def test_convection_diffusion_mode_constants():
 def test_relaxation_mode_constants():
     zg, K = _defaults("model-gt")
     field = gt.tanh_relaxation()
-    uniform = gt.gt_uniform_constant(field, k_max=int(_MODELS["model-gt"].defaults["k_max"]))
+    uniform = gt.gt_uniform_constant(field, k_max=_OPTIONS["model-gt"]["k_max"].default)
     for k in range(-K, K + 1):
         for z in zg:
             env = gt.gt_mode_envelope(field, k, z)

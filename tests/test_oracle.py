@@ -10,6 +10,7 @@ from lyapdecay.oracle import (
     nilpotent2_propagator_sq,
     propagator_lognorm,
     sharpness_order,
+    sweep,
 )
 
 from conftest import defect1_matrix, geometry_matrix
@@ -97,6 +98,16 @@ def test_propagator_lognorm_rejects_bad_times(t):
     c = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite and nonnegative"):
         propagator_lognorm(c, t)
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, -1.0], [0.0, np.inf], [np.nan, 1.0]])
+def test_sweep_rejects_bad_times(t_grid):
+    # before any state is built or evolved
+    def never(*args):
+        raise AssertionError("called")
+
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sweep(never, never, never, [0.0], t_grid, 1.0, 1.0, 1)
 
 
 def test_check_dominance_rejects_negative_times_with_callable_bound():
