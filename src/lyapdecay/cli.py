@@ -62,9 +62,12 @@ def _write_json(path: str | None, obj: dict) -> None:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    except ValueError as exc:
-        raise ValueError(f"grid spec must be lo:hi:n, got {spec!r}") from exc
+        lo, hi, n = float(lo), float(hi), int(n)
+        if np.isfinite(lo) and np.isfinite(hi) and n >= 1:
+            return np.linspace(lo, hi, n)
+    except ValueError:
+        pass
+    raise ValueError(f"--z-grid must be lo:hi:n with finite lo, hi and n >= 1, got {spec!r}")
 
 
 def _count(text) -> int:
@@ -210,6 +213,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
+    if not (np.isfinite(cfg["t_max"]) and cfg["t_max"] > 0):
+        raise ValueError(f"--t-max must be finite and > 0, got {cfg['t_max']!r}")
     matrix = load_matrix_json(args.matrix)
     if args.c_const is not None or args.mu is not None or args.m is not None:
         if None in (args.c_const, args.mu, args.m):
@@ -317,14 +322,14 @@ def _fp_table(data: dict) -> fp.DriftField:
 
 def _run_cd(cfg: dict, zg, ts) -> dict:
     field = _field(cfg["coeffs"], {"builtin:tanh": cd.tanh_field, "builtin:trig": cd.trig_field}, _cd_table)
-    state = lambda z: cd.gaussian_bump_state(cfg["K"], order=cfg["order"], v_amp=0.3, z=z)
-    return cd.theorem_bound_check(field, state, zg, ts, order=cfg["order"])
+    state = cd.gaussian_bump_state(cfg["K"], order=cfg["order"], v_amp=0.3)
+    return cd.theorem_bound_check(field, lambda z: state, zg, ts, order=cfg["order"])
 
 
 def _run_gt(cfg: dict, zg, ts) -> dict:
     field = _field(cfg["sigma"], {"builtin:tanh": gt.tanh_relaxation}, _gt_table)
-    state = lambda z: gt.gt_bump_state(cfg["K"], z=z)
-    return gt.gt_theorem_check(field, state, zg, ts, k_max=cfg["k_max"])
+    state = gt.gt_bump_state(cfg["K"])
+    return gt.gt_theorem_check(field, lambda z: state, zg, ts, k_max=cfg["k_max"])
 
 
 def _run_fp(cfg: dict, zg, ts) -> dict:

@@ -32,7 +32,6 @@ from .oracle import _check_field_bounds, sweep
 
 __all__ = [
     "CoefficientField",
-    "SpectralState",
     "tanh_field",
     "trig_field",
     "lambda_k",
@@ -251,29 +250,6 @@ def lemma_tilde_p3_coefficient(field: CoefficientField, k: int, z: float) -> flo
     return 146.25 * (1.0 + abs(d2lam) ** 2) / min(1.0, abs(dlam) ** 4)
 
 
-@dataclass(frozen=True)
-class SpectralState:
-    """Truncated Fourier coefficients of (u, v[, w]) at one parameter value.
-
-    ``coeffs`` has shape (2K+1, order+1); row j holds mode k = j - K.  The
-    conserved normalization u_0 = 1, v_0 = w_0 = 0 is enforced exactly.
-    """
-
-    K: int
-    order: int
-    coeffs: np.ndarray
-    z: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.K + 1, self.order + 1):
-            raise ValueError(f"coeffs must have shape {(2 * self.K + 1, self.order + 1)}")
-        zero = c[self.K]
-        if abs(zero[0] - 1.0) > 1e-12 or np.any(np.abs(zero[1:]) > 1e-12):
-            raise ValueError("state is not normalized (u_0 = 1 and zero-mass sensitivities)")
-        object.__setattr__(self, "coeffs", c)
-
-
 def fourier_coefficients(samples, K: int) -> np.ndarray:
     """Coefficients c_k = (1/N) sum_j f(x_j) exp(-i k x_j), k = -K..K.
 
@@ -299,8 +275,8 @@ def synthesize(coeffs_k, x) -> np.ndarray:
 
 
 def gaussian_bump_state(
-    K: int, order: int = 1, gamma: float = 2.0, amp: float = 0.5, v_amp: float = 0.0, z: float = 0.0
-) -> SpectralState:
+    K: int, order: int = 1, gamma: float = 2.0, amp: float = 0.5, v_amp: float = 0.0
+) -> np.ndarray:
     """Normalized state u = 1 + amp * (periodic Gaussian bump - mean).
 
     Optional ``v_amp`` seeds the first sensitivity with a shifted copy of the
@@ -318,33 +294,36 @@ def gaussian_bump_state(
         cv = fourier_coefficients(shifted, K)
         coeffs[:, 1] = v_amp * cv
         coeffs[K, 1] = 0.0
-    return SpectralState(K=K, order=order, coeffs=coeffs, z=z)
+    return coeffs
 
 
-def evolve_spectrum(field: CoefficientField, state: SpectralState, z: float, t_grid) -> list[SpectralState]:
-    """The state propagated to every time of ``t_grid`` by the matrix
-    exponential, one stacked propagation over all (mode, t) pairs.
-
-    The k = 0 mode is pinned to its conserved value; no time stepping is
-    involved, so the times are independent of each other.
-    """
+def evolve_spectrum(field: CoefficientField, state: np.ndarray, z: float, t_grid) -> np.ndarray:
+    """The (2K+1, order+1) state, row j for mode k = j - K, at every time of
+    ``t_grid`` as a C-contiguous (T, 2K+1, order+1) array: one stacked matrix
+    exponential over all (mode, t) pairs, with the k = 0 mode pinned to its
+    conserved value (1, 0[, 0]), which the state must hold.  No time stepping
+    is involved, so the times are independent of each other."""
+    state = np.asarray(state, dtype=complex)
+    K = (state.shape[0] - 1) // 2
+    if abs(state[K, 0] - 1.0) > 1e-12 or np.any(np.abs(state[K, 1:]) > 1e-12):
+        raise ValueError("state is not normalized (u_0 = 1 and zero-mass sensitivities)")
     t_grid = np.asarray(t_grid, dtype=float)
-    out = np.repeat(state.coeffs[None], t_grid.size, axis=0)
-    ks = [k for k in range(-state.K, state.K + 1) if k != 0]
+    out = np.repeat(state[None], t_grid.size, axis=0)
+    ks = [k for k in range(-K, K + 1) if k != 0]
     if ks:
-        rows = np.array(ks) + state.K
-        system = first_order_system if state.order == 1 else second_order_system
+        rows = np.array(ks) + K
+        system = first_order_system if state.shape[1] == 2 else second_order_system
         mats = np.array([-system(field, k, z) for k in ks])
-        out[:, rows] = expm_apply(mats, state.coeffs[rows], t_grid).swapaxes(0, 1)
-    return [SpectralState(K=state.K, order=state.order, coeffs=c, z=z) for c in out]
+        out[:, rows] = expm_apply(mats, state[rows], t_grid).swapaxes(0, 1)
+    return out
 
 
-def deviation_norm_sq(state: SpectralState) -> float:
-    """Squared distance to the steady state (1, 0[, 0]) via Parseval,
-    normalized as sum_k |y_k|^2 / (2 pi)."""
-    dev = np.array(state.coeffs, copy=True)
-    dev[state.K, 0] -= 1.0
-    return float(np.sum(np.abs(dev) ** 2) / (2.0 * np.pi))
+def deviation_norm_sq(state: np.ndarray) -> np.ndarray:
+    """Squared distance to the steady state (1, 0[, 0]) via Parseval, normalized
+    as sum_k |y_k|^2 / (2 pi), of one state or of each state in a stack."""
+    dev = np.array(state, dtype=complex)
+    dev[..., (dev.shape[-2] - 1) // 2, 0] -= 1.0
+    return np.sum(np.abs(dev) ** 2, axis=(-2, -1)) / (2.0 * np.pi)
 
 
 def assembled_constants(field: CoefficientField, order: int) -> dict:
@@ -377,7 +356,7 @@ def assembled_constants(field: CoefficientField, order: int) -> dict:
 
 def theorem_bound_check(
     field: CoefficientField,
-    initial_state_fn: Callable[[float], SpectralState],
+    initial_state_fn: Callable[[float], np.ndarray],
     z_grid,
     t_grid,
     order: int = 1,
@@ -407,6 +386,6 @@ def theorem_bound_check(
         consts["C_global"],
         2.0 * field.b0,
         2 * order,
-        tail=lambda s: float(np.sum(np.abs(s.coeffs[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
+        tail=lambda s: float(np.sum(np.abs(s[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
     )
     return {**rep, "order": order, "constants": consts}

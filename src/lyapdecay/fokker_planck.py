@@ -32,7 +32,6 @@ from .oracle import _check_field_bounds, sweep
 __all__ = [
     "DriftField",
     "DiffusionField",
-    "FPState",
     "HermiteBasis",
     "drift_field",
     "sin_drift",
@@ -241,44 +240,22 @@ def kuniform_constant(field: DriftField) -> dict:
     return {"C_12": c12, "C_3": c3, "C_ge4": c4, "C_global": total, "ratio": r, "a0": field.a0}
 
 
-@dataclass(frozen=True)
-class FPState:
-    """Hermite coefficients of the density f and sensitivity g.
-
-    ``f`` and ``g`` both have length K+1; f[0] = 1 (unit mass) and g[0] = 0
-    (massless sensitivity) are enforced exactly.
-    """
-
-    f: np.ndarray
-    g: np.ndarray
-    z: float = 0.0
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        if f.shape != g.shape or f.ndim != 1:
-            raise ValueError("f and g must be 1-d arrays of equal length")
-        if abs(f[0] - 1.0) > 1e-12 or abs(g[0]) > 1e-12:
-            raise ValueError("state is not normalized (f_0 = 1, g_0 = 0)")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-
-    @property
-    def K(self) -> int:
-        return self.f.size - 1
-
-
-def fp_evolve(field: DriftField, state: FPState, z: float, t_grid) -> list[FPState]:
-    """Exact propagation of all coupled mode systems to every time of
-    ``t_grid``: one stacked propagation for the 2x2 pairs k = 1, 2 and one
-    for the 3x3 triples."""
+def fp_evolve(field: DriftField, state: np.ndarray, z: float, t_grid) -> np.ndarray:
+    """The (2, K+1) state, rows f and g with f_0 = 1 and g_0 = 0, at every time of
+    ``t_grid`` as a C-contiguous (T, 2, K+1) array: one stacked exact propagation
+    for the 2x2 pairs k = 1, 2 and one for the 3x3 triples."""
+    f, g0 = np.asarray(state, dtype=float)
+    if abs(f[0] - 1.0) > 1e-12 or abs(g0[0]) > 1e-12:
+        raise ValueError("state is not normalized (f_0 = 1, g_0 = 0)")
     t_grid = np.asarray(t_grid, dtype=float)
     a = field.a(z)
     shift = field.alpha(z) / np.sqrt(2.0)
-    K = state.K
-    g = np.zeros((t_grid.size, K + 1))
+    K = f.size - 1
+    out = np.zeros((t_grid.size, 2, K + 1))
+    out[:, 0] = f * np.exp(-a * t_grid[:, None] * np.arange(K + 1))
+    g = out[:, 1]
     if K >= 1:
-        pairs = [(state.f[1], state.g[1])] + ([(state.f[2], state.g[2] + shift)] if K >= 2 else [])
+        pairs = [(f[1], g0[1])] + ([(f[2], g0[2] + shift)] if K >= 2 else [])
         mats = np.array([-fp_mode_system(field, k, z) for k in range(1, len(pairs) + 1)])
         y = expm_apply(mats, pairs, t_grid)
         g[:, 1] = y[0, :, 1].real
@@ -286,29 +263,28 @@ def fp_evolve(field: DriftField, state: FPState, z: float, t_grid) -> list[FPSta
             g[:, 2] = y[1, :, 1].real - shift
     if K >= 3:
         mats = np.array([-fp_mode_system(field, k, z) for k in range(3, K + 1)])
-        triples = np.column_stack([state.f[1 : K - 1], state.f[3:], state.g[3:]])
+        triples = np.column_stack([f[1 : K - 1], f[3:], g0[3:]])
         g[:, 3:] = expm_apply(mats, triples, t_grid)[:, :, 2].real.T
-    return [
-        FPState(f=state.f * np.exp(-a * t * np.arange(K + 1)), g=gj, z=z) for t, gj in zip(t_grid, g)
-    ]
+    return out
 
 
-def fp_deviation_norm_sq(field: DriftField, state: FPState, z: float) -> float:
-    """Squared weighted-L2 distance of (f, g) to its z-dependent steady state.
+def fp_deviation_norm_sq(field: DriftField, state: np.ndarray, z: float) -> np.ndarray:
+    """Squared weighted-L2 distance of (f, g), per state of a stack, to its steady state.
 
     The g-part measures g + (alpha/sqrt 2) h_2 since the sensitivity steady
     state is -(a'/(sqrt 2 a)) h_2.
     """
     al = field.alpha(z)
-    dev_f = float(np.sum(state.f[1:] ** 2))
-    g2 = state.g[2] + al / np.sqrt(2.0) if state.K >= 2 else 0.0
-    dev_g = float(state.g[1] ** 2 + g2 * g2 + np.sum(state.g[3:] ** 2))
+    f, g = state[..., 0, :], state[..., 1, :]
+    dev_f = np.sum(f[..., 1:] ** 2, axis=-1)
+    g2 = g[..., 2] + al / np.sqrt(2.0) if g.shape[-1] > 2 else 0.0
+    dev_g = g[..., 1] ** 2 + g2 * g2 + np.sum(g[..., 3:] ** 2, axis=-1)
     return dev_f + dev_g
 
 
 def fp_theorem_check(
     field: DriftField,
-    initial_state_fn: Callable[[float], FPState],
+    initial_state_fn: Callable[[float], np.ndarray],
     z_grid,
     t_grid,
 ) -> dict:
@@ -331,7 +307,7 @@ def fp_theorem_check(
         consts["C_global"],
         2.0 * field.a0,
         2,
-        tail=lambda s: float(s.f[-1] ** 2 + s.g[-1] ** 2),
+        tail=lambda s: float(s[0, -1] ** 2 + s[1, -1] ** 2),
     )
     return {**rep, "constants": consts}
 
@@ -404,8 +380,8 @@ class HermiteBasis:
         return sum(c[k] * h[k] for k in range(c.size))
 
 
-def fp_gaussian_state(field: DriftField, z: float, K: int = 40, mean: float = 0.4, prec: float = 1.0, g_amp: float = 0.5) -> FPState:
-    """Shifted-Gaussian density plus a massless odd sensitivity, projected.
+def fp_gaussian_state(field: DriftField, z: float, K: int = 40, mean: float = 0.4, prec: float = 1.0, g_amp: float = 0.5) -> np.ndarray:
+    """Shifted-Gaussian density f plus a massless odd sensitivity g, projected as rows.
 
     The density is the unit-mass Gaussian with precision ``prec`` centered at
     ``mean`` (``prec`` must exceed a(z)/2 for the weighted norm to be
@@ -423,11 +399,11 @@ def fp_gaussian_state(field: DriftField, z: float, K: int = 40, mean: float = 0.
     g = basis.project(lambda x: g_amp * (x - mean) * density(x))
     f[0] = 1.0
     g[0] = 0.0
-    return FPState(f=f, g=g, z=z)
+    return np.array([f, g])
 
 
 def fp_semidiscrete_residual(
-    field: DriftField, state: FPState, z: float, x_lo: float = -8.0, x_hi: float = 8.0, n: int = 1601
+    field: DriftField, state: np.ndarray, z: float, x_lo: float = -8.0, x_hi: float = 8.0, n: int = 1601
 ) -> float:
     """Max pointwise residual of the synthesized mode dynamics.
 
@@ -435,25 +411,24 @@ def fp_semidiscrete_residual(
     applied to the synthesized series by fourth-order finite differences, so
     the two sides share no recurrence algebra.  Checks both the density
     equation df/dt = (f' + a x f)' and the sensitivity equation
-    dg/dt = (g' + a x g)' + a_z (x f' + f).
+    dg/dt = (g' + a x g)' + a_z (x f' + f); ``state`` holds f and g as rows.
     """
     a, az = field.a(z), field.da(z)
-    al = field.alpha(z)
-    basis = HermiteBasis(state.K, a)
+    f, g = np.asarray(state, dtype=float)
+    K = f.size - 1
+    basis = HermiteBasis(K, a)
     x = np.linspace(x_lo, x_hi, n)
     h = x[1] - x[0]
-    f_vals = basis.synthesize(state.f, x)
-    g_vals = basis.synthesize(state.g, x)
+    f_vals = basis.synthesize(f, x)
+    g_vals = basis.synthesize(g, x)
 
     # mode ODE time derivatives
-    dtf_coeff = -a * np.arange(state.K + 1) * state.f
-    dtg_coeff = np.zeros(state.K + 1)
-    if state.K >= 1:
-        dtg_coeff[1] = -a * state.g[1] - az * state.f[1]
-    for k in range(2, state.K + 1):
-        dtg_coeff[k] = -k * a * state.g[k] - az * (
-            k * state.f[k] + np.sqrt(k * (k - 1.0)) * state.f[k - 2]
-        )
+    dtf_coeff = -a * np.arange(K + 1) * f
+    dtg_coeff = np.zeros(K + 1)
+    if K >= 1:
+        dtg_coeff[1] = -a * g[1] - az * f[1]
+    for k in range(2, K + 1):
+        dtg_coeff[k] = -k * a * g[k] - az * (k * f[k] + np.sqrt(k * (k - 1.0)) * f[k - 2])
     dtf = basis.synthesize(dtf_coeff, x)
     dtg = basis.synthesize(dtg_coeff, x)
 

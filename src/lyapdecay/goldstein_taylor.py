@@ -24,7 +24,6 @@ from .oracle import _check_field_bounds, sweep
 
 __all__ = [
     "RelaxationField",
-    "GTState",
     "tanh_relaxation",
     "gt_eigenvalues",
     "gt_mode_matrix",
@@ -195,6 +194,8 @@ def gt_uniform_constant(
     ``tail_margin``.  Negative k give the same spectra by conjugation
     symmetry of the chain vectors, so only k >= 1 is swept.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     sigmas = np.linspace(field.sigma0, field.sigma1, n_sigma)
     dsigmas = np.linspace(-field.L, field.L, n_dsigma) if field.L > 0 else np.array([0.0])
     ks = range(1, k_max + 1)
@@ -242,41 +243,19 @@ def gt_mode_envelope(field: RelaxationField, k: int, z: float) -> ModeEnvelope:
     )
 
 
-@dataclass(frozen=True)
-class GTState:
-    """Mode coefficients of (f_+ + f_-, f_+ - f_-, g_+ + g_-, g_+ - g_-).
-
-    ``coeffs`` has shape (2K+1, 4); row j holds mode k = j - K.  The zero
-    mode carries the conserved masses: first component 1, third 0.
-    """
-
-    K: int
-    coeffs: np.ndarray
-    z: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.K + 1, 4):
-            raise ValueError(f"coeffs must have shape {(2 * self.K + 1, 4)}")
-        if abs(c[self.K, 0] - 1.0) > 1e-12 or abs(c[self.K, 2]) > 1e-12:
-            raise ValueError("zero mode is not normalized (masses 1 and 0)")
-        object.__setattr__(self, "coeffs", c)
-
-
-def gt_state_from_functions(f_plus, f_minus, g_plus, g_minus, K: int, z: float = 0.0) -> GTState:
-    """Project the four densities onto modes via uniform-grid quadrature,
-    calling each once on the array of nodes."""
+def gt_state_from_functions(f_plus, f_minus, g_plus, g_minus, K: int) -> np.ndarray:
+    """(2K+1, 4) coefficients of (f_+ + f_-, f_+ - f_-, g_+ + g_-, g_+ - g_-), row j for
+    mode k = j - K, by uniform-grid quadrature calling each density once on the nodes."""
     n = max(512, 8 * K)
     x = 2.0 * np.pi * np.arange(n) / n
     ks = np.arange(-K, K + 1)
     ft = np.exp(-1j * np.outer(ks, x)) / n
     densities = (f_plus, f_minus, g_plus, g_minus)
     fp, fm, gp, gm = (ft @ np.broadcast_to(f(x), x.shape).astype(complex) for f in densities)
-    coeffs = np.column_stack([fp + fm, fp - fm, gp + gm, gp - gm])
-    return GTState(K=K, coeffs=coeffs, z=z)
+    return np.column_stack([fp + fm, fp - fm, gp + gm, gp - gm])
 
 
-def gt_bump_state(K: int, z: float = 0.0) -> GTState:
+def gt_bump_state(K: int) -> np.ndarray:
     """Normalized bump data: mass-1 densities, massless sensitivities."""
     return gt_state_from_functions(
         lambda x: 0.5 + 0.3 * np.cos(x) + 0.05 * np.sin(2 * x),
@@ -284,28 +263,32 @@ def gt_bump_state(K: int, z: float = 0.0) -> GTState:
         lambda x: 0.1 * np.cos(2 * x),
         lambda x: -0.1 * np.sin(x),
         K=K,
-        z=z,
     )
 
 
-def gt_evolve(field: RelaxationField, state: GTState, z: float, t_grid) -> list[GTState]:
-    """The state propagated to every time of ``t_grid``, one stacked
-    propagation over all (mode, t) pairs."""
-    mats = np.array([-gt_mode_matrix(field, k, z) for k in range(-state.K, state.K + 1)])
-    out = expm_apply(mats, state.coeffs, t_grid).swapaxes(0, 1).copy()
-    return [GTState(K=state.K, coeffs=c, z=z) for c in out]
+def gt_evolve(field: RelaxationField, state: np.ndarray, z: float, t_grid) -> np.ndarray:
+    """The (2K+1, 4) state, whose zero mode must carry the masses 1 and 0,
+    propagated to every time of ``t_grid`` as a C-contiguous (T, 2K+1, 4)
+    array, one stacked propagation over all (mode, t) pairs."""
+    state = np.asarray(state, dtype=complex)
+    K = (state.shape[0] - 1) // 2
+    if abs(state[K, 0] - 1.0) > 1e-12 or abs(state[K, 2]) > 1e-12:
+        raise ValueError("zero mode is not normalized (masses 1 and 0)")
+    mats = np.array([-gt_mode_matrix(field, k, z) for k in range(-K, K + 1)])
+    # C order, so a stacked deviation sums in the same order as one slice's
+    return expm_apply(mats, state, t_grid).swapaxes(0, 1).copy()
 
 
-def gt_deviation_norm_sq(state: GTState) -> float:
-    """sum_k |y_k - y_k_inf|^2 with the steady zero mode (1, 0, 0, 0)."""
-    dev = np.array(state.coeffs, copy=True)
-    dev[state.K, 0] -= 1.0
-    return float(np.sum(np.abs(dev) ** 2))
+def gt_deviation_norm_sq(state: np.ndarray) -> np.ndarray:
+    """sum_k |y_k - y_k_inf|^2, steady zero mode (1, 0, 0, 0), per state of a stack."""
+    dev = np.array(state, dtype=complex)
+    dev[..., (dev.shape[-2] - 1) // 2, 0] -= 1.0
+    return np.sum(np.abs(dev) ** 2, axis=(-2, -1))
 
 
 def gt_theorem_check(
     field: RelaxationField,
-    initial_state_fn: Callable[[float], GTState],
+    initial_state_fn: Callable[[float], np.ndarray],
     z_grid,
     t_grid,
     k_max: int = 64,

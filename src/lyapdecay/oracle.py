@@ -162,19 +162,17 @@ def sweep(initial_state_fn, evolve, deviation_sq, z_grid, t_grid, C_global, rate
     on a (z, t) grid of a mode model.
 
     ``initial_state_fn(z)`` gives the state at t = 0, ``evolve(state, z,
-    t_grid)`` the states at every time and ``deviation_sq(state, z)`` the
-    squared (Parseval) distance to the steady state.  ``tail(state)``, if
-    given, is the weight of the truncation's outermost modes; its supremum
-    over the grid is reported relative to the initial supremum.  ``passed``
-    means no ratio exceeded 1 + DOMINANCE_SLACK.
+    t_grid)`` the stack of states at every time and ``deviation_sq(states, z)``
+    the squared (Parseval) distances of one state or a stack to the steady
+    state.  ``tail(state)``, if given, is the weight of the truncation's
+    outermost modes; its supremum over the grid is reported relative to the
+    initial supremum.  ``passed`` means no ratio exceeded 1 + DOMINANCE_SLACK.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = _times(t_grid)
     states0 = [initial_state_fn(z) for z in z_grid]
     initial_sup = float(max(deviation_sq(s, z) for s, z in zip(states0, z_grid)))
-    norm_sq = np.array(
-        [[deviation_sq(s, z) for s in evolve(s0, z, t_grid)] for s0, z in zip(states0, z_grid)]
-    )
+    norm_sq = np.array([deviation_sq(evolve(s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])
     bound = C_global * (1.0 + t_grid**power) * np.exp(-rate * t_grid) * initial_sup
     ratio = norm_sq / bound[None, :]
     rep = {

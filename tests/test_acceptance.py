@@ -230,7 +230,7 @@ def test_criterion_10_convection_diffusion_theorems():
     field = cd.tanh_field()
     rep1 = cd.theorem_bound_check(
         field,
-        lambda z: cd.gaussian_bump_state(32, order=1, v_amp=0.3, z=z),
+        lambda z: cd.gaussian_bump_state(32, order=1, v_amp=0.3),
         np.linspace(-3.0, 3.0, 13),
         np.linspace(0.0, 10.0, 50),
         order=1,
@@ -242,7 +242,7 @@ def test_criterion_10_convection_diffusion_theorems():
     assert abs(dlam) < 1e-5 and abs(d2lam) > 0.5  # defect-collapse witness
     rep2 = cd.theorem_bound_check(
         field2,
-        lambda z: cd.gaussian_bump_state(32, order=2, v_amp=0.3, z=z),
+        lambda z: cd.gaussian_bump_state(32, order=2, v_amp=0.3),
         z_grid,
         np.linspace(0.0, 10.0, 50),
         order=2,
@@ -260,7 +260,7 @@ def test_criterion_11_relaxation_theorem():
     uniform = gt.gt_uniform_constant(field, k_max=64, n_sigma=13, n_dsigma=9)
     rep = gt.gt_theorem_check(
         field,
-        lambda z: gt.gt_bump_state(32, z=z),
+        lambda z: gt.gt_bump_state(32),
         np.linspace(-3.0, 3.0, 13),
         np.linspace(0.0, 20.0, 50),
         uniform=uniform,

@@ -276,6 +276,11 @@ def _exit_code(argv):
         (["model-cd", "--t-points", "0"], None, "--t-points"),
         (["family", "--z-points", "0"], None, "--z-points"),
         (["verify", "--points", "0"], None, "--points"),
+        (["model-cd", "--z-grid=0:1:0"], None, "--z-grid"),
+        (["model-cd", "--z-grid=nan:1:3"], None, "--z-grid"),
+        (["model-gt", "--k-max", "-1", "--K", "4", "--z-grid=0:1:2", "--t-points", "3"], None, "k_max"),
+        (["verify", "--t-max", "-1"], None, "--t-max"),
+        (["verify", "--t-max", "0"], None, "--t-max"),
     ],
 )
 def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
@@ -408,6 +413,25 @@ def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch):
     assert len(digests) == 9
     for fname, digest in digests.items():
         assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+def test_model_defaults_build_their_initial_state_once(tmp_path, monkeypatch):
+    # the cd and gt initial states do not depend on z, so one build serves all 13 z
+    from lyapdecay import convection_diffusion as cd
+    from lyapdecay import goldstein_taylor as gt
+
+    calls = []
+    for module, name in ((cd, "fourier_coefficients"), (gt, "gt_state_from_functions")):
+        orig = getattr(module, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for command in ("model-cd", "model-gt"):
+        assert main([command, "--out", str(tmp_path / "m.csv"), "--report", str(tmp_path / "m.json")]) == 0
+    assert calls == ["fourier_coefficients"] * 2 + ["gt_state_from_functions"]
 
 
 def test_model_gt_tabulated_sigma(tmp_path):

@@ -247,13 +247,11 @@ def test_tilde_p3_seminorm_bound(field2):
 def test_evolve_spectrum_identity_and_steady(field):
     state = cd.gaussian_bump_state(8, order=1, v_amp=0.2)
     (same,) = cd.evolve_spectrum(field, state, 0.5, [0.0])
-    np.testing.assert_allclose(same.coeffs, state.coeffs, atol=1e-14)
+    np.testing.assert_allclose(same, state, atol=1e-14)
     # steady state (1, 0) is fixed
-    steady = cd.SpectralState(
-        K=4, order=1, coeffs=np.hstack([np.eye(9)[:, [4]], np.zeros((9, 1))]).astype(complex)
-    )
+    steady = np.hstack([np.eye(9)[:, [4]], np.zeros((9, 1))]).astype(complex)
     for out in cd.evolve_spectrum(field, steady, 0.2, [0.0, 3.0, 40.0]):
-        np.testing.assert_allclose(out.coeffs, steady.coeffs, atol=1e-14)
+        np.testing.assert_allclose(out, steady, atol=1e-14)
 
 
 def test_evolve_spectrum_single_mode_matches_duhamel(field):
@@ -262,34 +260,33 @@ def test_evolve_spectrum_single_mode_matches_duhamel(field):
     coeffs[K, 0] = 1.0
     coeffs[K + 2, 0] = 0.4 - 0.1j
     coeffs[K + 2, 1] = 0.2j
-    state = cd.SpectralState(K=K, order=1, coeffs=coeffs)
     z, ts = -0.8, [0.6, 2.5]
     m = cd.first_order_system(field, 2, z)
-    for out, t in zip(cd.evolve_spectrum(field, state, z, ts), ts):
-        np.testing.assert_allclose(out.coeffs[K + 2], duhamel_solve(m, coeffs[K + 2], t), atol=1e-12)
+    for out, t in zip(cd.evolve_spectrum(field, coeffs, z, ts), ts):
+        np.testing.assert_allclose(out[K + 2], duhamel_solve(m, coeffs[K + 2], t), atol=1e-12)
 
 
-def test_state_normalization_enforced():
+def test_state_normalization_enforced(field):
     K = 2
     coeffs = np.zeros((2 * K + 1, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        cd.SpectralState(K=K, order=1, coeffs=coeffs)  # u_0 = 0
+    with pytest.raises(ValueError, match="not normalized"):
+        cd.evolve_spectrum(field, coeffs, 0.0, [0.0])  # u_0 = 0
 
 
 def test_parseval_against_physical_space(field):
     state = cd.gaussian_bump_state(32, order=1, v_amp=0.3)
     x = 2.0 * np.pi * np.arange(512) / 512
-    u = cd.synthesize(state.coeffs[:, 0], x)
+    u = cd.synthesize(state[:, 0], x)
     physical = float(np.mean(np.abs(u) ** 2))
-    spectral = float(np.sum(np.abs(state.coeffs[:, 0]) ** 2))
+    spectral = float(np.sum(np.abs(state[:, 0]) ** 2))
     assert physical == pytest.approx(spectral, abs=1e-6)
 
 
 def test_mass_conservation_is_exact(field):
     state = cd.gaussian_bump_state(8, order=1, v_amp=0.4)
     (out,) = cd.evolve_spectrum(field, state, 1.3, [2.4])
-    assert out.coeffs[8, 0] == 1.0 + 0.0j
-    assert out.coeffs[8, 1] == 0.0 + 0.0j
+    assert out[8, 0] == 1.0 + 0.0j
+    assert out[8, 1] == 0.0 + 0.0j
 
 
 def test_mode_envelopes_dominate_over_k_and_cases(field2):
@@ -325,7 +322,7 @@ def test_k_folding_inequality_second_order(field2):
 def test_theorem_bound_first_order_small(field):
     rep = cd.theorem_bound_check(
         field,
-        lambda z: cd.gaussian_bump_state(12, order=1, v_amp=0.3, z=z),
+        lambda z: cd.gaussian_bump_state(12, order=1, v_amp=0.3),
         np.linspace(-2.0, 2.0, 5),
         np.linspace(0.0, 6.0, 13),
         order=1,
@@ -337,7 +334,7 @@ def test_theorem_bound_first_order_small(field):
 def test_theorem_bound_second_order_small(field2):
     rep = cd.theorem_bound_check(
         field2,
-        lambda z: cd.gaussian_bump_state(10, order=2, v_amp=0.3, z=z),
+        lambda z: cd.gaussian_bump_state(10, order=2, v_amp=0.3),
         np.array([-1.2, 1e-6, 0.9]),
         np.linspace(0.0, 5.0, 11),
         order=2,
@@ -351,7 +348,7 @@ def test_theorem_check_equals_per_cell_evolve(field2, order):
     # 2K = 6 modes x 60 times span more than one stacked chunk
     zs = np.array([-0.7, 0.0, 1.1])
     ts = np.linspace(0.0, 9.0, 60)
-    state = lambda z: cd.gaussian_bump_state(3, order=order, v_amp=0.3, z=z)
+    state = lambda z: cd.gaussian_bump_state(3, order=order, v_amp=0.3)
     rep = cd.theorem_bound_check(field2, state, zs, ts, order=order)
     want = [[cd.deviation_norm_sq(cd.evolve_spectrum(field2, state(z), z, [t])[0]) for t in ts] for z in zs]
     assert np.array_equal(rep["norm_sq"], np.array(want))

@@ -242,7 +242,7 @@ def test_gap_structure_only_modes_1_and_3_attain_rate(field):
 def test_g2_relaxes_to_steady_shift(field):
     st0 = fp.fp_gaussian_state(field, z=0.5, K=16)
     (out,) = fp.fp_evolve(field, st0, 0.5, [20.0])
-    assert abs(out.g[2] + field.alpha(0.5) / np.sqrt(2.0)) < 1e-12
+    assert abs(out[1, 2] + field.alpha(0.5) / np.sqrt(2.0)) < 1e-12
 
 
 def test_evolution_matches_duhamel(field):
@@ -263,8 +263,7 @@ def test_semidiscrete_residual_small(field):
     gs = np.zeros(13)
     fs[0], fs[1], fs[3], fs[5] = 1.0, 0.4, 0.2, 0.05
     gs[1], gs[2], gs[4] = 0.3, -0.2, 0.1
-    st = fp.FPState(f=fs, g=gs, z=0.5)
-    assert fp.fp_semidiscrete_residual(field, st, 0.5) < 1e-6
+    assert fp.fp_semidiscrete_residual(field, np.array([fs, gs]), 0.5) < 1e-6
 
 
 def test_theorem_check_small(field):
@@ -288,15 +287,15 @@ def test_theorem_check_equals_per_cell_evolve(field):
     assert np.array_equal(rep["norm_sq"], np.array(want))
 
 
-def test_state_normalization_enforced():
-    with pytest.raises(ValueError):
-        fp.FPState(f=np.zeros(5), g=np.zeros(5))
+def test_state_normalization_enforced(field):
+    with pytest.raises(ValueError, match="not normalized"):
+        fp.fp_evolve(field, np.zeros((2, 5)), 0.5, [0.0])
     gs = np.zeros(5)
     gs[0] = 0.1
     f = np.zeros(5)
     f[0] = 1.0
-    with pytest.raises(ValueError):
-        fp.FPState(f=f, g=gs)
+    with pytest.raises(ValueError, match="not normalized"):
+        fp.fp_evolve(field, np.array([f, gs]), 0.5, [0.0])
 
 
 # ----------------------------------------------------------------- diffusion
