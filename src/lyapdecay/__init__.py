@@ -29,14 +29,12 @@ from .jordan import (
 from .lyapunov import (
     LyapunovForm,
     DecayEnvelope,
-    ModeEnvelope,
     build_form,
     build_p,
     build_p_epsilon,
     case2_weights,
     c_m_constant,
     decay_constant,
-    envelope_eval,
     improved_defect1_envelope,
     lower_bound_lemma_gap,
     tilde_constant,

@@ -22,7 +22,6 @@ from .jordan import JordanBlock, structure_from_chains
 from .linalg import expm_apply
 from .lyapunov import (
     DecayEnvelope,
-    ModeEnvelope,
     build_form,
     decay_constant,
     sup_poly_exp,
@@ -50,8 +49,9 @@ __all__ = [
     "theorem_bound_check",
 ]
 
-#: |dlambda| below this (relative) threshold selects the non-defective branch;
-#: the envelopes are continuous across it, so the cut is harmless.
+#: |dlambda| below this (relative) threshold selects the non-defective branch.
+#: The envelopes jump across it: just above the cut a defect-one mode has
+#: C = 24 and M = 2, just below it C = 1 and M = 1.
 DEFECT_THRESHOLD = 1e-10
 
 #: fold factor for (1 + x) <= kappa (1 + x^2), x >= 0
@@ -141,19 +141,18 @@ def _is_defective(dval: complex, lam: complex) -> bool:
     return abs(dval) > DEFECT_THRESHOLD * (1.0 + abs(lam))
 
 
-def first_order_envelope(field: CoefficientField, k: int, z: float) -> ModeEnvelope:
+def first_order_envelope(field: CoefficientField, k: int, z: float) -> DecayEnvelope:
     """Per-mode bound: exact exponential when dlambda = 0, else
     12 max{2, 1+|dlam|^2} (1 + k^4 t^2) e^{-2 k^2 b t}."""
     lam, dlam, _ = lambda_k(field, k, z)
     b = lam.real
     if not _is_defective(dlam, lam):
-        return ModeEnvelope(DecayEnvelope(1.0, b, 1), tscale=k * k, exact=True)
+        return DecayEnvelope(1.0, b, 1).scaled(k * k)
     v0 = np.array([1.0, 0.0], dtype=complex)
     v1 = np.array([0.0, 1.0 / np.conj(dlam)], dtype=complex)
     st = structure_from_chains([(lam, [v0, v1])])
     form = build_form(st, block_weights={0: np.array([1.0, abs(dlam) ** 2])})
-    env = decay_constant(st, form)
-    return ModeEnvelope(env, tscale=k * k, meta={"dlam": dlam})
+    return decay_constant(st, form).scaled(k * k)
 
 
 def second_order_system(field: CoefficientField, k: int, z: float) -> np.ndarray:
@@ -175,7 +174,7 @@ def _second_order_chains(lam, dlam, d2lam):
     return v0, v1, v2
 
 
-def second_order_envelope(field: CoefficientField, k: int, z: float) -> ModeEnvelope:
+def second_order_envelope(field: CoefficientField, k: int, z: float) -> DecayEnvelope:
     """Per-mode bound for the 3x3 sensitivity system.
 
     dlam = d2lam = 0: exact exponential.  dlam = 0, d2lam != 0 (defect one):
@@ -191,19 +190,16 @@ def second_order_envelope(field: CoefficientField, k: int, z: float) -> ModeEnve
     defective_1 = _is_defective(dlam, lam)
     defective_2 = _is_defective(d2lam, lam)
     if not defective_1 and not defective_2:
-        return ModeEnvelope(DecayEnvelope(1.0, b, 1), tscale=k * k, exact=True)
+        return DecayEnvelope(1.0, b, 1).scaled(k * k)
     if not defective_1:
         v0 = np.array([1, 0, 0], dtype=complex)
         v1 = np.array([0, 0, 1.0 / np.conj(d2lam)], dtype=complex)
         w0 = np.array([0, 1, 0], dtype=complex)
         st = structure_from_chains([(lam, [v0, v1]), (lam, [w0])])
         form = build_form(st, block_weights={0: np.array([1.0, abs(d2lam) ** 2])})
-        env = decay_constant(st, form)
-        return ModeEnvelope(env, tscale=k * k, meta={"case": 2, "d2lam": d2lam})
+        return decay_constant(st, form).scaled(k * k)
     c = 1.0 + (12.0 + 585.0 * (1.0 + abs(d2lam) ** 2)) * max(1.0, abs(dlam) ** 4)
-    return ModeEnvelope(
-        DecayEnvelope(c, b, 3), tscale=k * k, meta={"case": 3, "dlam": dlam, "d2lam": d2lam}
-    )
+    return DecayEnvelope(c, b, 3).scaled(k * k)
 
 
 def tilde_w3_vector(field: CoefficientField, k: int, z: float, t: float) -> np.ndarray:
@@ -319,10 +315,12 @@ def evolve_spectrum(field: CoefficientField, state: np.ndarray, z: float, t_grid
 
 
 def deviation_norm_sq(state: np.ndarray) -> np.ndarray:
-    """Squared distance to the steady state (1, 0[, 0]) via Parseval, normalized
-    as sum_k |y_k|^2 / (2 pi), of one state or of each state in a stack."""
+    """Squared distance to the steady state via Parseval, normalized as
+    sum_k |y_k|^2 / (2 pi), of one state or of each state in a stack.  The
+    zero mode is conserved (:func:`evolve_spectrum` keeps it bit for bit), so
+    its row is the steady state's and counts 0."""
     dev = np.array(state, dtype=complex)
-    dev[..., (dev.shape[-2] - 1) // 2, 0] -= 1.0
+    dev[..., (dev.shape[-2] - 1) // 2, :] = 0.0
     return np.sum(np.abs(dev) ** 2, axis=(-2, -1)) / (2.0 * np.pi)
 
 
@@ -383,9 +381,7 @@ def theorem_bound_check(
         lambda s, z: deviation_norm_sq(s),
         z_grid,
         t_grid,
-        consts["C_global"],
-        2.0 * field.b0,
-        2 * order,
+        DecayEnvelope(consts["C_global"], field.b0, order + 1),
         tail=lambda s: float(np.sum(np.abs(s[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
     )
     return {**rep, "order": order, "constants": consts}

@@ -38,6 +38,9 @@ class ParamFamily:
     dmu_of_z: Callable[[float], float]
     mu_min: float
     z_grid: np.ndarray = field(default_factory=lambda: np.linspace(-5.0, 5.0, 201))
+    #: p(t) of a closed-form uniform-in-z bound p(t) exp(-2 mu_min t), if one is
+    #: known; the built-in families take it as their bound at mu_min = 0
+    prefactor: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.mu_min <= 0:
@@ -69,6 +72,7 @@ def quadratic_family(alpha: float, mu_min: float, z_grid=None) -> ParamFamily:
         mu_of_z=lambda z: mu_min + alpha * z * z,
         dmu_of_z=lambda z: 2.0 * alpha * z,
         mu_min=mu_min,
+        prefactor=lambda t: uniform_envelope_quadratic(alpha, 0.0, t),
         **kw,
     )
 
@@ -84,13 +88,14 @@ def exponential_family(alpha: float, beta: float, mu0: float, z_grid=None) -> Pa
         mu_of_z=lambda z: mu0 + alpha * np.exp(beta * z),
         dmu_of_z=lambda z: alpha * beta * np.exp(beta * z),
         mu_min=mu0,
+        prefactor=lambda t: uniform_envelope_exponential(alpha, beta, 0.0, t),
         **kw,
     )
 
 
 def constant_family(mu0: float, z_grid=None) -> ParamFamily:
     kw = {} if z_grid is None else {"z_grid": np.asarray(z_grid, dtype=float)}
-    return ParamFamily(lambda z: mu0, lambda z: 0.0, mu_min=mu0, **kw)
+    return ParamFamily(lambda z: mu0, lambda z: 0.0, mu_min=mu0, prefactor=lambda t: 1.0, **kw)
 
 
 def family_matrix(fam: ParamFamily, z: float) -> np.ndarray:

@@ -22,7 +22,6 @@ from .jordan import structure_from_chains
 from .linalg import expm_apply
 from .lyapunov import (
     DecayEnvelope,
-    ModeEnvelope,
     build_form,
     decay_constant,
     tilde_constant,
@@ -116,20 +115,19 @@ def fp_mode_system(field: DriftField, k: int, z: float) -> np.ndarray:
 _DEFECT_TOL = 1e-14
 
 
-def fp_envelope_k12(field: DriftField, k: int, z: float) -> ModeEnvelope:
+def fp_envelope_k12(field: DriftField, k: int, z: float) -> DecayEnvelope:
     """12 max{2, 1 + alpha^2} (1 + k^2 a^2 t^2) e^{-2 k a t}, exact when alpha = 0."""
     if k not in (1, 2):
         raise ValueError("only the gap pair modes k = 1, 2")
     a = field.a(z)
     al = field.alpha(z)
     if abs(al) <= _DEFECT_TOL:
-        return ModeEnvelope(DecayEnvelope(1.0, 1.0, 1), tscale=k * a, exact=True)
+        return DecayEnvelope(1.0, 1.0, 1).scaled(k * a)
     v0 = np.array([1.0, 0.0], dtype=complex)
     v1 = np.array([0.0, 1.0 / al], dtype=complex)
     st = structure_from_chains([(1.0, [v0, v1])])
     form = build_form(st, block_weights={0: np.array([1.0, al * al])})
-    env = decay_constant(st, form)
-    return ModeEnvelope(env, tscale=k * a, meta={"alpha": al})
+    return decay_constant(st, form).scaled(k * a)
 
 
 def fp_tilde_p3(alpha: float) -> np.ndarray:
@@ -146,7 +144,7 @@ def fp_delta(alpha: float) -> float:
     return 1.0 + 0.75 * alpha * alpha
 
 
-def fp_envelope_k3(field: DriftField, z: float) -> ModeEnvelope:
+def fp_envelope_k3(field: DriftField, z: float) -> DecayEnvelope:
     """Bound C3(z) e^{-2 a t} for the k = 3 triple; no algebraic factor.
 
     The defective eigenvalue sits off the gap mu = 1/3 (in the k a-rescaled
@@ -157,7 +155,7 @@ def fp_envelope_k3(field: DriftField, z: float) -> ModeEnvelope:
     a = field.a(z)
     al = field.alpha(z)
     if abs(al) <= _DEFECT_TOL:
-        return ModeEnvelope(DecayEnvelope(1.0, 1.0 / 3.0, 1), tscale=3.0 * a, exact=True)
+        return DecayEnvelope(1.0, 1.0 / 3.0, 1).scaled(3.0 * a)
     blocks = [
         (1.0 / 3.0, [np.array([1.0, 0.0, 0.0], dtype=complex)]),
         (
@@ -172,8 +170,7 @@ def fp_envelope_k3(field: DriftField, z: float) -> ModeEnvelope:
     form = build_form(
         st, block_weights={1: np.array([al ** (-2.0), 1.0])}, tilde_blocks=(1,)
     )
-    env = tilde_constant(st, form)
-    return ModeEnvelope(env, tscale=3.0 * a, meta={"alpha": al})
+    return tilde_constant(st, form).scaled(3.0 * a)
 
 
 def _p_tilde_k4(alpha: float) -> np.ndarray:
@@ -214,7 +211,7 @@ def fp_minor_g(k: float, alpha_sq: float, gamma: float) -> float:
     return (1.5 - 4.0 / k) * (2.25 - 0.5 * alpha_sq) - 0.75 * gamma * gamma * alpha_sq
 
 
-def fp_k4_envelope(field: DriftField, k: int, z: float) -> ModeEnvelope:
+def fp_k4_envelope(field: DriftField, k: int, z: float) -> DecayEnvelope:
     """Reported bound 2 max{1, alpha^4} e^{-2 a t} for k >= 4.
 
     The certificate actually gives the faster rate k a / 2 >= 2 a; the
@@ -226,7 +223,7 @@ def fp_k4_envelope(field: DriftField, k: int, z: float) -> ModeEnvelope:
     a = field.a(z)
     al = field.alpha(z)
     c = 2.0 * max(1.0, al**4)
-    return ModeEnvelope(DecayEnvelope(c, a, 1), meta={"sharp_rate": 0.5 * k * a})
+    return DecayEnvelope(c, a, 1)
 
 
 def kuniform_constant(field: DriftField) -> dict:
@@ -304,9 +301,7 @@ def fp_theorem_check(
         partial(fp_deviation_norm_sq, field),
         z_grid,
         t_grid,
-        consts["C_global"],
-        2.0 * field.a0,
-        2,
+        DecayEnvelope(consts["C_global"], field.a0, 2),
         tail=lambda s: float(s[0, -1] ** 2 + s[1, -1] ** 2),
     )
     return {**rep, "constants": consts}
@@ -463,7 +458,7 @@ class DiffusionField:
             raise ValueError("d0 must be positive")
 
 
-def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.ndarray, ModeEnvelope]:
+def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.ndarray, DecayEnvelope]:
     """Mode pair matrix and bound for uncertainty in the diffusion term.
 
     The pair (u_{k-2}, v_k) evolves with the non-defective matrix
@@ -474,19 +469,15 @@ def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.n
     """
     if k < 2:
         raise ValueError("pairs start at k = 2")
-    ratio = dfield.dd(z) / dfield.d(z)
-    coupling = -ratio * np.sqrt((k - 1.0) * k)
+    coupling = -dfield.dd(z) / dfield.d(z) * np.sqrt((k - 1.0) * k)
     a_mat = np.array([[k - 2.0, 0.0], [coupling, float(k)]], dtype=complex)
     if k == 2:
         # u_0 is conserved; the deviation (0, v_2 - v_2_inf) decays at rate 2
-        return a_mat, ModeEnvelope(
-            DecayEnvelope(1.0, 2.0, 1), meta={"conserved": 0, "v_steady": ratio / np.sqrt(2.0)}
-        )
+        return a_mat, DecayEnvelope(1.0, 2.0, 1)
     st = structure_from_chains(
         [
             (k - 2.0, [np.array([1.0, 0.0], dtype=complex)]),
             (float(k), [np.array([np.conj(coupling) / 2.0, 1.0], dtype=complex)]),
         ],
     )
-    env = decay_constant(st, build_form(st))
-    return a_mat, ModeEnvelope(env)
+    return a_mat, decay_constant(st, build_form(st))

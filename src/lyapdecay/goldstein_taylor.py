@@ -19,7 +19,7 @@ import numpy as np
 
 from .jordan import structure_from_chains
 from .linalg import expm_apply
-from .lyapunov import DecayEnvelope, ModeEnvelope, build_form, decay_constant
+from .lyapunov import DecayEnvelope, build_form, decay_constant
 from .oracle import _check_field_bounds, sweep
 
 __all__ = [
@@ -218,29 +218,23 @@ def gt_uniform_constant(
     }
 
 
-def gt_mode_envelope(field: RelaxationField, k: int, z: float) -> ModeEnvelope:
+def gt_mode_envelope(field: RelaxationField, k: int, z: float) -> DecayEnvelope:
     """Per-mode bound at one parameter value.
 
     k = 0: C0 (1 + t^2) e^{-2 sigma t} on the decaying two-dimensional
-    subblock (the complement is conserved).  k != 0 defective:
+    subblock of entries 1 and 3 (the masses 0 and 2 are conserved).  k != 0 defective:
     C_k (1 + t^2) e^{-sigma t}; non-defective: 2 C_k e^{-sigma t}.
     """
     s, sz = field.sigma(z), field.dsigma(z)
     if k == 0:
         c0 = 12.0 * max(2.0, 1.0 + sz * sz)
-        return ModeEnvelope(DecayEnvelope(c0, s, 2), meta={"subspace": (1, 3)})
+        return DecayEnvelope(c0, s, 2)
     st = structure_from_chains(gt_chains(field, k, z))
     if sz != 0.0:
-        form = build_form(
-            st, block_weights={0: np.array([1.0, sz * sz / 4.0]), 1: np.array([1.0, sz * sz / 4.0])}
-        )
-        env = decay_constant(st, form)
-        return ModeEnvelope(env, meta={"defective": True})
-    form = build_form(st)
-    base = decay_constant(st, form)
-    return ModeEnvelope(
-        DecayEnvelope(2.0 * base.C_const, base.mu, 1), meta={"defective": False}
-    )
+        weights = np.array([1.0, sz * sz / 4.0])
+        return decay_constant(st, build_form(st, block_weights={0: weights, 1: weights}))
+    base = decay_constant(st, build_form(st))
+    return DecayEnvelope(2.0 * base.C_const, base.mu, 1)
 
 
 def gt_state_from_functions(f_plus, f_minus, g_plus, g_minus, K: int) -> np.ndarray:
@@ -280,9 +274,11 @@ def gt_evolve(field: RelaxationField, state: np.ndarray, z: float, t_grid) -> np
 
 
 def gt_deviation_norm_sq(state: np.ndarray) -> np.ndarray:
-    """sum_k |y_k - y_k_inf|^2, steady zero mode (1, 0, 0, 0), per state of a stack."""
+    """sum_k |y_k - y_k_inf|^2 per state of a stack.  The zero mode's masses
+    (entries 0 and 2) are conserved (:func:`gt_evolve` keeps them bit for
+    bit), so they are the steady state's own and count 0."""
     dev = np.array(state, dtype=complex)
-    dev[..., (dev.shape[-2] - 1) // 2, 0] -= 1.0
+    dev[..., (dev.shape[-2] - 1) // 2, [0, 2]] = 0.0
     return np.sum(np.abs(dev) ** 2, axis=(-2, -1))
 
 
@@ -313,8 +309,6 @@ def gt_theorem_check(
         lambda s, z: gt_deviation_norm_sq(s),
         z_grid,
         t_grid,
-        uniform["C_global"],
-        field.sigma0,
-        2,
+        DecayEnvelope(uniform["C_global"], 0.5 * field.sigma0, 2),
     )
     return {**rep, "uniform": uniform}

@@ -24,7 +24,7 @@ defining matrix inequality (checked in the tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,19 +36,16 @@ __all__ = [
     "CASE2",
     "CASE3",
     "CASE3_TILDE",
+    "TINY",
     "DecayEnvelope",
     "FormBlock",
-    "ImprovedDefect1Bound",
     "LyapunovForm",
-    "ModeEnvelope",
     "build_form",
     "build_p",
     "build_p_epsilon",
     "c_m_constant",
     "case2_weights",
     "decay_constant",
-    "envelope_eval",
-    "envelope_log_eval",
     "improved_defect1_envelope",
     "lower_bound_lemma_gap",
     "p_induced_norm",
@@ -65,6 +62,8 @@ CASE1 = "case1"
 CASE2 = "case2"
 CASE3 = "case3"
 CASE3_TILDE = "case3_tilde"
+#: smallest normal double: a value below it has lost digits, so its log decides
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -98,34 +97,49 @@ class LyapunovForm:
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Envelope C * (1 + t^(2(M-1))) * exp(-2 mu t); the algebraic factor is 1 for M = 1."""
+    """Envelope C (1 + a t^q) exp(-2 mu t), q = 2(M-1); the algebraic factor is 1 for M = 1."""
 
     C_const: float
     mu: float
     M: int
+    a: float = 1.0
+
+    @property
+    def q(self) -> int:
+        return 2 * (self.M - 1)
 
     def to_json(self) -> dict:
         return {"C_const": self.C_const, "mu": self.mu, "M": self.M}
 
-
-@dataclass(frozen=True)
-class ModeEnvelope:
-    """A decay envelope evaluated in rescaled time, as the mode systems use.
-
-    ``bound(t)`` equals ``envelope_eval(env, tscale * t)``, so a mode system
-    dy/dt = -s C y with envelope data computed for C uses tscale = s.
-    """
-
-    env: DecayEnvelope
-    tscale: float = 1.0
-    exact: bool = False
-    meta: dict = field(default_factory=dict)
-
     def bound(self, t):
-        return envelope_eval(self.env, self.tscale * np.asarray(t, dtype=float))
+        """The envelope at ``t`` in linear arithmetic where exp(-2 mu t) is a
+        normal double, else exp(log_bound(t)): there the linear factors would
+        lose digits or give inf * 0."""
+        t, log_bound = np.asarray(t, dtype=float), self.log_bound(t)
+        decay = np.exp(-2.0 * self.mu * t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            alg = 1.0 + self.a * t**self.q if self.M > 1 else 1.0
+            return np.where(decay >= TINY, self.C_const * alg * decay, np.exp(log_bound))[()]
 
     def log_bound(self, t):
-        return envelope_log_eval(self.env, self.tscale * np.asarray(t, dtype=float))
+        """log of the envelope, finite for every finite t (no overflow in t^q)."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
+            raise ValueError("t must be nonnegative")
+        log_alg = np.zeros_like(t)
+        if self.M > 1:
+            q, small = self.q, t <= 1.0
+            logt = np.log(np.where(small, 1.0, t))  # read only where t > 1
+            log_alg = np.where(
+                small,
+                np.log1p(self.a * np.where(small, t, 0.0) ** q),
+                q * logt + np.log(self.a) + np.log1p(np.exp(-q * logt) / self.a),
+            )
+        return np.log(self.C_const) + log_alg - 2.0 * self.mu * t
+
+    def scaled(self, s: float) -> "DecayEnvelope":
+        """The envelope in time s t, as a mode system dy/dt = -s C y takes it from C."""
+        return DecayEnvelope(self.C_const, self.mu * s, self.M, self.a * s**self.q)
 
 
 def case2_weights(l: int, tau: float) -> np.ndarray:
@@ -318,34 +332,6 @@ def _weight_sum_term(betas: np.ndarray) -> float:
     return float(np.sum(betas / running))
 
 
-def envelope_eval(env: DecayEnvelope, t):
-    """C (1 + t^(2(M-1))) exp(-2 mu t); pure exponential for M = 1."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    out = np.exp(envelope_log_eval(env, t))
-    return float(out) if out.ndim == 0 else out
-
-
-def envelope_log_eval(env: DecayEnvelope, t):
-    """log of the envelope, stable for large t (no overflow in t^(2(M-1)))."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    log_alg = np.zeros_like(t)
-    if env.M > 1:
-        q = 2 * (env.M - 1)
-        with np.errstate(divide="ignore"):
-            logt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        small = t <= 1.0
-        log_alg = np.where(
-            small,
-            np.log1p(np.where(small, t, 0.0) ** q),
-            q * logt + np.log1p(np.exp(-q * np.where(small, 1.0, logt))),
-        )
-    return np.log(env.C_const) + log_alg - 2.0 * env.mu * t
-
-
 def verify_matrix_inequality(c, p, rate: float) -> float:
     """Smallest eigenvalue of C^H P + P C - 2 rate P (P must be Hermitian)."""
     cm = as_cmatrix(c)
@@ -393,30 +379,17 @@ def lower_bound_lemma_gap(vectors, xis, theta: float, t: float, x) -> float:
     return float(lhs - bound)
 
 
-@dataclass(frozen=True)
-class ImprovedDefect1Bound:
-    """Refined bound 2 (1 + ratio t^2) exp(-2 mu t) for a defect-one gap block.
+def improved_defect1_envelope(form: LyapunovForm, block_index: int) -> DecayEnvelope:
+    """Refined bound 2 (1 + (beta^2/beta^1) t^2) exp(-2 mu t) for a defect-one gap block.
 
     The bound controls |x(t)|^2 in the P_n(0)-norm of that block; it is a
     Euclidean bound whenever P(0) is a multiple of the identity (as for the
     weight choice that normalizes P(0) = I).
     """
-
-    mu: float
-    ratio: float  # beta^2 / beta^1
-
-    def bound(self, t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * (1.0 + self.ratio * t * t) * np.exp(-2.0 * self.mu * t)
-
-
-def improved_defect1_envelope(form: LyapunovForm, block_index: int) -> ImprovedDefect1Bound:
     fb = form.blocks[block_index]
     if fb.case not in (CASE3, CASE3_TILDE) or fb.block.length != 2:
         raise ValueError("refined bound requires a defect-one block in the time-dependent case")
-    return ImprovedDefect1Bound(
-        mu=fb.block.eigenvalue.real, ratio=float(fb.weights[1] / fb.weights[0])
-    )
+    return DecayEnvelope(2.0, fb.block.eigenvalue.real, 2, a=float(fb.weights[1] / fb.weights[0]))
 
 
 def tilde_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvelope:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_cmatrix, expm
-from .lyapunov import DecayEnvelope, ModeEnvelope, envelope_log_eval
+from .lyapunov import TINY, DecayEnvelope
 
 __all__ = [
     "EnvelopeReport",
     "check_dominance",
+    "dominance_ratio",
     "duhamel_solve",
     "nilpotent2_propagator_sq",
     "propagator_lognorm",
@@ -27,7 +28,7 @@ __all__ = [
     "sweep",
 ]
 
-#: a report is "dominated" iff max propagator_sq / bound <= 1 + this slack
+#: a report is "dominated" iff its largest dominance_ratio is <= 1 + this slack
 DOMINANCE_SLACK = 1e-9
 #: times per stacked squaring ladder in propagator_lognorm: bounds the
 #: propagators held at once, as linalg._APPLY_CHUNK does for expm_apply
@@ -42,6 +43,7 @@ class EnvelopeReport:
     times: np.ndarray
     log_prop: np.ndarray
     log_bound: np.ndarray
+    ratio: np.ndarray
     max_ratio: float
     #: log of max_ratio, finite where max_ratio overflows to inf
     max_log_ratio: float
@@ -56,9 +58,7 @@ class EnvelopeReport:
         return np.exp(self.log_bound)
 
     def to_rows(self):
-        with np.errstate(over="ignore"):
-            ratio = np.exp(self.log_prop - self.log_bound)
-        return zip(self.times, self.propagator_sq, self.bound, ratio)
+        return zip(self.times, self.propagator_sq, self.bound, self.ratio)
 
 
 def _times(t) -> np.ndarray:
@@ -109,11 +109,25 @@ def _lognorm_ladder(cm, c_norm, t) -> np.ndarray:
     return log_acc + np.log(np.linalg.norm(a, 2, axis=(-2, -1)))
 
 
+def dominance_ratio(p, log_p, b, log_b) -> tuple[np.ndarray, float, bool]:
+    """Ratios of propagator values ``p`` to bound values ``b``, their maximum
+    and the verdict: dominated iff that maximum is <= 1 + DOMINANCE_SLACK.
+
+    Where ``p`` and ``b`` are normal doubles the ratio is p / b; elsewhere it
+    is exp(log_p - log_b), which keeps the digits a subnormal side has lost
+    and stays finite where both sides underflow.  Where log_p = -inf (p is
+    exactly 0) it is 0.  The arrays broadcast.
+    """
+    live = np.minimum(p, b) >= TINY
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(log_p == -np.inf, 0.0, np.where(live, p / b, np.exp(log_p - log_b)))
+    max_ratio = float(np.max(ratio))
+    return ratio, max_ratio, bool(max_ratio <= 1.0 + DOMINANCE_SLACK)
+
+
 def _log_bound_values(bound, times) -> np.ndarray:
     if isinstance(bound, DecayEnvelope):
-        return np.asarray(envelope_log_eval(bound, times))
-    if isinstance(bound, ModeEnvelope):
-        return np.asarray(bound.log_bound(times))
+        return bound.log_bound(times)
     vals = np.asarray([bound(t) for t in times], dtype=float)
     if np.any(vals <= 0):
         raise ValueError("bound values must be positive")
@@ -123,23 +137,23 @@ def _log_bound_values(bound, times) -> np.ndarray:
 def check_dominance(c, bound, times) -> EnvelopeReport:
     """Check that an envelope dominates the squared propagator norm.
 
-    ``bound`` may be a :class:`DecayEnvelope`, a :class:`ModeEnvelope`, or a
-    callable t -> bound value.  Ratios are formed in the log domain so the
-    check stays meaningful where both sides underflow.
+    ``bound`` may be a :class:`DecayEnvelope` or a callable t -> bound value.
+    Both sides are kept as logs, and :func:`dominance_ratio` forms the ratios,
+    so the check stays meaningful where both sides underflow.
     """
     times = np.asarray(times, dtype=float)
     log_prop = 2.0 * propagator_lognorm(c, times)
     log_bound = _log_bound_values(bound, times)
-    max_log_ratio = float(np.max(log_prop - log_bound))
     with np.errstate(over="ignore"):
-        max_ratio = float(np.exp(max_log_ratio))
+        ratio, max_ratio, dominated = dominance_ratio(np.exp(log_prop), log_prop, np.exp(log_bound), log_bound)
     return EnvelopeReport(
         times=times,
         log_prop=log_prop,
         log_bound=log_bound,
+        ratio=ratio,
         max_ratio=max_ratio,
-        max_log_ratio=max_log_ratio,
-        dominated=bool(max_ratio <= 1.0 + DOMINANCE_SLACK),
+        max_log_ratio=float(np.max(log_prop - log_bound)),
+        dominated=dominated,
     )
 
 
@@ -157,32 +171,35 @@ def _check_field_bounds(z_grid, values, slopes) -> None:
                 raise ValueError(message.format(z=z))
 
 
-def sweep(initial_state_fn, evolve, deviation_sq, z_grid, t_grid, C_global, rate, power, tail=None) -> dict:
-    """Check a global bound  C (1 + t^power) e^{-rate t} sup_z ||y(0, z) - y_inf||^2
-    on a (z, t) grid of a mode model.
+def sweep(initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelope: DecayEnvelope, tail=None) -> dict:
+    """Check a global bound  envelope(t) sup_z ||y(0, z) - y_inf||^2  on a
+    (z, t) grid of a mode model.
 
     ``initial_state_fn(z)`` gives the state at t = 0, ``evolve(state, z,
     t_grid)`` the stack of states at every time and ``deviation_sq(states, z)``
     the squared (Parseval) distances of one state or a stack to the steady
     state.  ``tail(state)``, if given, is the weight of the truncation's
     outermost modes; its supremum over the grid is reported relative to the
-    initial supremum.  ``passed`` means no ratio exceeded 1 + DOMINANCE_SLACK.
+    initial supremum.  ``ratio``, ``max_ratio`` and ``passed`` come from
+    :func:`dominance_ratio`.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = _times(t_grid)
     states0 = [initial_state_fn(z) for z in z_grid]
     initial_sup = float(max(deviation_sq(s, z) for s, z in zip(states0, z_grid)))
     norm_sq = np.array([deviation_sq(evolve(s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])
-    bound = C_global * (1.0 + t_grid**power) * np.exp(-rate * t_grid) * initial_sup
-    ratio = norm_sq / bound[None, :]
+    bound = envelope.bound(t_grid) * initial_sup
+    with np.errstate(divide="ignore"):
+        log_p, log_b = np.log(norm_sq), envelope.log_bound(t_grid) + np.log(initial_sup)
+    ratio, max_ratio, passed = dominance_ratio(norm_sq, log_p, bound, log_b)
     rep = {
         "z_grid": z_grid,
         "t_grid": t_grid,
         "norm_sq": norm_sq,
         "bound": bound,
         "ratio": ratio,
-        "max_ratio": float(np.max(ratio)),
-        "passed": bool(np.max(ratio) <= 1.0 + DOMINANCE_SLACK),
+        "max_ratio": max_ratio,
+        "passed": passed,
         "initial_sup": initial_sup,
     }
     if tail is not None:

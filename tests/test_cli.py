@@ -494,6 +494,28 @@ def test_verify_reports_finite_log_ratio_past_overflow(matrix_file, tmp_path, ca
     assert 709.0 < log_ratio < np.inf
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model-cd", "--K", "4"],
+        ["model-cd", "--order", "2", "--K", "4"],
+        ["model-gt", "--K", "4"],
+        ["model-fp", "--K", "6"],
+    ],
+    ids=["cd-order1", "cd-order2", "gt", "fp"],
+)
+def test_model_long_horizon_passes_without_warning(tmp_path, argv):
+    # at t = 800 the deviations and the bound underflow; the relaxation
+    # deviation once had a rounding floor of 4.9e-32 in its conserved masses
+    rep = tmp_path / "m.json"
+    grid = ["--z-grid=0:1:3", "--t-points", "21", "--t-max", "800"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv + grid + ["--out", str(tmp_path / "m.csv"), "--report", str(rep)])
+    assert rc == 0
+    assert np.isfinite(json.loads(rep.read_text())["max_ratio"])
+
+
 def _table_run(tmp_path, command, option, table, *extra):
     tfile = tmp_path / "table.json"
     tfile.write_text(json.dumps(table))

@@ -64,7 +64,7 @@ def test_first_order_diagonal_case_decays_exactly():
     for t in (0.3, 1.0):
         assert spectral_norm(expm(-m, t)) ** 2 == pytest.approx(np.exp(-2 * k * k * 2.0 * t), rel=1e-11)
     envm = cd.first_order_envelope(f, k, z)
-    assert envm.exact
+    assert (envm.C_const, envm.mu, envm.M) == (1.0, k * k * 2.0, 1)
 
 
 def test_first_order_matches_defect1_propagator_after_scaling(field):
@@ -84,7 +84,7 @@ def test_first_order_envelope_constant(field):
         b0=2.0, sup_da=1.0, sup_db=0.0,
     )
     envm = cd.first_order_envelope(f1, 1, 0.0)  # |dlam| = 1
-    assert envm.env.C_const == pytest.approx(24.0, rel=1e-12)
+    assert envm.C_const == pytest.approx(24.0, rel=1e-12)
 
 
 def test_first_order_envelope_dominance_random(field):
@@ -133,8 +133,8 @@ def test_second_order_envelope_constants(field2):
         sup_d2a=1.0, sup_d2b=0.0,
     )
     envm = cd.second_order_envelope(f, 1, 0.0)
-    assert envm.meta["case"] == 3
-    assert envm.env.C_const == pytest.approx(1.0 + (12.0 + 585.0 * 2.0) * 1.0)  # 1183
+    assert envm.M == 3
+    assert envm.C_const == pytest.approx(1.0 + (12.0 + 585.0 * 2.0) * 1.0)  # 1183
     # defect-one branch at |d2lam| = 1 (quadratic convection, flat diffusion)
     fq = cd.CoefficientField(
         a=lambda z: 0.5 * z * z, b=lambda z: 2.0, da=lambda z: z, db=lambda z: 0.0,
@@ -142,9 +142,9 @@ def test_second_order_envelope_constants(field2):
         sup_d2a=1.0, sup_d2b=0.0,
     )
     envm2 = cd.second_order_envelope(fq, 1, 0.0)
-    assert envm2.meta["case"] == 2
-    assert envm2.env.C_const == pytest.approx(24.0)
-    assert envm2.env.M == 2
+    assert envm2.mu == 2.0
+    assert envm2.C_const == pytest.approx(24.0)
+    assert envm2.M == 2
 
 
 def test_second_order_envelope_dominance_incl_collapse(field2):
@@ -162,7 +162,7 @@ def test_second_order_collapse_constant_stays_bounded(field2):
         envm = cd.second_order_envelope(field2, 1, z)
         lam, dlam, _ = cd.lambda_k(field2, 1, z)
         assert 0 < abs(dlam) < 1e-3
-        assert envm.env.C_const <= cap
+        assert envm.C_const <= cap
 
 
 def test_tilde_w3_vector_at_zero(field2):

@@ -165,15 +165,15 @@ def test_zero_mode_envelope_constant():
     # pick z with |dsigma| = 1: impossible for this field; use a synthetic one
     f1 = gt.RelaxationField(lambda z: 1.0, lambda z: 1.0, 1.0, 1.0, 1.0)
     envm = gt.gt_mode_envelope(f1, 0, 0.0)
-    assert envm.env.C_const == pytest.approx(24.0)
-    assert envm.env.M == 2 and envm.env.mu == pytest.approx(1.0)
+    assert envm.C_const == pytest.approx(24.0)
+    assert envm.M == 2 and envm.mu == pytest.approx(1.0)
 
 
 def test_gap_independent_of_k(field):
     z = 0.8
     for k in (1, 2, 7):
         envm = gt.gt_mode_envelope(field, k, z)
-        assert envm.env.mu == pytest.approx(field.sigma(z) / 2.0, rel=1e-12)
+        assert envm.mu == pytest.approx(field.sigma(z) / 2.0, rel=1e-12)
 
 
 def test_mode_envelope_dominance(field):
@@ -222,6 +222,16 @@ def test_conservation_and_steady_state(field):
     dev = np.array(big, copy=True)
     dev[10, 0] -= 1.0
     assert np.max(np.abs(dev)) < 1e-10
+
+
+def test_deviation_counts_the_conserved_masses_zero(field):
+    # quadrature puts the bump's mass a rounding error off 1; evolve keeps both
+    # masses bit for bit, so they are the steady state's own and leave no floor
+    s0 = gt.gt_bump_state(4)
+    assert s0[4, 0] != 1.0
+    (late,) = gt.gt_evolve(field, s0, 0.4, [400.0])
+    assert late[4, [0, 2]].tolist() == s0[4, [0, 2]].tolist()
+    assert gt.gt_deviation_norm_sq(late) < 1e-100
 
 
 def test_theorem_check_flat_relaxation_trivial():

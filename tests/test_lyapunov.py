@@ -14,7 +14,6 @@ from lyapdecay.lyapunov import (
     c_m_constant,
     case2_weights,
     decay_constant,
-    envelope_eval,
     improved_defect1_envelope,
     lower_bound_lemma_gap,
     p_induced_norm,
@@ -184,18 +183,56 @@ def test_build_form_takes_the_gap_from_the_structure():
 
 def test_envelope_eval_values():
     env = DecayEnvelope(24.0, 1.0, 2)
-    assert envelope_eval(env, 0.0) == pytest.approx(24.0)
-    assert envelope_eval(env, 1.0) == pytest.approx(24.0 * 2.0 * np.exp(-2.0))
+    assert env.bound(0.0) == pytest.approx(24.0)
+    assert env.bound(1.0) == pytest.approx(24.0 * 2.0 * np.exp(-2.0))
     m1 = DecayEnvelope(3.0, 0.7, 1)
-    assert envelope_eval(m1, 2.0) == pytest.approx(3.0 * np.exp(-2.8))
+    assert m1.bound(2.0) == pytest.approx(3.0 * np.exp(-2.8))
     with pytest.raises(ValueError):
-        envelope_eval(env, -1.0)
+        env.bound(-1.0)
 
 
 def test_envelope_eval_large_time_stable():
     env = DecayEnvelope(10.0, 0.5, 3)
-    from lyapdecay.lyapunov import envelope_log_eval
-    assert np.isfinite(envelope_log_eval(env, 1e4))  # no overflow from t^4
+    assert np.isfinite(env.log_bound(1e4))  # no overflow from t^4
+
+
+def _random_envelopes(seed, n=40):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield DecayEnvelope(
+            float(rng.uniform(1.0, 1e3)), float(rng.uniform(0.01, 3.0)), int(rng.integers(1, 5)),
+            a=float(10.0 ** rng.uniform(-6.0, 6.0)),
+        )
+
+
+def test_envelope_log_bound_finite_to_huge_times():
+    ts = np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 400)])
+    for env in _random_envelopes(11):
+        vals = env.log_bound(ts)
+        assert np.all(np.isfinite(vals)), env
+        assert vals[-1] < 0.0
+
+
+def test_envelope_linear_bound_matches_log_bound_where_normal():
+    # past about t = 700 / (2 mu) exp(-2 mu t) is subnormal, though C (1 + a t^q) may lift the product
+    ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 800), np.geomspace(1e6, 1e300, 200)])
+    for env in _random_envelopes(12):
+        lin = env.bound(ts)
+        normal = lin >= np.finfo(float).tiny
+        assert normal.sum() >= 100 and not normal[-1]
+        np.testing.assert_allclose(np.log(lin[normal]), env.log_bound(ts)[normal], rtol=1e-13, atol=1e-13)
+    env = DecayEnvelope(3.0, 0.25, 2)
+    assert env.log_bound(ts).tolist() == DecayEnvelope(3.0, 0.25, 2, a=1.0).log_bound(ts).tolist()
+
+
+def test_envelope_scaled_is_the_envelope_in_scaled_time():
+    rng = np.random.default_rng(13)
+    ts = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 200)])
+    for env in _random_envelopes(14):
+        s = float(10.0 ** rng.uniform(-2.0, 2.0))
+        np.testing.assert_allclose(env.scaled(s).log_bound(ts), env.log_bound(s * ts), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(env.scaled(s).bound(ts), env.bound(s * ts), rtol=1e-12, atol=0.0)
+        assert env.scaled(s).to_json().keys() == {"C_const", "mu", "M"}
 
 
 # ------------------------------------------------- matrix inequality checks

@@ -24,7 +24,7 @@ def test_convection_diffusion_mode_constants():
     for order, envelope in ((1, cd.first_order_envelope), (2, cd.second_order_envelope)):
         mode_const = cd.assembled_constants(field, order)["mode_const"]
         worst = max(
-            envelope(field, k, z).env.C_const for k in range(-K, K + 1) if k != 0 for z in zg
+            envelope(field, k, z).C_const for k in range(-K, K + 1) if k != 0 for z in zg
         )
         assert _covered(worst, mode_const), (order, worst, mode_const)
 
@@ -38,11 +38,11 @@ def test_relaxation_mode_constants():
             env = gt.gt_mode_envelope(field, k, z)
             if k == 0:
                 c_global = uniform["zero_mode_C"]
-            elif env.meta["defective"]:
+            elif env.M == 2:
                 c_global = uniform["defective"]["C"]
             else:
                 c_global = 2.0 * uniform["nondefective"]["C"]
-            assert _covered(env.env.C_const, c_global), (k, z, env.env.C_const, c_global)
+            assert _covered(env.C_const, c_global), (k, z, env.C_const, c_global)
 
 
 def test_fokker_planck_mode_constants():
@@ -51,7 +51,7 @@ def test_fokker_planck_mode_constants():
     consts = fp.kuniform_constant(field)
     for z in zg:
         for k in (1, 2):
-            assert _covered(fp.fp_envelope_k12(field, k, z).env.C_const, consts["C_12"]), (k, z)
-        assert _covered(fp.fp_envelope_k3(field, z).env.C_const, consts["C_3"]), z
+            assert _covered(fp.fp_envelope_k12(field, k, z).C_const, consts["C_12"]), (k, z)
+        assert _covered(fp.fp_envelope_k3(field, z).C_const, consts["C_3"]), z
         for k in range(4, K + 1):
-            assert _covered(fp.fp_k4_envelope(field, k, z).env.C_const, consts["C_ge4"]), (k, z)
+            assert _covered(fp.fp_k4_envelope(field, k, z).C_const, consts["C_ge4"]), (k, z)

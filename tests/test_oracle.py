@@ -5,7 +5,9 @@ from lyapdecay.jordan import jordan_chains
 from lyapdecay.linalg import expm, spectral_norm
 from lyapdecay.lyapunov import DecayEnvelope, build_form, decay_constant
 from lyapdecay.oracle import (
+    DOMINANCE_SLACK,
     check_dominance,
+    dominance_ratio,
     duhamel_solve,
     nilpotent2_propagator_sq,
     propagator_lognorm,
@@ -107,7 +109,26 @@ def test_sweep_rejects_bad_times(t_grid):
         raise AssertionError("called")
 
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        sweep(never, never, never, [0.0], t_grid, 1.0, 1.0, 1)
+        sweep(never, never, never, [0.0], t_grid, DecayEnvelope(1.0, 0.5, 2))
+
+
+def test_dominance_ratio_continuous_across_tiny_and_zero_where_p_is_zero():
+    rng = np.random.default_rng(21)
+    tiny = np.finfo(float).tiny
+    # bound values stepping across the smallest normal double, the ratio held near r
+    log_b = np.log(tiny) + np.linspace(-3.0, 3.0, 601)
+    r = rng.uniform(0.1, 2.0, log_b.size)
+    log_p = np.log(r) + log_b
+    with np.errstate(under="ignore"):
+        ratio, max_ratio, passed = dominance_ratio(np.exp(log_p), log_p, np.exp(log_b), log_b)
+    np.testing.assert_allclose(ratio, r, rtol=1e-12)
+    assert max_ratio == np.max(ratio) and passed == (max_ratio <= 1.0 + DOMINANCE_SLACK)
+    # p = 0: ratio 0 on both sides of tiny, also where the bound is 0
+    b = np.array([1.0, tiny, tiny / 4.0, 0.0])
+    with np.errstate(divide="ignore"):
+        log_b0 = np.log(b)
+        zero, max0, passed0 = dominance_ratio(np.zeros(4), np.full(4, -np.inf), b, log_b0)
+    assert zero.tolist() == [0.0] * 4 and max0 == 0.0 and passed0
 
 
 def test_check_dominance_rejects_negative_times_with_callable_bound():
