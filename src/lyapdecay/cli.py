@@ -16,6 +16,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -385,6 +386,7 @@ def cmd_model(args) -> int:
     return EXIT_OK if rep["passed"] else EXIT_BOUND_VIOLATION
 
 
+@functools.cache  # built once per process; each parse_args makes a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lyapdecay", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -413,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, JordanAmbiguityError) as exc:

@@ -458,22 +458,23 @@ class DiffusionField:
             raise ValueError("d0 must be positive")
 
 
-def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.ndarray, DecayEnvelope]:
+def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.ndarray, DecayEnvelope | None]:
     """Mode pair matrix and bound for uncertainty in the diffusion term.
 
     The pair (u_{k-2}, v_k) evolves with the non-defective matrix
     [[k-2, 0], [-(d'/d) sqrt((k-1)k), k]] (the coupling sign makes the
     steady sensitivity +d'/(sqrt 2 d) h_2), eigenvalues k-2 and k, so the
     decay is purely exponential; the reported global bound is C e^{-t}
-    (no algebraic factor).
+    (no algebraic factor).  At k = 2 the bound is ``None``: u_0 is conserved,
+    so no decaying bound of the pair exists, and only the deviation
+    (0, v_2 - v_2_inf) decays, at rate 2.
     """
     if k < 2:
         raise ValueError("pairs start at k = 2")
     coupling = -dfield.dd(z) / dfield.d(z) * np.sqrt((k - 1.0) * k)
     a_mat = np.array([[k - 2.0, 0.0], [coupling, float(k)]], dtype=complex)
     if k == 2:
-        # u_0 is conserved; the deviation (0, v_2 - v_2_inf) decays at rate 2
-        return a_mat, DecayEnvelope(1.0, 2.0, 1)
+        return a_mat, None
     st = structure_from_chains(
         [
             (k - 2.0, [np.array([1.0, 0.0], dtype=complex)]),

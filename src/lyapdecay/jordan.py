@@ -206,7 +206,8 @@ def _chains_for_cluster(
     # B of a scalar cluster is pure rounding noise; anything below the
     # clustering resolution cannot be distinguished from zero, so the radius
     # provides the scale floor for the rank thresholds
-    norm_b = max(np.linalg.norm(b, 2), cluster_radius)
+    raw_norm_b = np.linalg.norm(b, 2)
+    norm_b = max(raw_norm_b, cluster_radius)
     # Rank profile of powers; number of blocks of length >= j is rank(B^(j-1)) - rank(B^j).
     ranks = [d]
     kernels = [np.zeros((0, d), dtype=complex)]
@@ -247,24 +248,25 @@ def _chains_for_cluster(
         # ker(B^(l-1)), of the height-(l-1) vectors of the longer chains.
         avoid = [row for row in kernels[l - 1]] + [c[l - 1] for c in used]
         raw = _chain_top_down(b, l, avoid, kernels)
-        chains.append(_refine_chain(b, raw, rank_tol))
+        chains.append(_refine_chain(b, raw_norm_b, raw, rank_tol))
         used.append(chains[-1])
     return chains
 
 
-def _refine_chain(b: np.ndarray, raw: np.ndarray, rank_tol: float) -> np.ndarray:
+def _refine_chain(b: np.ndarray, norm_b: float, raw: np.ndarray, rank_tol: float) -> np.ndarray:
     """Rebuild the chain bottom-up by minimum-norm least squares.
 
     Starting from the (normalized) eigenvector, each higher link solves
     B x = v(k-1) with the minimum-norm solution.  If any link turns out
     inconsistent (possible when several blocks share the eigenvalue), the
     top-down chain is kept instead; either way the chain relation holds.
+    ``norm_b`` is the spectral norm of ``b``, unfloored.
     """
     raw = _canonicalize(raw)
     length, d = raw.shape
     refined = np.zeros_like(raw)
     refined[0] = raw[0]
-    scale = max(np.linalg.norm(b, 2), 1e-300)
+    scale = max(norm_b, 1e-300)
     for k in range(1, length):
         x, *_ = np.linalg.lstsq(b, refined[k - 1], rcond=None)
         if np.linalg.norm(b @ x - refined[k - 1]) > 10 * rank_tol * scale:

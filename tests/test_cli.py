@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapdecay.cli import main
+from lyapdecay.cli import build_parser, main
 from lyapdecay.linalg import matrix_to_json
 
 from conftest import defect1_matrix, geometry_matrix
@@ -609,3 +610,80 @@ def test_model_table_null_bound_is_derived_and_string_bound_rejected(tmp_path, c
     assert _table_run(tmp_path, command, option, {**table, key: "0.5"}, *extra) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """One entry for each ``argparse.ArgumentParser`` constructed from here on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_parser_is_built_once_per_process(matrix_file, capsys, parsers_built):
+    mat = matrix_file(geometry_matrix())
+    assert main(["analyze", "--matrix", mat]) == 0
+    parsers_built.clear()
+    for argv in (
+        ["analyze", "--matrix", mat, "--weights", "heuristic"],
+        ["verify", "--matrix", mat, "--points", "20"],
+        ["model-fp", "--K", "8", "--z-grid=0:6:2", "--t-max", "2", "--t-points", "3"],
+    ):
+        assert main(argv) == 0
+    assert parsers_built == []
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_options_do_not_leak_between_calls(matrix_file, tmp_path, capsys):
+    # each second run of a pair omits what the first set, so a value kept by
+    # the cached parser would change its bytes
+    mat = matrix_file(geometry_matrix())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "diffusion", "z_grid": "0:6:3", "t_max": 5.0, "t_points": 5}))
+    runs = [
+        ["analyze", "--matrix", mat, "--weights", "heuristic"],
+        ["analyze", "--matrix", mat],
+        ["verify", "--matrix", mat, "--c-const", "2", "--mu", "0.5", "--m", "2"],
+        ["verify", "--matrix", mat],
+        ["model-fp", "--config", str(cfg)],
+        ["model-fp", "--K", "8", "--z-grid=0:6:2", "--t-max", "2", "--t-points", "3"],
+    ]
+    in_sequence = [_run(argv, capsys) for argv in runs]
+    for argv, got in zip(runs, in_sequence):
+        build_parser.cache_clear()
+        assert _run(argv, capsys) == got, argv
+    assert all(in_sequence[i] != in_sequence[i + 1] for i in (0, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["analyze"],
+        ["analyze", "--matrix", "m.json", "--rel-tol", "tight"],
+        ["model-fp", "--variant", "bogus"],
+        ["no-such-command"],
+    ],
+)
+def test_parse_error_leaves_the_cached_parser_usable(bad, matrix_file, capsys, parsers_built):
+    argv = ["analyze", "--matrix", matrix_file(geometry_matrix())]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    parsers_built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert parsers_built == []

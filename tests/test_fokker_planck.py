@@ -317,6 +317,17 @@ def test_diffusion_variant_steady_sensitivity():
     assert yt[1].real == pytest.approx(want, abs=1e-12)
 
 
+def test_diffusion_variant_envelopes_bound_their_pairs():
+    # u_0 is conserved at k = 2, so no decaying envelope bounds that pair
+    df = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
+    for z in (0.0, 0.6, 1.2):
+        envelopes = {k: fp.fp_diffusion_variant(k, z, df) for k in range(2, 9)}
+        assert [k for k, (_, envm) in envelopes.items() if envm is None] == [2]
+        for a_mat, envm in envelopes.values():
+            if envm is not None:
+                assert check_dominance(a_mat, envm, np.linspace(0.0, 5.0, 21)).dominated
+
+
 def test_diffusion_variant_envelope_dominance():
     df = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
     for k in (3, 4, 8):
