@@ -2,10 +2,14 @@
 
 Everything operates on square numpy arrays of complex128.  Dimensions in this
 package are tiny (d <= 8 in the models), so the implementations favour
-accuracy and determinism over speed.  The matrix exponential is hand-rolled
-scaling-and-squaring with a truncated Taylor series because it serves as the
-verification oracle for every decay envelope in the package; eigenvalue and
-singular value work is delegated to LAPACK through numpy.
+accuracy and determinism over speed: a faster path must give the same bits.
+The matrix exponential is hand-rolled scaling-and-squaring with a truncated
+Taylor series because it serves as the verification oracle for every decay
+envelope in the package.  It commutes with complex conjugation, so
+:func:`expm_apply` computes one propagator per pair of conjugate matrices
+(the Fourier modes k and -k of a model with real coefficients) and
+conjugates it for the second.  Eigenvalue and singular value work is
+delegated to LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = [
 # reaches relative error ~1e-16, well inside the 1e-12 contract.
 _EXPM_THETA = 0.5
 _EXPM_TERMS = 24
-#: matrices per stacked expm call in expm_apply: bounds the propagators held at once
+#: propagators per stacked expm call in expm_apply: bounds the propagators held at once
 _APPLY_CHUNK = 256
 
 
@@ -68,6 +72,11 @@ def expm(a, t=1.0) -> np.ndarray:
     axes.  Every matrix of a stack takes exactly the arithmetic of its own
     one-matrix call (its own 1-norm and squaring count), so the result equals
     a loop of one-matrix calls bit for bit.
+
+    ``expm(a.conj(), t)`` equals ``expm(a, t).conj()`` in value: conjugation
+    negates imaginary parts, which changes no modulus and, rounding being
+    symmetric, negates the rounded result of every operation; only the sign
+    of an exact zero may differ.  :func:`expm_apply` relies on this.
     """
     m = as_cmatrix(a, stack=True)
     # isinstance first: np.ndim would convert a Python float to an array
@@ -84,6 +93,8 @@ def expm(a, t=1.0) -> np.ndarray:
     norm = np.abs(at).sum(axis=-2).max(axis=-1)
     # ceil(log2(norm / theta)) where norm > theta, else 0
     squarings = np.ceil(np.log2(np.maximum(norm, _EXPM_THETA) / _EXPM_THETA))
+    if squarings.size == 0:
+        return at
     if squarings.ndim:
         least, most = int(squarings.min()), int(squarings.max())
         x = at / np.ldexp(1.0, squarings.astype(int))[..., None, None]
@@ -104,23 +115,61 @@ def expm(a, t=1.0) -> np.ndarray:
     return result
 
 
+def _conjugate_pairs(a) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of the stack ``a`` need their own propagator.
+
+    Returns ``(first, mirror)``: the indices whose propagator is computed, in
+    order, and for each the index of a later matrix equal to its conjugate,
+    or -1.  Matrices compare by their bytes after ``+ 0.0``, which maps -0 to
+    +0, so signs of zero do not keep a pair apart.  A real matrix is its own
+    conjugate and is never paired; of two candidates for one mirror, the
+    earlier one takes it.
+    """
+    waiting: dict[bytes, list[int]] = {}  # conjugate's key -> slots in first
+    first, mirror = [], []
+    for i, m in enumerate(a):
+        key = (m + 0.0).tobytes()
+        if waiting.get(key):
+            mirror[waiting[key].pop(0)] = i
+            continue
+        conj_key = (m.conj() + 0.0).tobytes()
+        if conj_key != key:
+            waiting.setdefault(conj_key, []).append(len(first))
+        first.append(i)
+        mirror.append(-1)
+    return np.array(first, dtype=int), np.array(mirror, dtype=int)
+
+
 def expm_apply(a, v, t) -> np.ndarray:
     """``exp(A_i t_j) v_i`` for matrices ``(n, d, d)``, vectors ``(n, d)``, times ``(T,)``.
 
-    Returns shape ``(n, T, d)``.  The (i, j) pairs go through :func:`expm` in
-    chunks of ``_APPLY_CHUNK`` matrices, each chunk applied to its vectors at
-    once, so the propagators are never all held.  Each ``y[i, j]`` equals
-    ``expm(a[i], t[j]) @ v[i]`` bit for bit.
+    Returns shape ``(n, T, d)``.  Where a later matrix is the conjugate of an
+    earlier one, as the Fourier modes k and -k of a real system are, one
+    propagator ``P = expm(a[i], t[j])`` serves both: ``P`` is applied to
+    ``v[i]`` and ``P.conj()`` to the mirror's vector (see
+    :func:`_conjugate_pairs`).  The computed propagators go through
+    :func:`expm` in chunks of ``_APPLY_CHUNK``, each chunk applied to its
+    vectors at once, so the propagators are never all held.  Each ``y[i, j]``
+    equals ``expm(a[i], t[j]) @ v[i]`` bit for bit, except that a real or
+    imaginary part that is exactly zero could take the other sign: a
+    conjugated propagator differs from the mirror's own in signs of zero at
+    most (see :func:`expm`).
     """
     a = np.asarray(a, dtype=complex)
     v = np.asarray(v, dtype=complex)
     t = np.asarray(t, dtype=float).ravel()
-    n, nt = a.shape[0], t.size
-    out = np.empty((n * nt, a.shape[-1]), dtype=complex)
-    for lo in range(0, n * nt, _APPLY_CHUNK):
-        i, j = np.divmod(np.arange(lo, min(lo + _APPLY_CHUNK, n * nt)), nt)
-        out[lo : lo + i.size] = (expm(a[i], t[j]) @ v[i][..., None])[..., 0]
-    return out.reshape(n, nt, -1)
+    nt = t.size
+    first, mirror = _conjugate_pairs(a)
+    out = np.empty((a.shape[0], nt, a.shape[-1]), dtype=complex)
+    for lo in range(0, first.size * nt, _APPLY_CHUNK):
+        s, j = np.divmod(np.arange(lo, min(lo + _APPLY_CHUNK, first.size * nt)), nt)
+        i, m = first[s], mirror[s]
+        p = expm(a[i], t[j])
+        out[i, j] = (p @ v[i][..., None])[..., 0]
+        paired = m >= 0
+        m, j = m[paired], j[paired]
+        out[m, j] = (p[paired].conj() @ v[m][..., None])[..., 0]
+    return out
 
 
 def spectral_norm(a) -> float:

@@ -21,6 +21,26 @@ def geo():
     return geometry_matrix()
 
 
+@pytest.fixture
+def expm_matrices(monkeypatch):
+    """A list that receives the number of matrices of every ``linalg.expm``
+    call, through each module of the package that binds it."""
+    import sys
+
+    from lyapdecay import linalg
+
+    counts, orig = [], linalg.expm
+
+    def counted(a, t=1.0):
+        counts.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(t)))))
+        return orig(a, t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lyapdecay") and getattr(module, "expm", None) is orig:
+            monkeypatch.setattr(module, "expm", counted)
+    return counts
+
+
 def _partition(rng, d, max_len=3):
     lengths = []
     rest = d

@@ -130,17 +130,90 @@ def test_expm_stack_rejects_bad_input():
         expm(good[0], np.inf)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_expm_apply_bitwise_equals_loop(d):
-    # 7 matrices x 50 times span more than one chunk
+@pytest.mark.parametrize("d", range(2, 9))
+def test_expm_commutes_with_conjugation(d):
+    rng = np.random.default_rng(400 + d)
+    a = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    a[0] = a[0].real
+    t = np.concatenate([[0.0], rng.uniform(0.0, 8.0, size=3)])[:, None]
+    assert np.array_equal(expm(a.conj(), t), expm(a, t).conj())
+
+
+def _default_mode_stack(model):
+    """The mode matrices -A_k(z) of a default ``model-cd`` or ``model-gt`` run,
+    shape (z, k, d, d), and every 7th time of its default grid."""
+    from lyapdecay import convection_diffusion as cd
+    from lyapdecay import goldstein_taylor as gt
+    from lyapdecay.cli import _OPTIONS, _parse_grid
+
+    command, system, field = {
+        "cd-order1": ("model-cd", cd.first_order_system, cd.tanh_field()),
+        "cd-order2": ("model-cd", cd.second_order_system, cd.tanh_field()),
+        "gt": ("model-gt", gt.gt_mode_matrix, gt.tanh_relaxation()),
+    }[model]
+    opts = _OPTIONS[command]
+    K = opts["K"].default
+    # convection-diffusion propagates no k = 0 mode: it is conserved
+    ks = [k for k in range(-K, K + 1) if k or model == "gt"]
+    a = np.array([[-system(field, k, z) for k in ks] for z in _parse_grid(opts["z_grid"].default)])
+    return a, np.linspace(0.0, opts["t_max"].default, opts["t_points"].default)[::7]
+
+
+@pytest.mark.parametrize("model", ["cd-order1", "cd-order2", "gt"])
+def test_expm_commutes_with_conjugation_on_default_mode_stacks(model):
+    a, ts = _default_mode_stack(model)
+    t = ts[:, None, None]
+    assert np.array_equal(expm(a.conj(), t), expm(a, t).conj())
+
+
+def _apply_stacks(d):
+    """Stacks for :func:`expm_apply`, each with its number of distinct propagators."""
     rng = np.random.default_rng(200 + d)
-    a = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
-    v = rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d))
+
+    def cplx(n):
+        return rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+
+    b = cplx(3)
+    b[:, 0, 0] = b[:, 0, 0].real
+    # conjugates up to the sign of zero, as the relaxation modes -k are: b.conj() has -0 at [0, 0]
+    pairs = np.concatenate([b, b.conj() + 0.0])[rng.permutation(6)]
+    real = rng.normal(size=(2, d, d)).astype(complex)
+    return {
+        "independent": (cplx(7), 7),
+        "conjugate pairs, shuffled": (pairs, 3),
+        "pairs and an unpaired matrix": (np.concatenate([pairs[:3], cplx(1), pairs[3:]]), 4),
+        "real matrices, one repeated": (np.concatenate([real, b[:1], real[:1], b[:1].conj()]), 4),
+        "two candidates for one mirror": (np.stack([b[0], b[0], b[0].conj(), b[1], b[1].conj(), b[1].conj()]), 4),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expm_apply_bitwise_equals_loop(d, expm_matrices):
+    # 50 times span more than one chunk; signed zeros count, so compare the bits
+    rng = np.random.default_rng(300 + d)
     ts = np.linspace(0.0, 12.0, 50)
-    got = expm_apply(a, v, ts)
-    want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(7)])
-    assert got.shape == (7, 50, d)
-    assert np.array_equal(got, want)
+    for name, (a, computed) in _apply_stacks(d).items():
+        v = rng.normal(size=a.shape[:2]) + 1j * rng.normal(size=a.shape[:2])
+        expm_matrices.clear()
+        got = expm_apply(a, v, ts)
+        assert sum(expm_matrices) == computed * ts.size, name
+        want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(len(a))])
+        assert got.shape == (len(a), 50, d)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        (lambda a, v, ts: expm_apply(a, v, ts[:0]), (2, 0, 3)),
+        (lambda a, v, ts: expm_apply(a[:0], v[:0], ts), (0, 4, 3)),
+        (lambda a, v, ts: expm(a[:0], 1.0), (0, 3, 3)),
+    ],
+    ids=["no times", "no matrices", "empty expm stack"],
+)
+def test_empty_stacks_keep_their_shapes(call, shape):
+    a, v, ts = np.stack([np.eye(3), -np.eye(3)]).astype(complex), np.ones((2, 3)), np.linspace(0.0, 1.0, 4)
+    assert call(a, v, ts).shape == shape
 
 
 def test_spectral_norm_identity():

@@ -1,6 +1,7 @@
 """The public surface resolves, and the three theorem checks propagate their
 states through the public evolve of their model, once per z; each evolve
-returns one C-contiguous stack of coefficient arrays."""
+returns one C-contiguous stack of coefficient arrays, and the conjugate
+Fourier modes k and -k share one propagator."""
 
 import importlib
 from functools import partial
@@ -12,6 +13,7 @@ import lyapdecay
 from lyapdecay import convection_diffusion as cd
 from lyapdecay import fokker_planck as fp
 from lyapdecay import goldstein_taylor as gt
+from lyapdecay.cli import main
 
 MODULES = [
     "linalg",
@@ -90,3 +92,21 @@ def test_evolve_returns_contiguous_stack_with_slice_deviations(model):
     stacked = deviation(states)
     assert stacked.shape == ts.shape
     assert np.array_equal(stacked, [deviation(s) for s in states])
+
+
+@pytest.mark.parametrize(
+    "argv, matrices",
+    [
+        (["model-cd", "--order", "1"], 13 * 32 * 50),
+        (["model-cd", "--order", "2"], 13 * 32 * 50),
+        (["model-gt"], 13 * 33 * 50),
+        (["model-fp"], 13 * 40 * 40),
+    ],
+    ids=["cd-order1", "cd-order2", "gt", "fp"],
+)
+def test_model_defaults_compute_one_propagator_per_conjugate_pair(argv, matrices, expm_matrices, tmp_path, monkeypatch):
+    # 13 z x 50 t: cd's modes +-1..+-32 make 32 pairs, gt adds its real k = 0;
+    # fp's 40 real modes (13 z x 40 t) pair with none
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o.csv", "--report", "o.json"]) == 0
+    assert sum(expm_matrices) == matrices
