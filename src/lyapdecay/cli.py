@@ -16,6 +16,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -253,75 +254,61 @@ def cmd_family(args) -> int:
     return EXIT_OK if passed else EXIT_BOUND_VIOLATION
 
 
-def _interp(data: dict, key: str):
-    """The tabulated column ``data[key]``, linearly interpolated over ``data["z"]``."""
-    z = np.asarray(data["z"], dtype=float)
-    table = np.asarray(data[key], dtype=float)
-    return lambda zz: float(np.interp(zz, z, table))
+#: a bound of each kind of a field's ``BOUNDS``, derived from its tabulated column
+_DERIVED = {"min": np.min, "max": np.max, "sup": lambda column: np.max(np.abs(column))}
 
 
-def _sup_abs(data: dict, key: str) -> float:
-    return float(np.max(np.abs(data[key])))
-
-
-def _bound(data: dict, key: str, derived: float) -> float:
-    """The declared bound ``data[key]``, or ``derived`` where it is absent or null."""
-    value = derived if data.get(key) is None else data[key]
-    if type(value) not in (int, float) or not np.isfinite(value):
-        raise ValueError(f"bound {key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _field(spec: str, builtins: dict, from_table):
-    """A builtin coefficient field by name, else one tabulated in a JSON file."""
+def _field(spec: str, builtins: dict, cls):
+    """A builtin coefficient field by name, else one tabulated in a JSON file:
+    ``z`` and a column per function of ``cls``, interpolated over ``z`` (one
+    that defaults to None may be absent or null).  Each bound of ``cls.BOUNDS``
+    is declared, or derived from its column by its kind, or without the
+    column keeps its default."""
     if spec in builtins:
         return builtins[spec]()
     with open(spec) as fh:
-        return from_table(json.load(fh))
-
-
-def _cd_table(data: dict) -> cd.CoefficientField:
-    derivatives = ["da", "db"] + [key for key in ("d2a", "d2b") if data.get(key) is not None]
-    return cd.CoefficientField(
-        **{key: _interp(data, key) for key in ["a", "b", *derivatives]},
-        **{"sup_" + key: _sup_abs(data, key) for key in derivatives},
-        b0=_bound(data, "b0", float(np.min(data["b"]))),
-    )
-
-
-def _gt_table(data: dict) -> gt.RelaxationField:
-    return gt.RelaxationField(
-        sigma=_interp(data, "sigma"),
-        dsigma=_interp(data, "dsigma"),
-        sigma0=_bound(data, "sigma0", float(np.min(data["sigma"]))),
-        sigma1=_bound(data, "sigma1", float(np.max(data["sigma"]))),
-        L=_bound(data, "L", _sup_abs(data, "dsigma")),
-    )
-
-
-def _fp_table(data: dict) -> fp.DriftField:
-    return fp.DriftField(
-        a=_interp(data, "a"),
-        da=_interp(data, "da"),
-        a0=_bound(data, "a0", float(np.min(data["a"]))),
-        sup_da=_bound(data, "sup_da", _sup_abs(data, "da")),
-    )
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a coefficient table must hold a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {"z", *(f.name for f in fields)})
+    if unknown:
+        raise ValueError(f"table keys {unknown} are not fields of {cls.__name__}")
+    z = np.asarray(data["z"], dtype=float)
+    if z.ndim != 1 or not (np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)):
+        raise ValueError("table z must be finite and strictly increasing")
+    bounds = {bound for bound, _, _ in cls.BOUNDS}
+    columns = {
+        f.name: np.asarray(data[f.name], dtype=float)
+        for f in fields
+        if f.name not in bounds and not (f.default is None and data.get(f.name) is None)
+    }
+    kwargs = {name: lambda zz, col=col: float(np.interp(zz, z, col)) for name, col in columns.items()}
+    for bound, column, kind in cls.BOUNDS:
+        value = data.get(bound)
+        if value is None and column in columns:
+            value = float(_DERIVED[kind](columns[column]))
+        if value is not None:
+            if type(value) not in (int, float) or not np.isfinite(value):
+                raise ValueError(f"bound {bound} must be a finite number, got {value!r}")
+            kwargs[bound] = float(value)
+    return cls(**kwargs)
 
 
 def _run_cd(cfg: dict, zg, ts) -> dict:
-    field = _field(cfg["coeffs"], {"builtin:tanh": cd.tanh_field, "builtin:trig": cd.trig_field}, _cd_table)
+    field = _field(cfg["coeffs"], {"builtin:tanh": cd.tanh_field, "builtin:trig": cd.trig_field}, cd.CoefficientField)
     state = cd.gaussian_bump_state(cfg["K"], order=cfg["order"], v_amp=0.3)
     return cd.theorem_bound_check(field, lambda z: state, zg, ts, order=cfg["order"])
 
 
 def _run_gt(cfg: dict, zg, ts) -> dict:
-    field = _field(cfg["sigma"], {"builtin:tanh": gt.tanh_relaxation}, _gt_table)
+    field = _field(cfg["sigma"], {"builtin:tanh": gt.tanh_relaxation}, gt.RelaxationField)
     state = gt.gt_bump_state(cfg["K"])
     return gt.gt_theorem_check(field, lambda z: state, zg, ts, k_max=cfg["k_max"])
 
 
 def _run_fp(cfg: dict, zg, ts) -> dict:
-    field = _field(cfg["drift"], {"builtin:sin": fp.sin_drift}, _fp_table)
+    field = _field(cfg["drift"], {"builtin:sin": fp.sin_drift}, fp.DriftField)
     state = lambda z: fp.fp_gaussian_state(field, z=z, K=cfg["K"])
     return fp.fp_theorem_check(field, state, zg, ts)
 

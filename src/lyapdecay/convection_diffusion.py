@@ -64,7 +64,13 @@ class CoefficientField:
 
     ``b0`` is a positive lower bound of b; the ``sup_*`` fields are sup-norm
     bounds of the derivative functions and enter the uniform constants.
+    ``BOUNDS`` pairs each bound with its function and kind.
     """
+
+    BOUNDS = (
+        ("b0", "b", "min"), ("sup_da", "da", "sup"), ("sup_db", "db", "sup"),
+        ("sup_d2a", "d2a", "sup"), ("sup_d2b", "d2b", "sup"),
+    )
 
     a: Callable[[float], float]
     b: Callable[[float], float]
@@ -363,17 +369,13 @@ def theorem_bound_check(
 
     Checks  sup_z ||y(., z, t) - y_inf||^2 <= C (1 + t^(2 order)) e^{-2 b0 t}
     times the supremum of the initial deviation, with C assembled from the
-    uniform mode constant and the k-folding factor.  Returns the
-    :func:`~lyapdecay.oracle.sweep` report plus the order and the constants.
+    uniform mode constant and the k-folding factor.  A field that leaves a
+    bound of its ``BOUNDS`` on the z grid raises ValueError; the second
+    derivatives are checked wherever the field gives them, at either order.
+    Returns the :func:`~lyapdecay.oracle.sweep` report plus the order and
+    the constants.
     """
-    _check_field_bounds(
-        z_grid,
-        values=[(field.b, field.b0, np.inf, "b({z}) < b0")],
-        slopes=[
-            (field.da, field.sup_da, "|da({z})| exceeds sup_da"),
-            (field.db, field.sup_db, "|db({z})| exceeds sup_db"),
-        ],
-    )
+    _check_field_bounds(field, z_grid)
     consts = assembled_constants(field, order)
     rep = sweep(
         initial_state_fn,

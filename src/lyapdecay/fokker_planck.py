@@ -55,7 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DriftField:
-    """Drift a(z) with a0 = inf a > 0; alpha = a'/a drives the defects."""
+    """Drift a(z) with a0 = inf a > 0; alpha = a'/a drives the defects.
+    ``BOUNDS`` pairs each bound with its function and kind."""
+
+    BOUNDS = (("a0", "a", "min"), ("sup_da", "da", "sup"))
 
     a: Callable[[float], float]
     da: Callable[[float], float]
@@ -287,13 +290,9 @@ def fp_theorem_check(
 ) -> dict:
     """Verify sup_z deviations against C (1 + t^2) e^{-2 a0 t} x initial.
 
-    A field that leaves its declared a0 or sup_da on the z grid raises ValueError.
+    A field that leaves a bound of its ``BOUNDS`` on the z grid raises ValueError.
     """
-    _check_field_bounds(
-        z_grid,
-        values=[(field.a, field.a0, np.inf, "a({z}) < a0")],
-        slopes=[(field.da, field.sup_da, "|da({z})| exceeds sup_da")],
-    )
+    _check_field_bounds(field, z_grid)
     consts = kuniform_constant(field)
     rep = sweep(
         initial_state_fn,

@@ -45,8 +45,11 @@ class RelaxationField:
 
     The upper bound 2 keeps the mode eigenvalues strictly complex for k != 0
     (positive discriminant) and the chain vectors linearly independent; it is
-    enforced here rather than discovered later.
+    enforced here rather than discovered later.  ``BOUNDS`` pairs each bound
+    with its function and kind.
     """
+
+    BOUNDS = (("sigma0", "sigma", "min"), ("sigma1", "sigma", "max"), ("L", "dsigma", "sup"))
 
     sigma: Callable[[float], float]
     dsigma: Callable[[float], float]
@@ -295,13 +298,9 @@ def gt_theorem_check(
     The uniform constant defaults to :func:`gt_uniform_constant` (pass a
     precomputed report to avoid resweeping).  Ratios use the supremum of the
     initial deviation over the z grid, as the statement does.  A field that
-    leaves its declared sigma0, sigma1 or L on the z grid raises ValueError.
+    leaves a bound of its ``BOUNDS`` on the z grid raises ValueError.
     """
-    _check_field_bounds(
-        z_grid,
-        values=[(field.sigma, field.sigma0, field.sigma1, "sigma({z}) outside [sigma0, sigma1]")],
-        slopes=[(field.dsigma, field.L, "|dsigma({z})| exceeds L")],
-    )
+    _check_field_bounds(field, z_grid)
     uniform = uniform or gt_uniform_constant(field, k_max=k_max)
     rep = sweep(
         initial_state_fn,

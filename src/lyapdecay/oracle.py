@@ -157,18 +157,27 @@ def check_dominance(c, bound, times) -> EnvelopeReport:
     )
 
 
-def _check_field_bounds(z_grid, values, slopes) -> None:
-    """Raise ValueError at the first z where a field leaves a declared bound:
-    ``values`` (f, lo, hi, message) need lo <= f(z) <= hi to a relative 1e-12,
-    ``slopes`` (df, sup, message) need |df(z)| <= sup to a relative 1e-9 plus
-    an absolute 1e-12.  The message is formatted with z."""
+#: each kind of a field's ``BOUNDS`` entry: whether f(z) keeps bound b, and
+#: the message of a violation
+_BOUND_KINDS = {
+    "min": (lambda f, b: f >= b * (1.0 - 1e-12), "{f}({z}) < {b}"),
+    "max": (lambda f, b: f <= b * (1.0 + 1e-12), "{f}({z}) > {b}"),
+    "sup": (lambda f, b: abs(f) <= b * (1.0 + 1e-9) + 1e-12, "|{f}({z})| exceeds {b}"),
+}
+
+
+def _check_field_bounds(field, z_grid) -> None:
+    """Raise ValueError at the first z, and there at the first entry of
+    ``field.BOUNDS``, where the field leaves a declared bound: "min" needs
+    f(z) >= bound and "max" f(z) <= bound to a relative 1e-12, "sup" needs
+    |f(z)| <= bound to a relative 1e-9 plus an absolute 1e-12.  A function
+    the field leaves as None is not checked."""
     for z in np.asarray(z_grid, dtype=float):
-        for f, lo, hi, message in values:
-            if not lo * (1.0 - 1e-12) <= f(z) <= hi * (1.0 + 1e-12):
-                raise ValueError(message.format(z=z))
-        for df, sup, message in slopes:
-            if abs(df(z)) > sup * (1.0 + 1e-9) + 1e-12:
-                raise ValueError(message.format(z=z))
+        for bound, name, kind in field.BOUNDS:
+            f = getattr(field, name)
+            holds, message = _BOUND_KINDS[kind]
+            if f is not None and not holds(f(z), getattr(field, bound)):
+                raise ValueError(message.format(f=name, z=z, b=bound))
 
 
 def sweep(initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelope: DecayEnvelope, tail=None) -> dict:

@@ -529,39 +529,6 @@ def _table_run(tmp_path, command, option, table, *extra):
 
 
 @pytest.mark.parametrize(
-    "declared, message",
-    [
-        ({"sigma0": 1.2, "L": 0.01}, "sigma"),
-        ({"sigma0": 1.2}, "sigma"),
-        ({"sigma1": 1.2}, "sigma"),
-        ({"L": 0.01}, "exceeds L"),
-    ],
-)
-def test_model_gt_rejects_table_contradicting_its_bounds(tmp_path, capsys, declared, message):
-    # on the z grid 0..6 the column spans sigma in [1.0, 1.5] with |sigma'| up to 0.5
-    z = np.linspace(-6.0, 6.0, 41)
-    table = {
-        "z": z.tolist(),
-        "sigma": (1.0 + 0.5 * np.tanh(z)).tolist(),
-        "dsigma": (0.5 / np.cosh(z) ** 2).tolist(),
-    }
-    assert _table_run(tmp_path, "model-gt", "--sigma", {**table, **declared}) == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "declared, message",
-    [({"a0": 0.95, "sup_da": 0.01}, "sup_da"), ({"a0": 0.95}, "< a0"), ({"sup_da": 0.01}, "sup_da")],
-)
-def test_model_fp_rejects_table_contradicting_its_bounds(tmp_path, capsys, declared, message):
-    # on the z grid 0..6 the column has min a = 0.71 and max |a'| = 0.3
-    z = np.linspace(0.0, 6.0, 41)
-    table = {"z": z.tolist(), "a": (1.0 + 0.3 * np.sin(z)).tolist(), "da": (0.3 * np.cos(z)).tolist()}
-    assert _table_run(tmp_path, "model-fp", "--drift", {**table, **declared}) == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
     "weights, rc_want",
     [
         ("[[2.0], [3.0]]", 0),
@@ -610,6 +577,68 @@ def test_model_table_null_bound_is_derived_and_string_bound_rejected(tmp_path, c
     assert _table_run(tmp_path, command, option, {**table, key: "0.5"}, *extra) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+#: one table per model; on the z grid 0..6 the cd columns span b in [2, 3)
+#: with |a'| = 1, the gt columns sigma in [1.0, 1.5] with |sigma'| up to 0.5,
+#: and the fp columns a in [0.71, 1.27] with |a'| up to 0.3
+_TABLES = {
+    "model-cd": ("--coeffs", {"a": _Z, "b": 2.0 + np.tanh(_Z), "da": np.ones_like(_Z), "db": np.cosh(_Z) ** -2}),
+    "model-gt": ("--sigma", {"sigma": 1.0 + 0.5 * np.tanh(_Z), "dsigma": 0.5 * np.cosh(_Z) ** -2}),
+    "model-fp": ("--drift", {"a": 1.0 + 0.3 * np.sin(_Z), "da": 0.3 * np.cos(_Z)}),
+}
+
+
+def _table(command):
+    option, columns = _TABLES[command]
+    return option, {"z": _Z.tolist(), **{name: col.tolist() for name, col in columns.items()}}
+
+
+@pytest.mark.parametrize(
+    "command, declared, message",
+    [
+        pytest.param("model-cd", {"sup_da": 0.01}, "exceeds sup_da", id="cd-sup_da"),
+        pytest.param("model-cd", {"b0": 2.5}, "< b0", id="cd-b0"),
+        pytest.param("model-gt", {"sigma0": 1.2, "L": 0.01}, "< sigma0", id="gt-sigma0-L"),
+        pytest.param("model-gt", {"sigma0": 1.2}, "< sigma0", id="gt-sigma0"),
+        pytest.param("model-gt", {"sigma1": 1.2}, "> sigma1", id="gt-sigma1"),
+        pytest.param("model-gt", {"L": 0.01}, "exceeds L", id="gt-L"),
+        pytest.param("model-fp", {"a0": 0.95, "sup_da": 0.01}, "exceeds sup_da", id="fp-a0-sup_da"),
+        pytest.param("model-fp", {"a0": 0.95}, "< a0", id="fp-a0"),
+        pytest.param("model-fp", {"sup_da": 0.01}, "exceeds sup_da", id="fp-sup_da"),
+    ],
+)
+def test_model_rejects_table_contradicting_its_bounds(tmp_path, capsys, command, declared, message):
+    option, table = _table(command)
+    assert _table_run(tmp_path, command, option, {**table, **declared}) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("rows", ["reversed", "shuffled", "repeated", "nan"])
+def test_model_table_z_must_be_finite_and_strictly_increasing(tmp_path, capsys, rows):
+    option, table = _table("model-cd")
+    order = {
+        "reversed": np.arange(_Z.size)[::-1],
+        "shuffled": np.random.default_rng(0).permutation(_Z.size),
+        "repeated": np.repeat(np.arange(_Z.size), 2),
+        "nan": np.arange(_Z.size),
+    }[rows]
+    table = {key: [col[i] for i in order] for key, col in table.items()}
+    if rows == "nan":
+        table["z"][-1] = float("nan")
+    assert _table_run(tmp_path, "model-cd", option, table) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "table z " in err
+
+
+@pytest.mark.parametrize("command", ["model-cd", "model-gt", "model-fp"])
+def test_model_table_holds_only_z_and_fields_of_its_class(tmp_path, capsys, command):
+    option, table = _table(command)
+    assert _table_run(tmp_path, command, option, {**table, "sup_dA": 1.0}) == 2
+    assert _table_run(tmp_path, command, option, [table]) == 2
+    err = capsys.readouterr().err
+    assert "sup_dA" in err and "JSON object" in err and "Traceback" not in err
 
 
 @pytest.fixture

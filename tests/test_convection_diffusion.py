@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lyapdecay import convection_diffusion as cd
+from lyapdecay import fokker_planck as fp
+from lyapdecay import goldstein_taylor as gt
 from lyapdecay.linalg import expm, spectral_norm
 from lyapdecay.lyapunov import lower_bound_lemma_gap, p_norm_sq, sup_poly_exp
-from lyapdecay.oracle import check_dominance, duhamel_solve, nilpotent2_propagator_sq
+from lyapdecay.oracle import _check_field_bounds, check_dominance, duhamel_solve, nilpotent2_propagator_sq
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +345,25 @@ def test_theorem_bound_second_order_small(field2):
     )
     assert rep["passed"]
     assert rep["tail_fraction"] < 1e-8
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_theorem_check_holds_second_derivatives_to_their_bounds(field2, order):
+    # with sup_d2a = sup_d2b = 0 the order-2 C_global would read 2389 instead of 14089
+    understated = dataclasses.replace(field2, sup_d2a=0.0, sup_d2b=0.0)
+    state = cd.gaussian_bump_state(4, order=order, v_amp=0.3)
+    with pytest.raises(ValueError, match="sup_d2a"):
+        cd.theorem_bound_check(understated, lambda z: state, np.linspace(-3.0, 3.0, 13), [0.0, 1.0], order=order)
+    # every builtin keeps its own BOUNDS on a dense grid; tanh_field's sup_d2b
+    # is attained where tanh z = 1/sqrt(3), so it cannot be lowered
+    z_peak = np.arctanh(1.0 / np.sqrt(3.0))
+    dense = np.sort(np.concatenate([np.linspace(-10.0, 10.0, 4001), [z_peak]]))
+    for builtin in (cd.tanh_field, cd.trig_field, gt.tanh_relaxation, fp.sin_drift):
+        _check_field_bounds(builtin(), dense)
+    tanh = cd.tanh_field()
+    assert abs(tanh.d2b(z_peak)) == pytest.approx(tanh.sup_d2b, rel=1e-12)
+    with pytest.raises(ValueError, match="sup_d2b"):
+        _check_field_bounds(dataclasses.replace(tanh, sup_d2b=tanh.sup_d2b * (1.0 - 1e-6)), dense)
 
 
 @pytest.mark.parametrize("order", [1, 2])
