@@ -258,12 +258,26 @@ def cmd_family(args) -> int:
 _DERIVED = {"min": np.min, "max": np.max, "sup": lambda column: np.max(np.abs(column))}
 
 
+def _column(data: dict, key: str, size: int | None = None) -> np.ndarray:
+    """Table entry ``key`` as a flat array of floats, ``size`` long if given."""
+    if key not in data:
+        raise ValueError(f"table {key} is missing")
+    try:
+        col = np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError):
+        col = None
+    if col is None or col.ndim != 1 or (size is not None and col.size != size):
+        want = "a list of numbers" if size is None else f"a list of {size} numbers, one per z"
+        raise ValueError(f"table {key} must be {want}")
+    return col
+
+
 def _field(spec: str, builtins: dict, cls):
     """A builtin coefficient field by name, else one tabulated in a JSON file:
-    ``z`` and a column per function of ``cls``, interpolated over ``z`` (one
-    that defaults to None may be absent or null).  Each bound of ``cls.BOUNDS``
-    is declared, or derived from its column by its kind, or without the
-    column keeps its default."""
+    ``z`` and a column per function of ``cls``, as long as ``z`` and
+    interpolated over it (one that defaults to None may be absent or null).
+    Each bound of ``cls.BOUNDS`` is declared, or derived from its column by
+    its kind, or without the column keeps its default."""
     if spec in builtins:
         return builtins[spec]()
     with open(spec) as fh:
@@ -274,12 +288,12 @@ def _field(spec: str, builtins: dict, cls):
     unknown = sorted(set(data) - {"z", *(f.name for f in fields)})
     if unknown:
         raise ValueError(f"table keys {unknown} are not fields of {cls.__name__}")
-    z = np.asarray(data["z"], dtype=float)
-    if z.ndim != 1 or not (np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)):
-        raise ValueError("table z must be finite and strictly increasing")
+    z = _column(data, "z")
+    if not (z.size and np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)):
+        raise ValueError("table z must be nonempty, finite and strictly increasing")
     bounds = {bound for bound, _, _ in cls.BOUNDS}
     columns = {
-        f.name: np.asarray(data[f.name], dtype=float)
+        f.name: _column(data, f.name, z.size)
         for f in fields
         if f.name not in bounds and not (f.default is None and data.get(f.name) is None)
     }

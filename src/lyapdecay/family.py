@@ -146,10 +146,9 @@ def grid_sup_envelope(fam: ParamFamily, t_grid) -> np.ndarray:
     Kept as a log, so it stays finite where the norm underflows; its
     ``np.exp`` is a lower bound of the true z-supremum.  Refining the grid
     cannot decrease the result only when the finer grid contains the coarser
-    one (nested grids); a non-nested grid may miss the old maximizer.
+    one (nested grids); a non-nested grid may miss the old maximizer.  The
+    matrices of the whole grid go to :func:`propagator_lognorm` as one stack.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    out = np.full(t_grid.shape, -np.inf)
-    for z in fam.z_grid:
-        out = np.maximum(out, 2.0 * propagator_lognorm(family_matrix(fam, z), t_grid))
-    return out
+    mats = np.array([family_matrix(fam, z) for z in fam.z_grid])
+    return np.max(2.0 * propagator_lognorm(mats, t_grid), axis=0, initial=-np.inf)

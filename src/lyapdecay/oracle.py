@@ -30,9 +30,11 @@ __all__ = [
 
 #: a report is "dominated" iff its largest dominance_ratio is <= 1 + this slack
 DOMINANCE_SLACK = 1e-9
-#: times per stacked squaring ladder in propagator_lognorm: bounds the
-#: propagators held at once, as linalg._APPLY_CHUNK does for expm_apply
-_LOGNORM_CHUNK = 64
+#: complex entries (points x d^2), not points, per stacked squaring ladder in
+#: propagator_lognorm, unlike linalg._APPLY_CHUNK's count of propagators:
+#: 4096 keeps each temporary at 64 KB, below glibc's 128 KB mmap threshold,
+#: which is 64 points at d = 8 and 256 at d = 4
+_LOGNORM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -75,38 +77,53 @@ def propagator_lognorm(c, t) -> float | np.ndarray:
     squaring with renormalization, accumulating the log of the scale factors,
     so the result stays meaningful when the norm itself underflows.
 
-    ``t`` is a scalar (the result is a float) or an array of times (the
-    result has its shape).  Each time takes its own squaring count; the
-    scaled exponentials of a chunk of times come from one stacked
-    :func:`expm` call and the squarings run level by level over the times
-    that still need them, so every value equals its one-time call bit for bit.
+    ``c`` is one matrix or a stack ``(..., d, d)``, and ``t`` a scalar or an
+    array of times; the result has shape ``c.shape[:-2] + t.shape``, a float
+    for one matrix and a scalar ``t``.  Each (matrix, time) point takes its
+    own squaring count and its own normalisers, so every value equals its
+    one-matrix, one-time call bit for bit.  The points run in chunks of at
+    most ``_LOGNORM_CHUNK`` complex entries (points x d^2): the scaled
+    exponentials of a chunk come from one stacked :func:`expm` call, and the
+    squarings run level by level over the points that still need them.
     """
-    cm = as_cmatrix(c)
+    cm = as_cmatrix(c, stack=True)
     ts = _times(t)
-    flat = ts.ravel()
-    out = np.zeros(flat.shape)
-    c_norm = np.linalg.norm(cm, 2)
-    for lo in range(0, flat.size, _LOGNORM_CHUNK):
-        idx = lo + np.nonzero(flat[lo : lo + _LOGNORM_CHUNK])[0]
-        if idx.size:
-            out[idx] = _lognorm_ladder(cm, c_norm, flat[idx])
-    return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+    d = cm.shape[-1]
+    mats, flat = cm.reshape(-1, d, d), ts.ravel()
+    out = np.zeros(mats.shape[0] * flat.size)
+    c_norm = _norm2(mats)
+    step = max(1, _LOGNORM_CHUNK // (d * d))
+    for lo in range(0, out.size, step):
+        point = np.arange(lo, min(lo + step, out.size))
+        point = point[flat[point % flat.size] != 0]  # t = 0 keeps log 1 = 0
+        if point.size:
+            i, j = np.divmod(point, flat.size)
+            out[point] = _lognorm_ladder(mats[i], c_norm[i], flat[j])
+    if cm.ndim == 2 and ts.ndim == 0:
+        return float(out[0])
+    return out.reshape(cm.shape[:-2] + ts.shape)
 
 
-def _lognorm_ladder(cm, c_norm, t) -> np.ndarray:
-    """log ||exp(-C t_j)||_2 for positive times ``t``, squaring counts mixed."""
+def _norm2(a) -> np.ndarray:
+    """Spectral norms of a stack: the same bits as ``np.linalg.norm(a, 2)``."""
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def _lognorm_ladder(mats, c_norm, t) -> np.ndarray:
+    """log ||exp(-C_k t_k)||_2 for matrices ``mats`` with spectral norms
+    ``c_norm`` at positive times ``t``, one per point, squaring counts mixed."""
     scale = np.maximum(c_norm * t, 1e-30)
     m = np.maximum(0, np.ceil(np.log2(scale))).astype(int)
-    a = expm(np.broadcast_to(-cm, t.shape + cm.shape), t / np.ldexp(1.0, m))
+    a = expm(-mats, t / np.ldexp(1.0, m))
     log_acc = np.zeros(t.shape)
     for level in range(int(m.max())):
         idx = np.nonzero(m > level)[0]
         part = a[idx]
-        nrm = np.linalg.norm(part, 2, axis=(-2, -1))
+        nrm = _norm2(part)
         part = part / nrm[:, None, None]
         a[idx] = part @ part
         log_acc[idx] = 2.0 * (log_acc[idx] + np.log(nrm))
-    return log_acc + np.log(np.linalg.norm(a, 2, axis=(-2, -1)))
+    return log_acc + np.log(_norm2(a))
 
 
 def dominance_ratio(p, log_p, b, log_b) -> tuple[np.ndarray, float, bool]:
@@ -142,7 +159,7 @@ def check_dominance(c, bound, times) -> EnvelopeReport:
     so the check stays meaningful where both sides underflow.
     """
     times = np.asarray(times, dtype=float)
-    log_prop = 2.0 * propagator_lognorm(c, times)
+    log_prop = 2.0 * propagator_lognorm(as_cmatrix(c), times)
     log_bound = _log_bound_values(bound, times)
     with np.errstate(over="ignore"):
         ratio, max_ratio, dominated = dominance_ratio(np.exp(log_prop), log_prop, np.exp(log_bound), log_bound)
@@ -228,7 +245,7 @@ def sharpness_order(c, mu: float, window: tuple[float, float] = (20.0, 60.0), po
     if not 0 < t0 < t1:
         raise ValueError("window must satisfy 0 < t0 < t1")
     ts = np.linspace(t0, t1, points)
-    ys = propagator_lognorm(c, ts) + mu * ts
+    ys = propagator_lognorm(as_cmatrix(c), ts) + mu * ts
     xs = np.log(ts)
     slope = np.polynomial.polynomial.polyfit(xs, ys, 1)[1]
     return float(slope)

@@ -633,6 +633,28 @@ def test_model_table_z_must_be_finite_and_strictly_increasing(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["model-cd", "model-gt", "model-fp"])
+def test_model_table_names_a_missing_or_misshapen_column(tmp_path, capsys, command):
+    option, table = _table(command)
+    column = next(key for key in table if key != "z")
+    broken = {
+        "short": {**table, column: table[column][:-1]},
+        "long": {**table, column: table[column] + [1.0]},
+        "nested": {**table, column: [table[column]]},
+        "null": {**table, column: None},
+        "text": {**table, column: "x"},
+        "missing": {key: col for key, col in table.items() if key != column},
+    }
+    for case, bad in broken.items():
+        assert _table_run(tmp_path, command, option, bad) == 2, case
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: table {column} "), (case, line)
+    for bad in ({key: col for key, col in table.items() if key != "z"}, {**table, "z": [table["z"]]}, {**table, "z": []}):
+        assert _table_run(tmp_path, command, option, bad) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: table z "), line
+
+
+@pytest.mark.parametrize("command", ["model-cd", "model-gt", "model-fp"])
 def test_model_table_holds_only_z_and_fields_of_its_class(tmp_path, capsys, command):
     option, table = _table(command)
     assert _table_run(tmp_path, command, option, {**table, "sup_dA": 1.0}) == 2

@@ -114,6 +114,27 @@ def test_grid_sup_envelope_within_closed_form():
     assert np.all(sup <= closed * (1 + 1e-9))
 
 
+@pytest.mark.parametrize("z_points", [1, 2, 241])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda zg: quadratic_family(1.0, 1.0, z_grid=zg),
+        lambda zg: exponential_family(1.0, 1.0, 1.0, z_grid=zg),
+        lambda zg: constant_family(1.0, z_grid=zg),
+    ],
+    ids=["quadratic", "exponential", "constant"],
+)
+def test_grid_sup_envelope_bitwise_equals_per_z_loop(make, z_points):
+    # times up to the family command's default horizon, 1e6 and past underflow
+    fam = make(np.linspace(-6.0, 6.0, z_points))
+    ts = np.concatenate([np.linspace(0.0, 20.0, 21), [1e6, 2000.0]])
+    loop = np.full(ts.shape, -np.inf)
+    for z in fam.z_grid:
+        loop = np.maximum(loop, 2.0 * propagator_lognorm(family_matrix(fam, z), ts))
+    got = grid_sup_envelope(fam, ts)
+    assert got.shape == ts.shape and np.array_equal(got.view(np.uint64), loop.view(np.uint64))
+
+
 def test_grid_sup_envelope_refinement_monotone():
     alpha, mu_min = 0.7, 1.0
     ts = np.linspace(0.0, 5.0, 6)

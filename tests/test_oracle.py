@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lyapdecay import oracle
 from lyapdecay.jordan import jordan_chains
 from lyapdecay.linalg import expm, spectral_norm
 from lyapdecay.lyapunov import DecayEnvelope, build_form, decay_constant
@@ -87,6 +88,49 @@ def test_propagator_lognorm_vector_bitwise_equals_scalar_loop(d):
     assert isinstance(propagator_lognorm(c, 2.5), float)
 
 
+def _same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def _stack_cases():
+    # (n, d, d) stacks for d = 2..8 and one (2, 3, d, d) leading shape
+    for d in range(2, 9):
+        rng = np.random.default_rng(600 + d)
+        yield np.array([_stable_matrix(rng, d) for _ in range(3)])
+    rng = np.random.default_rng(700)
+    yield np.array([[_stable_matrix(rng, 3) for _ in range(3)] for _ in range(2)])
+
+
+@pytest.mark.parametrize("stack", _stack_cases(), ids=lambda s: "x".join(map(str, s.shape)))
+def test_propagator_lognorm_stack_bitwise_equals_reference(stack):
+    got = propagator_lognorm(stack, PARITY_TIMES)
+    assert got.shape == stack.shape[:-2] + PARITY_TIMES.shape
+    want = np.array([[_lognorm_reference(c, t) for t in PARITY_TIMES] for c in stack.reshape(-1, *stack.shape[-2:])])
+    assert _same_bits(got.reshape(want.shape), want)
+    # a scalar time drops the time axis
+    assert _same_bits(propagator_lognorm(stack, PARITY_TIMES[-1]), got[..., -1])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 148, oracle._LOGNORM_CHUNK])
+def test_propagator_lognorm_does_not_depend_on_chunk(chunk, monkeypatch):
+    # 148 entries are 37 points at d = 2: chunks straddle the matrices
+    rng = np.random.default_rng(800)
+    stacks = [np.array([_stable_matrix(rng, d) for _ in range(2)]) for d in (2, 5)]
+    want = [propagator_lognorm(s, PARITY_TIMES) for s in stacks]
+    monkeypatch.setattr(oracle, "_LOGNORM_CHUNK", chunk)
+    for s, w in zip(stacks, want):
+        assert _same_bits(propagator_lognorm(s, PARITY_TIMES), w)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_propagator_lognorm_empty_stack_or_times(d, expm_matrices):
+    assert propagator_lognorm(np.zeros((0, d, d)), PARITY_TIMES).shape == (0, PARITY_TIMES.size)
+    assert propagator_lognorm(np.zeros((0, d, d)), 1.0).shape == (0,)
+    assert propagator_lognorm(np.eye(d)[None].repeat(4, axis=0), []).shape == (4, 0)
+    assert propagator_lognorm(np.eye(d), np.zeros((0, 3))).shape == (0, 3)
+    assert expm_matrices == []
+
+
 def test_propagator_lognorm_vector_beyond_underflow():
     times = np.array([2000.0, 0.0, 1.0, 2000.0])
     for c in (geometry_matrix(), np.eye(2)):
@@ -98,8 +142,18 @@ def test_propagator_lognorm_vector_beyond_underflow():
 @pytest.mark.parametrize("t", [np.inf, np.nan, -1.0, [0.0, 1.0, -1e-3], [1.0, np.nan]])
 def test_propagator_lognorm_rejects_bad_times(t):
     c = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        propagator_lognorm(c, t)
+    # one matrix, a stack and an empty stack alike
+    for stack in (c, np.broadcast_to(c, (3, 2, 2)), np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            propagator_lognorm(stack, t)
+
+
+def test_check_dominance_and_sharpness_order_take_one_matrix():
+    stack = np.broadcast_to(np.eye(2), (3, 2, 2))
+    with pytest.raises(ValueError, match="square matrix"):
+        check_dominance(stack, DecayEnvelope(1.0, 0.5, 1), [0.0, 1.0])
+    with pytest.raises(ValueError, match="square matrix"):
+        sharpness_order(stack, 1.0)
 
 
 @pytest.mark.parametrize("t_grid", [[0.0, -1.0], [0.0, np.inf], [np.nan, 1.0]])

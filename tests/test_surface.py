@@ -1,7 +1,8 @@
 """The public surface resolves, and the three theorem checks propagate their
 states through the public evolve of their model, once per z; each evolve
-returns one C-contiguous stack of coefficient arrays, and the conjugate
-Fourier modes k and -k share one propagator."""
+returns one C-contiguous stack of coefficient arrays, the conjugate
+Fourier modes k and -k share one propagator, and ``family`` stacks its z
+grid into a few ``expm`` calls."""
 
 import importlib
 from functools import partial
@@ -110,3 +111,14 @@ def test_model_defaults_compute_one_propagator_per_conjugate_pair(argv, matrices
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "o.csv", "--report", "o.json"]) == 0
     assert sum(expm_matrices) == matrices
+
+
+def test_family_defaults_stack_the_z_grid_into_few_expm_calls(expm_matrices, tmp_path, monkeypatch):
+    # 241 z x 100 t points; t = 0 needs no propagator, and the ladder runs in
+    # chunks of _LOGNORM_CHUNK complex entries, 4 per 2x2 matrix
+    from lyapdecay import oracle
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["family", "--out", "f.csv"]) == 0
+    assert sum(expm_matrices) == 241 * 99
+    assert len(expm_matrices) <= -(-241 * 100 // (oracle._LOGNORM_CHUNK // 4))
