@@ -162,12 +162,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config must hold a JSON object, got {type(cfg).__name__}")
-    resolved = {}
+    resolved, given = {}, set()
     for key, opt in _OPTIONS[args.command].items():
         value = getattr(args, key)
         if value is None and key in cfg:
             value = _config_value(key, cfg[key], opt)
+        if value is not None:
+            given.add(key)
         resolved[key] = opt.default if value is None else value
+    # the diffusion variant has its own fixed field and mode pairs
+    unused = sorted(given & {"drift", "K"}) if resolved.get("variant") == "diffusion" else []
+    if unused:
+        raise ValueError(f"--variant diffusion does not use {' or '.join('--' + key for key in unused)}")
     resolved["threads_env"] = os.environ.get("LYAPDECAY_THREADS")
     return resolved
 

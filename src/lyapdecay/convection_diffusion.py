@@ -276,23 +276,22 @@ def synthesize(coeffs_k, x) -> np.ndarray:
     return np.exp(1j * np.outer(x, ks)) @ c
 
 
-def gaussian_bump_state(
-    K: int, order: int = 1, gamma: float = 2.0, amp: float = 0.5, v_amp: float = 0.0
-) -> np.ndarray:
-    """Normalized state u = 1 + amp * (periodic Gaussian bump - mean).
+def gaussian_bump_state(K: int, order: int = 1, v_amp: float = 0.0) -> np.ndarray:
+    """Normalized state u = 1 + 0.5 (periodic Gaussian bump - mean), the bump
+    being exp(2 (cos x - 1)).
 
     Optional ``v_amp`` seeds the first sensitivity with a shifted copy of the
     bump (zero mean, so the mass constraints stay exact).
     """
     n = max(512, 8 * K)
     x = 2.0 * np.pi * np.arange(n) / n
-    bump = np.exp(gamma * (np.cos(x) - 1.0))
+    bump = np.exp(2.0 * (np.cos(x) - 1.0))
     c = fourier_coefficients(bump, K)
     coeffs = np.zeros((2 * K + 1, order + 1), dtype=complex)
-    coeffs[:, 0] = amp * c
+    coeffs[:, 0] = 0.5 * c
     coeffs[K, 0] = 1.0
     if v_amp:
-        shifted = np.exp(gamma * (np.cos(x - 1.0) - 1.0))
+        shifted = np.exp(2.0 * (np.cos(x - 1.0) - 1.0))
         cv = fourier_coefficients(shifted, K)
         coeffs[:, 1] = v_amp * cv
         coeffs[K, 1] = 0.0

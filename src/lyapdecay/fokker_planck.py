@@ -315,13 +315,12 @@ class HermiteBasis:
     times steady-Gaussian integrands up to the basis degree).
     """
 
-    def __init__(self, K: int, a: float, n_nodes: int | None = None):
+    def __init__(self, K: int, a: float):
         if K < 0 or a <= 0:
             raise ValueError("need K >= 0 and a > 0")
         self.K = K
         self.a = a
-        n = n_nodes or (2 * K + 8)
-        s, w = np.polynomial.hermite.hermgauss(n)
+        s, w = np.polynomial.hermite.hermgauss(2 * K + 8)
         self.nodes = s
         self.weights = w
         # total weights w_j e^{s_j^2}, formed in log space to dodge underflow
@@ -374,32 +373,30 @@ class HermiteBasis:
         return sum(c[k] * h[k] for k in range(c.size))
 
 
-def fp_gaussian_state(field: DriftField, z: float, K: int = 40, mean: float = 0.4, prec: float = 1.0, g_amp: float = 0.5) -> np.ndarray:
+def fp_gaussian_state(field: DriftField, z: float, K: int = 40) -> np.ndarray:
     """Shifted-Gaussian density f plus a massless odd sensitivity g, projected as rows.
 
-    The density is the unit-mass Gaussian with precision ``prec`` centered at
-    ``mean`` (``prec`` must exceed a(z)/2 for the weighted norm to be
-    finite); the sensitivity is g_amp (x - mean) times that Gaussian.
+    The density is the unit-mass, unit-precision Gaussian centered at 0.4;
+    its weighted norm is finite only where a(z) < 2.  The sensitivity is
+    0.5 (x - 0.4) times that Gaussian.
     """
     a = field.a(z)
-    if prec <= 0.5 * a:
-        raise ValueError("precision must exceed a/2 for a finite weighted norm")
+    if a >= 2.0:
+        raise ValueError(f"the Gaussian initial state needs drift a(z) < 2, got a({z}) = {a}")
     basis = HermiteBasis(K, a)
 
     def density(x):
-        return np.sqrt(prec / (2.0 * np.pi)) * np.exp(-0.5 * prec * (x - mean) ** 2)
+        return np.sqrt(1.0 / (2.0 * np.pi)) * np.exp(-0.5 * (x - 0.4) ** 2)
 
     f = basis.project(density)
-    g = basis.project(lambda x: g_amp * (x - mean) * density(x))
+    g = basis.project(lambda x: 0.5 * (x - 0.4) * density(x))
     f[0] = 1.0
     g[0] = 0.0
     return np.array([f, g])
 
 
-def fp_semidiscrete_residual(
-    field: DriftField, state: np.ndarray, z: float, x_lo: float = -8.0, x_hi: float = 8.0, n: int = 1601
-) -> float:
-    """Max pointwise residual of the synthesized mode dynamics.
+def fp_semidiscrete_residual(field: DriftField, state: np.ndarray, z: float) -> float:
+    """Max pointwise residual of the synthesized mode dynamics on 1601 points of [-8, 8].
 
     The time derivatives come from the mode ODEs; the spatial operator is
     applied to the synthesized series by fourth-order finite differences, so
@@ -411,7 +408,7 @@ def fp_semidiscrete_residual(
     f, g = np.asarray(state, dtype=float)
     K = f.size - 1
     basis = HermiteBasis(K, a)
-    x = np.linspace(x_lo, x_hi, n)
+    x = np.linspace(-8.0, 8.0, 1601)
     h = x[1] - x[0]
     f_vals = basis.synthesize(f, x)
     g_vals = basis.synthesize(g, x)

@@ -18,9 +18,12 @@ from typing import Callable
 import numpy as np
 
 from .jordan import structure_from_chains
-from .linalg import expm_apply
+from .linalg import expm_apply, hermitian_extremes
 from .lyapunov import DecayEnvelope, build_form, decay_constant
 from .oracle import _check_field_bounds, sweep
+
+#: factor that pads the 2I limit covering the modes past k_max
+_TAIL_MARGIN = 1.1
 
 __all__ = [
     "RelaxationField",
@@ -176,6 +179,12 @@ def gt_case1_p_from_params(sigma, k: int) -> np.ndarray:
     return _dyad_sum([(_v0(lam, k), _v2(lam, k)) for lam in (lm, lp)])
 
 
+def _defective_constant(lam_min: float, lam_max: float, sz: float) -> float:
+    """12 kappa(P(0)) max(2, 1 + sigma_z^2/4): the M = 2 constant of the
+    defective branch, whose weights are 1 and sigma_z^2/4."""
+    return 12.0 * (lam_max / lam_min) * max(2.0, 1.0 + sz**2 / 4.0)
+
+
 def _box_range(tail, stacks) -> tuple[float, float]:
     """Smallest and largest of ``tail`` and the eigenvalues of Hermitian stacks, one eigvalsh each."""
     lo, hi = zip(tail, *((w[..., 0].min(), w[..., -1].max()) for w in map(np.linalg.eigvalsh, stacks)))
@@ -187,14 +196,13 @@ def gt_uniform_constant(
     k_max: int = 64,
     n_sigma: int = 13,
     n_dsigma: int = 9,
-    tail_margin: float = 1.1,
 ) -> dict:
     """Extremal eigenvalues of the adapted forms over k and the parameter box.
 
     The box [sigma0, sigma1] x [-L, L] is sampled on a grid (the true
     extremes are over a continuum, so these are witnesses, not certificates);
     modes with |k| > k_max are covered by the 2I limit padded with
-    ``tail_margin``.  Negative k give the same spectra by conjugation
+    ``_TAIL_MARGIN``.  Negative k give the same spectra by conjugation
     symmetry of the chain vectors, so only k >= 1 is swept.
     """
     if k_max < 0:
@@ -203,15 +211,15 @@ def gt_uniform_constant(
     dsigmas = np.linspace(-field.L, field.L, n_dsigma) if field.L > 0 else np.array([0.0])
     ks = range(1, k_max + 1)
     # k -> infinity limit of both constructions is 2I; pad it with the margin
-    tail = (2.0 / tail_margin, 2.0 * tail_margin)
+    tail = (2.0 / _TAIL_MARGIN, 2.0 * _TAIL_MARGIN)
     lam_min_def, lam_max_def = _box_range(tail, (gt_p_from_params(sigmas[:, None], dsigmas, k) for k in ks))
     lam_min_c1, lam_max_c1 = _box_range(tail, (gt_case1_p_from_params(sigmas, k) for k in ks))
-    c_def = 12.0 * (lam_max_def / lam_min_def) * max(2.0, 1.0 + field.L**2 / 4.0)
+    c_def = _defective_constant(lam_min_def, lam_max_def, field.L)
     c_nondef = lam_max_c1 / lam_min_c1
     c_zero = 12.0 * max(2.0, 1.0 + field.L**2)
     return {
         "k_max": k_max,
-        "tail_margin": tail_margin,
+        "tail_margin": _TAIL_MARGIN,
         "defective": {"lambda_min": lam_min_def, "lambda_max": lam_max_def, "C": c_def},
         "nondefective": {"lambda_min": lam_min_c1, "lambda_max": lam_max_c1, "C": c_nondef},
         "zero_mode_C": c_zero,
@@ -226,16 +234,19 @@ def gt_mode_envelope(field: RelaxationField, k: int, z: float) -> DecayEnvelope:
 
     k = 0: C0 (1 + t^2) e^{-2 sigma t} on the decaying two-dimensional
     subblock of entries 1 and 3 (the masses 0 and 2 are conserved).  k != 0 defective:
-    C_k (1 + t^2) e^{-sigma t}; non-defective: 2 C_k e^{-sigma t}.
+    C_k (1 + t^2) e^{-sigma t} with C_k = 12 kappa(P(0)) max(2, 1 + sigma_z^2/4),
+    P(0) from :func:`gt_p_from_params`; non-defective: 2 C_k e^{-sigma t}.
     """
     s, sz = field.sigma(z), field.dsigma(z)
     if k == 0:
         c0 = 12.0 * max(2.0, 1.0 + sz * sz)
         return DecayEnvelope(c0, s, 2)
-    st = structure_from_chains(gt_chains(field, k, z))
     if sz != 0.0:
-        weights = np.array([1.0, sz * sz / 4.0])
-        return decay_constant(st, build_form(st, block_weights={0: weights, 1: weights}))
+        # P(0) stays continuous as sigma_z -> 0; the chains scale with
+        # 2/sigma_z, and their weight sigma_z^2/4 underflows before sigma_z
+        ext = hermitian_extremes(gt_p_from_params(s, sz, k))
+        return DecayEnvelope(_defective_constant(ext.lambda_min, ext.lambda_max, sz), s / 2.0, 2)
+    st = structure_from_chains(gt_chains(field, k, z))
     base = decay_constant(st, build_form(st))
     return DecayEnvelope(2.0 * base.C_const, base.mu, 1)
 

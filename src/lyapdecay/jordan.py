@@ -277,29 +277,19 @@ def _refine_chain(b: np.ndarray, norm_b: float, raw: np.ndarray, rank_tol: float
 
 def jordan_chains(
     c,
-    clusters: list[tuple[complex, int]] | None = None,
     rel_tol: float = DEFAULT_RANK_TOL,
-    cluster_rel_tol: float | None = None,
+    cluster_rel_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> JordanStructure:
     """Compute the Jordan structure of C^H numerically.
 
-    ``clusters`` may be supplied from :func:`cluster_eigenvalues`; otherwise
-    eigenvalues are computed and clustered with ``cluster_rel_tol`` (default
-    :data:`DEFAULT_CLUSTER_TOL`); it also sets the radius of the cluster
-    refinement, so it must be positive either way.  ``rel_tol`` governs rank
-    decisions.
+    The eigenvalues are computed and clustered with ``cluster_rel_tol``,
+    which also sets the radius of the cluster refinement and must be
+    positive (:func:`cluster_eigenvalues` checks it).  ``rel_tol`` governs
+    rank decisions.
     """
     m = as_cmatrix(c)
     d = m.shape[0]
-    if cluster_rel_tol is None:
-        cluster_rel_tol = DEFAULT_CLUSTER_TOL
-    elif cluster_rel_tol <= 0:
-        raise ValueError("cluster_rel_tol must be positive")
-    if clusters is None:
-        ev = np.linalg.eigvals(m)
-        clusters = cluster_eigenvalues(ev, cluster_rel_tol)
-    if sum(mult for _, mult in clusters) != d:
-        raise ValueError("cluster multiplicities must sum to the dimension")
+    clusters = cluster_eigenvalues(np.linalg.eigvals(m), cluster_rel_tol)
     radius = cluster_rel_tol * (1.0 + max(abs(lam) for lam, _ in clusters))
     ch = m.conj().T
     blocks: list[JordanBlock] = []

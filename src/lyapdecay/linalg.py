@@ -68,10 +68,11 @@ def expm(a, t=1.0) -> np.ndarray:
     Taylor series; relative error in spectral norm is ~1e-14 for the matrix
     scales used here (contract: <= 1e-12).
 
-    ``a`` may be a stack ``(..., d, d)`` with ``t`` broadcast over its leading
-    axes.  Every matrix of a stack takes exactly the arithmetic of its own
-    one-matrix call (its own 1-norm and squaring count), so the result equals
-    a loop of one-matrix calls bit for bit.
+    ``a`` may be one matrix or a stack ``(..., d, d)``, with ``t`` a number
+    or an array broadcast over its leading axes; one matrix and one time take
+    the stack path as a stack of one.  Every matrix of a stack takes its own
+    1-norm and squaring count, so the result equals a loop of one-matrix
+    calls bit for bit.
 
     ``expm(a.conj(), t)`` equals ``expm(a, t).conj()`` in value: conjugation
     negates imaginary parts, which changes no modulus and, rounding being
@@ -79,28 +80,18 @@ def expm(a, t=1.0) -> np.ndarray:
     of an exact zero may differ.  :func:`expm_apply` relies on this.
     """
     m = as_cmatrix(a, stack=True)
-    # isinstance first: np.ndim would convert a Python float to an array
-    if isinstance(t, float) or np.ndim(t) == 0:
-        if not np.isfinite(t):
-            raise ValueError("t must be finite")
-        at = m * t
-    else:
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("t must be finite")
-        at = m * t[..., None, None]
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
+    at = m * t[..., None, None]
     d = at.shape[-1]
     norm = np.abs(at).sum(axis=-2).max(axis=-1)
     # ceil(log2(norm / theta)) where norm > theta, else 0
-    squarings = np.ceil(np.log2(np.maximum(norm, _EXPM_THETA) / _EXPM_THETA))
+    squarings = np.ceil(np.log2(np.maximum(norm, _EXPM_THETA) / _EXPM_THETA)).astype(int)
     if squarings.size == 0:
         return at
-    if squarings.ndim:
-        least, most = int(squarings.min()), int(squarings.max())
-        x = at / np.ldexp(1.0, squarings.astype(int))[..., None, None]
-    else:
-        least = most = int(squarings)
-        x = at / 2.0**least
+    least, most = int(squarings.min()), int(squarings.max())
+    x = at / np.ldexp(1.0, squarings)[..., None, None]
     result = term = np.eye(d, dtype=complex)
     for k in range(1, _EXPM_TERMS + 1):
         term = term @ x / k
@@ -108,7 +99,7 @@ def expm(a, t=1.0) -> np.ndarray:
     for _ in range(least):
         result = result @ result
     for level in range(least, most):
-        # only stacks get here: the matrices that need more squarings
+        # the matrices of the stack that need more squarings
         idx = np.nonzero(squarings > level)
         part = result[idx]
         result[idx] = part @ part
@@ -184,14 +175,14 @@ def is_hermitian(a, rel_tol: float = 1e-12) -> bool:
     return bool(np.linalg.norm(m - m.conj().T, "fro") <= rel_tol * scale + 1e-300)
 
 
-def hermitian_extremes(p, rel_tol: float = 1e-12) -> HermitianSpectrum:
+def hermitian_extremes(p) -> HermitianSpectrum:
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
     Raises ValueError if the input deviates from Hermitian symmetry by more
-    than ``rel_tol`` relative to its Frobenius norm.
+    than 1e-12 relative to its Frobenius norm.
     """
     m = as_cmatrix(p)
-    if not is_hermitian(m, rel_tol=max(rel_tol, 1e-12)):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return HermitianSpectrum(float(w[0]), float(w[-1]))

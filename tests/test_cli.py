@@ -219,6 +219,28 @@ def test_model_fp_diffusion_variant(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        pytest.param(["--drift", "/nonexistent.json"], None, "--drift", id="flag-drift"),
+        pytest.param(["--K", "3"], None, "--K", id="flag-K"),
+        pytest.param([], {"drift": "builtin:sin"}, "--drift", id="config-drift"),
+        pytest.param([], {"K": 3}, "--K", id="config-K"),
+    ],
+)
+def test_model_fp_diffusion_rejects_the_drift_options(tmp_path, capsys, argv, config, named):
+    # the variant has its own field and mode pairs, so neither would be used
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    out, rep = tmp_path / "d.csv", tmp_path / "d.json"
+    rc = main(["model-fp", "--variant", "diffusion", *argv, "--out", str(out), "--report", str(rep)])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and named in line
+    assert not out.exists() and not rep.exists()
+
+
 def test_csv_output_is_reproducible(tmp_path, matrix_file):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -467,6 +489,14 @@ def test_model_fp_tabulated_drift(tmp_path):
     )
     assert rc == 0
     assert json.loads(rep.read_text())["constants"]["a0"] == float(a.min())
+
+
+def test_model_fp_tabulated_drift_of_2_or_more_is_named(tmp_path, capsys):
+    # the unit-precision initial Gaussian has a finite weighted norm only for a < 2
+    table = {"z": _Z.tolist(), "a": [2.5] * _Z.size, "da": [0.0] * _Z.size}
+    assert _table_run(tmp_path, "model-fp", "--drift", table) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "a(z) < 2" in line and "a(0.0) = 2.5" in line
 
 
 def test_family_ratio_finite_where_both_sides_underflow(tmp_path):

@@ -184,6 +184,34 @@ def test_mode_envelope_dominance(field):
             assert rep.dominated
 
 
+def test_mode_envelope_survives_underflowing_sigma_z(field):
+    # dsigma(200) ~ 4e-174: sigma_z^2 / 4 underflows to 0, which the chain
+    # route's weights cannot take
+    assert 0.0 < field.dsigma(200.0) and field.dsigma(200.0) ** 2 == 0.0
+    for k in (1, -3, 30):
+        envm = gt.gt_mode_envelope(field, k, 200.0)
+        assert envm.M == 2 and envm.mu == field.sigma(200.0) / 2.0
+        assert envm.C_const == pytest.approx(gt.gt_mode_envelope(field, k, 20.0).C_const, rel=1e-9)
+        rep = check_dominance(gt.gt_mode_matrix(field, k, 200.0), envm, np.linspace(0, 30, 60))
+        assert rep.dominated
+
+
+def test_mode_envelope_matches_chain_route_on_default_grid(field):
+    from lyapdecay.cli import _OPTIONS, _parse_grid
+    from lyapdecay.lyapunov import decay_constant
+
+    K = _OPTIONS["model-gt"]["K"].default
+    for z in _parse_grid(_OPTIONS["model-gt"]["z_grid"].default):
+        sz = field.dsigma(z)
+        weights = np.array([1.0, sz * sz / 4.0])
+        for k in [k for k in range(-K, K + 1) if k]:
+            st = structure_from_chains(gt.gt_chains(field, k, z))
+            want = decay_constant(st, build_form(st, block_weights={0: weights, 1: weights}))
+            got = gt.gt_mode_envelope(field, k, z)
+            assert (got.M, got.mu) == (want.M, want.mu), (k, z)
+            assert got.C_const == pytest.approx(want.C_const, rel=1e-14, abs=0.0), (k, z)
+
+
 def test_zero_mode_envelope_dominance_on_decaying_block(field):
     for z in (-1.5, 0.6):
         envm = gt.gt_mode_envelope(field, 0, z)

@@ -155,18 +155,16 @@ def test_same_eigenvalue_two_blocks():
 
 
 def test_explicit_zero_cluster_tolerance_is_rejected():
-    # 0 must not silently become the default tolerance, nor a zero
-    # refinement radius when the clusters are supplied
+    # 0 must not silently become the default tolerance
     with pytest.raises(ValueError, match="rel_tol must be positive"):
         jordan_chains(geometry_matrix(), cluster_rel_tol=0.0)
-    clusters = cluster_eigenvalues(np.linalg.eigvals(geometry_matrix()), 3e-4)
-    with pytest.raises(ValueError, match="rel_tol must be positive"):
-        jordan_chains(geometry_matrix(), clusters=clusters, cluster_rel_tol=0.0)
 
 
 def test_inconsistent_clusters_raise():
-    with pytest.raises(JordanAmbiguityError):
-        jordan_chains(np.diag([1.0, 2.0]).astype(complex), clusters=[(1.5 + 0j, 2)])
+    # eigenvalues 1e-9 apart share a cluster of multiplicity 2, yet
+    # diag(1, 1 + 1e-9) - lambda I has full rank: no block structure fits
+    with pytest.raises(JordanAmbiguityError, match="multiplicity 2"):
+        jordan_chains(np.diag([1.0, 1.0 + 1e-9]).astype(complex))
 
 
 def test_structure_from_chains_validates_dimension():

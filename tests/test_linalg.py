@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -108,6 +109,13 @@ def test_expm_broadcasts_t_over_leading_axes():
     # scalar t on a stack, and a time vector on one matrix
     assert np.array_equal(expm(a, 1.5), _loop_expm(a, 1.5))
     assert np.array_equal(expm(a[0], t[:, 0]), _loop_expm(a[0], t[:, 0]))
+    # one matrix and one time of any kind: the bits of a stack of one
+    ones = []
+    for t1 in (1.5, 37, np.float64(0.3), np.array(12.5), -0.0, 1e-300):
+        ones.append(expm(a[0], t1))
+        assert np.array_equal(ones[-1].view(np.uint64), expm(a[:1], np.array([t1]))[0].view(np.uint64)), t1
+    # as the retired one-matrix branch gave them
+    assert hashlib.sha256(np.array(ones).tobytes()).hexdigest()[:16] == "bc375ed77ae8cd98"
 
 
 def test_expm_stack_rejects_bad_input():
