@@ -227,6 +227,12 @@ def cmd_verify(args) -> int:
     if args.c_const is not None or args.mu is not None or args.m is not None:
         if None in (args.c_const, args.mu, args.m):
             raise ValueError("--c-const, --mu and --m must be given together")
+        if not (np.isfinite(args.c_const) and args.c_const > 0):
+            raise ValueError(f"--c-const must be finite and > 0, got {args.c_const!r}")
+        if not np.isfinite(args.mu):
+            raise ValueError(f"--mu must be finite, got {args.mu!r}")
+        if args.m < 1:
+            raise ValueError(f"--m must be >= 1, got {args.m!r}")
         env = DecayEnvelope(args.c_const, args.mu, args.m)
     else:
         _, _, env = _analysis_pipeline(matrix, cfg["rel_tol"], cfg["cluster_tol"])

@@ -18,15 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .jordan import JordanBlock, structure_from_chains
 from .linalg import expm_apply
-from .lyapunov import (
-    DecayEnvelope,
-    build_form,
-    decay_constant,
-    sup_poly_exp,
-    w_vector,
-)
+from .lyapunov import DecayEnvelope, defect_one_constant, sup_poly_exp
 from .oracle import _check_field_bounds, sweep
 
 __all__ = [
@@ -38,9 +31,6 @@ __all__ = [
     "first_order_envelope",
     "second_order_system",
     "second_order_envelope",
-    "tilde_w3_vector",
-    "second_order_tilde_p",
-    "lemma_tilde_p3_coefficient",
     "evolve_spectrum",
     "fourier_coefficients",
     "synthesize",
@@ -48,11 +38,6 @@ __all__ = [
     "deviation_norm_sq",
     "theorem_bound_check",
 ]
-
-#: |dlambda| below this (relative) threshold selects the non-defective branch.
-#: The envelopes jump across it: just above the cut a defect-one mode has
-#: C = 24 and M = 2, just below it C = 1 and M = 1.
-DEFECT_THRESHOLD = 1e-10
 
 #: fold factor for (1 + x) <= kappa (1 + x^2), x >= 0
 _KAPPA_12 = (1.0 + np.sqrt(2.0)) / 2.0
@@ -143,22 +128,13 @@ def first_order_system(field: CoefficientField, k: int, z: float) -> np.ndarray:
     return k * k * np.array([[lam, 0.0], [dlam, lam]], dtype=complex)
 
 
-def _is_defective(dval: complex, lam: complex) -> bool:
-    return abs(dval) > DEFECT_THRESHOLD * (1.0 + abs(lam))
-
-
 def first_order_envelope(field: CoefficientField, k: int, z: float) -> DecayEnvelope:
-    """Per-mode bound: exact exponential when dlambda = 0, else
-    12 max{2, 1+|dlam|^2} (1 + k^4 t^2) e^{-2 k^2 b t}."""
+    """Per-mode bound: exact exponential where dlambda == 0, else (defect one,
+    weights (1, |dlam|^2), P(0) = I) 12 max{2, 1+|dlam|^2} (1 + k^4 t^2) e^{-2 k^2 b t}."""
     lam, dlam, _ = lambda_k(field, k, z)
-    b = lam.real
-    if not _is_defective(dlam, lam):
-        return DecayEnvelope(1.0, b, 1).scaled(k * k)
-    v0 = np.array([1.0, 0.0], dtype=complex)
-    v1 = np.array([0.0, 1.0 / np.conj(dlam)], dtype=complex)
-    st = structure_from_chains([(lam, [v0, v1])])
-    form = build_form(st, block_weights={0: np.array([1.0, abs(dlam) ** 2])})
-    return decay_constant(st, form).scaled(k * k)
+    if dlam == 0:
+        return DecayEnvelope(1.0, lam.real, 1).scaled(k * k)
+    return DecayEnvelope(defect_one_constant(1.0, abs(dlam) ** 2), lam.real, 2).scaled(k * k)
 
 
 def second_order_system(field: CoefficientField, k: int, z: float) -> np.ndarray:
@@ -170,86 +146,30 @@ def second_order_system(field: CoefficientField, k: int, z: float) -> np.ndarray
     )
 
 
-def _second_order_chains(lam, dlam, d2lam):
-    """Adjoint chain of the 3x3 mode matrix in the fully defective case."""
-    dl = np.conj(dlam)
-    d2l = np.conj(d2lam)
-    v0 = np.array([1, 0, 0], dtype=complex)
-    v1 = np.array([0, 1.0 / dl, 0], dtype=complex)
-    v2 = np.array([0, -d2l / (2.0 * dl**3), 1.0 / (2.0 * dl**2)], dtype=complex)
-    return v0, v1, v2
+def _defect_two_constant(dlam_sq: float, d2lam_sq: float) -> float:
+    """1 + (12 + 585 (1+|d2lam|^2)) max{1, |dlam|^2}^2, bounded as dlam -> 0."""
+    return 1.0 + (12.0 + 585.0 * (1.0 + d2lam_sq)) * max(1.0, dlam_sq) ** 2
 
 
 def second_order_envelope(field: CoefficientField, k: int, z: float) -> DecayEnvelope:
-    """Per-mode bound for the 3x3 sensitivity system.
+    """Per-mode bound for the 3x3 sensitivity system, by exact-zero tests.
 
-    dlam = d2lam = 0: exact exponential.  dlam = 0, d2lam != 0 (defect one):
-    12 max{2, 1+|d2lam|^2} (1 + k^4 t^2) e^{-2 k^2 b t}.  dlam != 0 (defect
-    two): [1 + (12 + 585 (1+|d2lam|^2)) max{1, |dlam|^4}] (1 + k^8 t^4)
-    e^{-2 k^2 b t}; this constant stays bounded as dlam -> 0 with d2lam
-    fixed, which the fixed-ladder route does not achieve.
+    dlam != 0 (defect two): [1 + (12 + 585 (1+|d2lam|^2)) max{1, |dlam|^4}]
+    (1 + k^8 t^4) e^{-2 k^2 b t}; this constant stays bounded as dlam -> 0
+    with d2lam fixed, which the fixed-ladder route does not achieve.
+    dlam == 0, d2lam != 0 (defect one, P(0) = I): 12 max{2, 1+|d2lam|^2}
+    (1 + k^4 t^2) e^{-2 k^2 b t}.  dlam == d2lam == 0: exact exponential.
     """
     lam, dlam, d2lam = lambda_k(field, k, z)
     if d2lam is None:
         raise ValueError("second derivatives of the coefficients are required")
-    b = lam.real
-    defective_1 = _is_defective(dlam, lam)
-    defective_2 = _is_defective(d2lam, lam)
-    if not defective_1 and not defective_2:
-        return DecayEnvelope(1.0, b, 1).scaled(k * k)
-    if not defective_1:
-        v0 = np.array([1, 0, 0], dtype=complex)
-        v1 = np.array([0, 0, 1.0 / np.conj(d2lam)], dtype=complex)
-        w0 = np.array([0, 1, 0], dtype=complex)
-        st = structure_from_chains([(lam, [v0, v1]), (lam, [w0])])
-        form = build_form(st, block_weights={0: np.array([1.0, abs(d2lam) ** 2])})
-        return decay_constant(st, form).scaled(k * k)
-    c = 1.0 + (12.0 + 585.0 * (1.0 + abs(d2lam) ** 2)) * max(1.0, abs(dlam) ** 4)
-    return DecayEnvelope(c, b, 3).scaled(k * k)
-
-
-def tilde_w3_vector(field: CoefficientField, k: int, z: float, t: float) -> np.ndarray:
-    """Replacement top vector w~3(t) = w3(t) + (d2lam~ / 2 dlam~^2) w2(t).
-
-    Time is the rescaled mode time (pair with solutions at k^2 t).  At t = 0
-    the vector is (0, 0, 1/(2 dlam~^2)), which removes the third chain
-    vector's dlam^-3 blow-up from the quadratic form.
-    """
-    lam, dlam, d2lam = lambda_k(field, k, z)
-    if not _is_defective(dlam, lam):
-        raise ValueError("the replacement vector requires dlambda != 0")
-    block = JordanBlock(eigenvalue=lam, chain=np.array(_second_order_chains(lam, dlam, d2lam)))
-    coef = np.conj(d2lam) / (2.0 * np.conj(dlam) ** 2)
-    return w_vector(block, 3, t) + coef * w_vector(block, 2, t)
-
-
-def second_order_tilde_p(field: CoefficientField, k: int, z: float, t: float) -> np.ndarray:
-    """P~_k(z, t) = P^1(t) + |dlam|^2 P^2(t) + 4 |dlam|^4 w~3(t) (x) w~3(t).
-
-    Equals the identity at t = 0.  Time is the rescaled mode time.
-    """
-    lam, dlam, d2lam = lambda_k(field, k, z)
-    if not _is_defective(dlam, lam):
-        raise ValueError("requires dlambda != 0")
-    block = JordanBlock(eigenvalue=lam, chain=np.array(_second_order_chains(lam, dlam, d2lam)))
-    w1 = w_vector(block, 1, t)
-    w2 = w_vector(block, 2, t)
-    w3t = tilde_w3_vector(field, k, z, t)
-    p = (
-        np.outer(w1, w1.conj())
-        + abs(dlam) ** 2 * np.outer(w2, w2.conj())
-        + 4.0 * abs(dlam) ** 4 * np.outer(w3t, w3t.conj())
-    )
-    return 0.5 * (p + p.conj().T)
-
-
-def lemma_tilde_p3_coefficient(field: CoefficientField, k: int, z: float) -> float:
-    """Coefficient 146.25 (1+|d2lam|^2)/min{1, |dlam|^4} of the w~3 semi-norm
-    bound with algebraic factor (1 + k^8 t^4)."""
-    lam, dlam, d2lam = lambda_k(field, k, z)
-    if not _is_defective(dlam, lam):
-        raise ValueError("requires dlambda != 0")
-    return 146.25 * (1.0 + abs(d2lam) ** 2) / min(1.0, abs(dlam) ** 4)
+    if dlam != 0:
+        env = DecayEnvelope(_defect_two_constant(abs(dlam) ** 2, abs(d2lam) ** 2), lam.real, 3)
+    elif d2lam != 0:
+        env = DecayEnvelope(defect_one_constant(1.0, abs(d2lam) ** 2), lam.real, 2)
+    else:
+        env = DecayEnvelope(1.0, lam.real, 1)
+    return env.scaled(k * k)
 
 
 def fourier_coefficients(samples, K: int) -> np.ndarray:
@@ -333,7 +253,7 @@ def assembled_constants(field: CoefficientField, order: int) -> dict:
     """Uniform mode constant and k-folding factor for the global bound."""
     if order == 1:
         sup_dlam_sq = field.sup_da**2 + field.sup_db**2
-        mode_const = 12.0 * max(2.0, 1.0 + sup_dlam_sq)
+        mode_const = defect_one_constant(1.0, sup_dlam_sq)
         fold = sup_poly_exp(2, 2.0 * field.b0)
         return {
             "mode_const": mode_const,
@@ -343,8 +263,8 @@ def assembled_constants(field: CoefficientField, order: int) -> dict:
         }
     s1_sq = field.sup_da**2 + field.sup_db**2
     s2_sq = field.sup_d2a**2 + field.sup_d2b**2
-    case2 = 12.0 * max(2.0, 1.0 + s2_sq)
-    case3 = 1.0 + (12.0 + 585.0 * (1.0 + s2_sq)) * max(1.0, s1_sq) ** 2
+    case2 = defect_one_constant(1.0, s2_sq)
+    case3 = _defect_two_constant(s1_sq, s2_sq)
     mode_const = max(1.0, _KAPPA_12 * case2, case3)
     fold = sup_poly_exp(4, 2.0 * field.b0)
     return {

@@ -19,13 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .jordan import structure_from_chains
-from .linalg import expm_apply
-from .lyapunov import (
-    DecayEnvelope,
-    build_form,
-    decay_constant,
-    tilde_constant,
-)
+from .linalg import expm_apply, hermitian_extremes
+from .lyapunov import DecayEnvelope, build_form, decay_constant, defect_one_constant
 from .oracle import _check_field_bounds, sweep
 
 __all__ = [
@@ -115,22 +110,16 @@ def fp_mode_system(field: DriftField, k: int, z: float) -> np.ndarray:
     )
 
 
-_DEFECT_TOL = 1e-14
-
-
 def fp_envelope_k12(field: DriftField, k: int, z: float) -> DecayEnvelope:
-    """12 max{2, 1 + alpha^2} (1 + k^2 a^2 t^2) e^{-2 k a t}, exact when alpha = 0."""
+    """12 max{2, 1 + alpha^2} (1 + k^2 a^2 t^2) e^{-2 k a t} wherever alpha != 0
+    (weights (1, alpha^2) give P(0) = I); the exact exponential where alpha == 0."""
     if k not in (1, 2):
         raise ValueError("only the gap pair modes k = 1, 2")
     a = field.a(z)
     al = field.alpha(z)
-    if abs(al) <= _DEFECT_TOL:
+    if al == 0:
         return DecayEnvelope(1.0, 1.0, 1).scaled(k * a)
-    v0 = np.array([1.0, 0.0], dtype=complex)
-    v1 = np.array([0.0, 1.0 / al], dtype=complex)
-    st = structure_from_chains([(1.0, [v0, v1])])
-    form = build_form(st, block_weights={0: np.array([1.0, al * al])})
-    return decay_constant(st, form).scaled(k * a)
+    return DecayEnvelope(defect_one_constant(1.0, al * al), 1.0, 2).scaled(k * a)
 
 
 def fp_tilde_p3(alpha: float) -> np.ndarray:
@@ -151,29 +140,19 @@ def fp_envelope_k3(field: DriftField, z: float) -> DecayEnvelope:
     """Bound C3(z) e^{-2 a t} for the k = 3 triple; no algebraic factor.
 
     The defective eigenvalue sits off the gap mu = 1/3 (in the k a-rescaled
-    time), so treating its block with the time-dependent construction and
-    weights (alpha^-2, 1) yields a constant bounded in the non-defective
-    limit alpha -> 0.
+    time), so the time-dependent construction on its block with weights
+    (alpha^-2, 1) yields, wherever alpha != 0, C3 = 12 kappa max{2, 1 + alpha^2}
+    with kappa the condition number of P(0) = :func:`fp_tilde_p3`; its
+    algebraic factor is absorbed by the gap surplus 2/3.  The constant stays
+    bounded as alpha -> 0; at alpha == 0 the triple is diagonal and C3 = 1.
     """
     a = field.a(z)
     al = field.alpha(z)
-    if abs(al) <= _DEFECT_TOL:
+    if al == 0:
         return DecayEnvelope(1.0, 1.0 / 3.0, 1).scaled(3.0 * a)
-    blocks = [
-        (1.0 / 3.0, [np.array([1.0, 0.0, 0.0], dtype=complex)]),
-        (
-            1.0,
-            [
-                np.array([0.0, al, 0.0], dtype=complex),
-                np.array([np.sqrt(1.5) * al, 0.0, 1.0], dtype=complex),
-            ],
-        ),
-    ]
-    st = structure_from_chains(blocks)
-    form = build_form(
-        st, block_weights={1: np.array([al ** (-2.0), 1.0])}, tilde_blocks=(1,)
-    )
-    return tilde_constant(st, form).scaled(3.0 * a)
+    ext = hermitian_extremes(fp_tilde_p3(al))
+    c = defect_one_constant(ext.lambda_max / ext.lambda_min, al * al)
+    return DecayEnvelope(c, 1.0 / 3.0, 1).scaled(3.0 * a)
 
 
 def _p_tilde_k4(alpha: float) -> np.ndarray:
@@ -233,7 +212,7 @@ def kuniform_constant(field: DriftField) -> dict:
     """Global constant of the sensitivity bound,
     2 max{1, a0^2} [12 max{2, 1+r^2} (7 + 21/4 r^4) + 2 (1 + r^4)], r = sup|a'|/a0."""
     r = field.sup_da / field.a0
-    c12 = 12.0 * max(2.0, 1.0 + r * r)
+    c12 = defect_one_constant(1.0, r * r)
     c3 = (6.0 + 5.25 * r**4) * c12
     c4 = 2.0 * (1.0 + r**4)
     total = 2.0 * max(1.0, field.a0**2) * (c12 + c3 + c4)

@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .jordan import structure_from_chains
 from .linalg import expm_apply, hermitian_extremes
-from .lyapunov import DecayEnvelope, build_form, decay_constant
+from .lyapunov import DecayEnvelope, defect_one_constant
 from .oracle import _check_field_bounds, sweep
 
 #: factor that pads the 2I limit covering the modes past k_max
@@ -179,12 +178,6 @@ def gt_case1_p_from_params(sigma, k: int) -> np.ndarray:
     return _dyad_sum([(_v0(lam, k), _v2(lam, k)) for lam in (lm, lp)])
 
 
-def _defective_constant(lam_min: float, lam_max: float, sz: float) -> float:
-    """12 kappa(P(0)) max(2, 1 + sigma_z^2/4): the M = 2 constant of the
-    defective branch, whose weights are 1 and sigma_z^2/4."""
-    return 12.0 * (lam_max / lam_min) * max(2.0, 1.0 + sz**2 / 4.0)
-
-
 def _box_range(tail, stacks) -> tuple[float, float]:
     """Smallest and largest of ``tail`` and the eigenvalues of Hermitian stacks, one eigvalsh each."""
     lo, hi = zip(tail, *((w[..., 0].min(), w[..., -1].max()) for w in map(np.linalg.eigvalsh, stacks)))
@@ -214,9 +207,9 @@ def gt_uniform_constant(
     tail = (2.0 / _TAIL_MARGIN, 2.0 * _TAIL_MARGIN)
     lam_min_def, lam_max_def = _box_range(tail, (gt_p_from_params(sigmas[:, None], dsigmas, k) for k in ks))
     lam_min_c1, lam_max_c1 = _box_range(tail, (gt_case1_p_from_params(sigmas, k) for k in ks))
-    c_def = _defective_constant(lam_min_def, lam_max_def, field.L)
+    c_def = defect_one_constant(lam_max_def / lam_min_def, field.L**2 / 4.0)
     c_nondef = lam_max_c1 / lam_min_c1
-    c_zero = 12.0 * max(2.0, 1.0 + field.L**2)
+    c_zero = defect_one_constant(1.0, field.L**2)
     return {
         "k_max": k_max,
         "tail_margin": _TAIL_MARGIN,
@@ -233,22 +226,21 @@ def gt_mode_envelope(field: RelaxationField, k: int, z: float) -> DecayEnvelope:
     """Per-mode bound at one parameter value.
 
     k = 0: C0 (1 + t^2) e^{-2 sigma t} on the decaying two-dimensional
-    subblock of entries 1 and 3 (the masses 0 and 2 are conserved).  k != 0 defective:
-    C_k (1 + t^2) e^{-sigma t} with C_k = 12 kappa(P(0)) max(2, 1 + sigma_z^2/4),
-    P(0) from :func:`gt_p_from_params`; non-defective: 2 C_k e^{-sigma t}.
+    subblock of entries 1 and 3 (the masses 0 and 2 are conserved).  k != 0 with
+    sigma_z != 0 (defective): C_k (1 + t^2) e^{-sigma t} with
+    C_k = 12 kappa(P(0)) max(2, 1 + sigma_z^2/4), P(0) from :func:`gt_p_from_params`;
+    sigma_z == 0: 2 kappa(P(0)) e^{-sigma t}, P(0) from :func:`gt_case1_p_from_params`.
     """
     s, sz = field.sigma(z), field.dsigma(z)
     if k == 0:
-        c0 = 12.0 * max(2.0, 1.0 + sz * sz)
-        return DecayEnvelope(c0, s, 2)
-    if sz != 0.0:
-        # P(0) stays continuous as sigma_z -> 0; the chains scale with
-        # 2/sigma_z, and their weight sigma_z^2/4 underflows before sigma_z
-        ext = hermitian_extremes(gt_p_from_params(s, sz, k))
-        return DecayEnvelope(_defective_constant(ext.lambda_min, ext.lambda_max, sz), s / 2.0, 2)
-    st = structure_from_chains(gt_chains(field, k, z))
-    base = decay_constant(st, build_form(st))
-    return DecayEnvelope(2.0 * base.C_const, base.mu, 1)
+        return DecayEnvelope(defect_one_constant(1.0, sz * sz), s, 2)
+    if sz == 0.0:
+        ext = hermitian_extremes(gt_case1_p_from_params(s, k))
+        return DecayEnvelope(2.0 * (ext.lambda_max / ext.lambda_min), s / 2.0, 1)
+    # P(0) stays continuous as sigma_z -> 0; the chains scale with
+    # 2/sigma_z, and their weight sigma_z^2/4 underflows before sigma_z
+    ext = hermitian_extremes(gt_p_from_params(s, sz, k))
+    return DecayEnvelope(defect_one_constant(ext.lambda_max / ext.lambda_min, sz**2 / 4.0), s / 2.0, 2)
 
 
 def gt_state_from_functions(f_plus, f_minus, g_plus, g_minus, K: int) -> np.ndarray:

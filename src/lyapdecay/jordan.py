@@ -288,7 +288,6 @@ def jordan_chains(
     rank decisions.
     """
     m = as_cmatrix(c)
-    d = m.shape[0]
     clusters = cluster_eigenvalues(np.linalg.eigvals(m), cluster_rel_tol)
     radius = cluster_rel_tol * (1.0 + max(abs(lam) for lam, _ in clusters))
     ch = m.conj().T
@@ -296,21 +295,18 @@ def jordan_chains(
     for lam, mult in clusters:
         for chain in _chains_for_cluster(ch, lam, mult, rel_tol, radius):
             blocks.append(JordanBlock(eigenvalue=complex(lam), chain=chain))
-    structure = structure_from_chains(
-        [(b.eigenvalue, b.chain) for b in blocks], dim=d, gap_rel_tol=rel_tol
-    )
-    return structure
+    return structure_from_chains([(b.eigenvalue, b.chain) for b in blocks], gap_rel_tol=rel_tol)
 
 
 def structure_from_chains(
     blocks_data,
-    dim: int | None = None,
     gap_rel_tol: float = DEFAULT_RANK_TOL,
 ) -> JordanStructure:
     """Assemble a structure from explicit (eigenvalue, chain) pairs.
 
     This is the analytic entry point used by the model modules; chains are
-    taken as given (no normalization is imposed).  Gap membership uses the
+    taken as given (no normalization is imposed), and their width is the
+    dimension, which the chain lengths must sum to.  Gap membership uses the
     tolerance ``gap_rel_tol * (1 + |mu|)``.
     """
     blocks = tuple(
@@ -319,7 +315,7 @@ def structure_from_chains(
     )
     if not blocks:
         raise ValueError("at least one block is required")
-    d = dim if dim is not None else blocks[0].chain.shape[1]
+    d = blocks[0].chain.shape[1]
     total = sum(b.length for b in blocks)
     if total != d:
         raise ValueError(f"chain lengths sum to {total}, expected dimension {d}")

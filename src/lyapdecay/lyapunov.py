@@ -46,6 +46,7 @@ __all__ = [
     "c_m_constant",
     "case2_weights",
     "decay_constant",
+    "defect_one_constant",
     "improved_defect1_envelope",
     "lower_bound_lemma_gap",
     "p_induced_norm",
@@ -317,6 +318,13 @@ def decay_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvel
     )
     c = 2.0 * ext.lambda_max / ext.lambda_min * c_m_constant(m_def) * factor
     return DecayEnvelope(c, structure.mu, m_def)
+
+
+def defect_one_constant(kappa: float, w_sq: float) -> float:
+    """12 kappa max{2, 1 + w_sq}: :func:`decay_constant` of one defect-one gap
+    block with weights (1, w_sq) and cond(P(0)) = kappa, finite where w_sq
+    underflows to 0."""
+    return 12.0 * kappa * max(2.0, 1.0 + w_sq)
 
 
 def _p0_extremes(form: LyapunovForm):

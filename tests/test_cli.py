@@ -139,6 +139,20 @@ def test_verify_rejects_partial_override(matrix_file, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--c-const", "-1"), ("--c-const", "0"), ("--c-const", "nan"), ("--c-const", "inf"),
+     ("--mu", "inf"), ("--mu", "nan"), ("--m", "0"), ("--m", "-3")],
+)
+def test_verify_rejects_invalid_envelope_override(matrix_file, tmp_path, capsys, flag, value):
+    envelope = {"--c-const": "24", "--mu": "1.0", "--m": "2", flag: value}
+    out = tmp_path / "v.csv"
+    argv = ["verify", "--matrix", matrix_file(defect1_matrix(1.0)), "--out", str(out)]
+    rc = main(argv + [arg for item in envelope.items() for arg in item])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+
+
 def test_family_subcommand(tmp_path):
     out = tmp_path / "f.csv"
     rc = main(

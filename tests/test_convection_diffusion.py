@@ -6,8 +6,16 @@ import pytest
 from lyapdecay import convection_diffusion as cd
 from lyapdecay import fokker_planck as fp
 from lyapdecay import goldstein_taylor as gt
+from lyapdecay.jordan import JordanBlock, structure_from_chains
 from lyapdecay.linalg import expm, spectral_norm
-from lyapdecay.lyapunov import lower_bound_lemma_gap, p_norm_sq, sup_poly_exp
+from lyapdecay.lyapunov import (
+    build_form,
+    decay_constant,
+    lower_bound_lemma_gap,
+    p_norm_sq,
+    sup_poly_exp,
+    w_vector,
+)
 from lyapdecay.oracle import _check_field_bounds, check_dominance, duhamel_solve, nilpotent2_propagator_sq
 
 
@@ -102,6 +110,69 @@ def test_first_order_envelope_dominance_random(field):
         assert rep.dominated
 
 
+def _linear_convection(slope):
+    # a = slope z, b = 2: dlambda = i slope / k at every z
+    return cd.CoefficientField(
+        a=lambda z: slope * z, b=lambda z: 2.0, da=lambda z: slope, db=lambda z: 0.0,
+        b0=2.0, sup_da=slope, sup_db=0.0,
+    )
+
+
+def test_first_order_envelope_dominates_below_any_cut():
+    # |dlambda| = 1e-11 sat below the old relative cut 1e-10 (1 + |lambda|),
+    # whose C = 1, M = 1 envelope the propagator beat by log 102 at t = 1e12
+    f = _linear_convection(1e-11)
+    envm = cd.first_order_envelope(f, 1, 0.5)
+    assert (envm.C_const, envm.M) == (24.0, 2)
+    rep = check_dominance(cd.first_order_system(f, 1, 0.5), envm, np.geomspace(1e-3, 1e12, 200))
+    assert rep.dominated, rep.max_log_ratio
+    # |dlambda|^2 underflows to 0, the defect-one branch stays finite
+    tiny = cd.first_order_envelope(_linear_convection(1e-300), 1, 0.5)
+    assert (tiny.C_const, tiny.mu, tiny.M) == (24.0, 2.0, 2)
+    f2 = dataclasses.replace(_linear_convection(1e-300), d2a=lambda z: 0.0, d2b=lambda z: 0.0)
+    assert cd.second_order_envelope(f2, 1, 0.5).M == 3
+    f2 = dataclasses.replace(_linear_convection(0.0), d2a=lambda z: 1e-300, d2b=lambda z: 0.0)
+    tiny2 = cd.second_order_envelope(f2, 1, 0.5)
+    assert (tiny2.C_const, tiny2.M) == (24.0, 2)
+
+
+def _chain_route_envelope(field, k, z, order):
+    """The per-mode envelope through adjoint chains with links of size 1/dlambda
+    and the adapted-form machinery; None where that route had no chain."""
+    lam, dlam, d2lam = cd.lambda_k(field, k, z)
+    if order == 1 and dlam != 0:
+        blocks, w_sq = [(lam, [[1.0, 0.0], [0.0, 1.0 / np.conj(dlam)]])], abs(dlam) ** 2
+    elif order == 2 and dlam == 0 and d2lam != 0:
+        chain = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0 / np.conj(d2lam)]]
+        blocks, w_sq = [(lam, chain), (lam, [[0.0, 1.0, 0.0]])], abs(d2lam) ** 2
+    else:
+        return None
+    st = structure_from_chains(blocks)
+    return decay_constant(st, build_form(st, block_weights={0: np.array([1.0, w_sq])})).scaled(k * k)
+
+
+@pytest.mark.parametrize("make_field", [cd.tanh_field, cd.trig_field], ids=["builtin:tanh", "builtin:trig"])
+def test_mode_envelopes_match_chain_route_on_default_grid(make_field):
+    from lyapdecay.cli import _OPTIONS, _parse_grid
+
+    field = make_field()
+    K = _OPTIONS["model-cd"]["K"].default
+    routes = 0
+    for z in _parse_grid(_OPTIONS["model-cd"]["z_grid"].default):
+        for k in [k for k in range(-K, K + 1) if k]:
+            for order, envelope in ((1, cd.first_order_envelope), (2, cd.second_order_envelope)):
+                want = _chain_route_envelope(field, k, z, order)
+                if want is None:
+                    continue
+                routes += 1
+                got = envelope(field, k, z)
+                assert (got.M, got.mu, got.a) == (want.M, want.mu, want.a), (order, k, z)
+                assert got.C_const == pytest.approx(want.C_const, rel=1e-14, abs=0.0), (order, k, z)
+    # one chain per (mode, z): at trig's z = 0, dlambda = 0 and the second
+    # order takes the defect-one chain in place of the first order's
+    assert routes == 13 * 2 * K
+
+
 def test_second_order_rank_classification(field2):
     lam0, dlam0, d2lam0 = cd.lambda_k(field2, 1, 0.0)
     assert abs(dlam0) < 1e-12 and abs(d2lam0) > 0.5
@@ -169,10 +240,71 @@ def test_second_order_collapse_constant_stays_bounded(field2):
         assert envm.C_const <= cap
 
 
+# ------------------------------------------- defect-two lemma instances
+# The lemma behind the defect-two constant, written out for a mode with
+# dlambda != 0.  The chain links carry 1/dlambda^3, so a relative cut keeps
+# them finite.
+
+
+def _defective_lambdas(field, k, z):
+    lam, dlam, d2lam = cd.lambda_k(field, k, z)
+    if abs(dlam) <= 1e-10 * (1.0 + abs(lam)):
+        raise ValueError("requires dlambda != 0")
+    return lam, dlam, d2lam
+
+
+def _second_order_block(lam, dlam, d2lam):
+    """Adjoint chain of the 3x3 mode matrix in the fully defective case."""
+    dl = np.conj(dlam)
+    d2l = np.conj(d2lam)
+    v0 = np.array([1, 0, 0], dtype=complex)
+    v1 = np.array([0, 1.0 / dl, 0], dtype=complex)
+    v2 = np.array([0, -d2l / (2.0 * dl**3), 1.0 / (2.0 * dl**2)], dtype=complex)
+    return JordanBlock(eigenvalue=lam, chain=np.array([v0, v1, v2]))
+
+
+def tilde_w3_vector(field, k, z, t):
+    """Replacement top vector w~3(t) = w3(t) + (d2lam~ / 2 dlam~^2) w2(t).
+
+    Time is the rescaled mode time (pair with solutions at k^2 t).  At t = 0
+    the vector is (0, 0, 1/(2 dlam~^2)), which removes the third chain
+    vector's dlam^-3 blow-up from the quadratic form.
+    """
+    lam, dlam, d2lam = _defective_lambdas(field, k, z)
+    block = _second_order_block(lam, dlam, d2lam)
+    coef = np.conj(d2lam) / (2.0 * np.conj(dlam) ** 2)
+    return w_vector(block, 3, t) + coef * w_vector(block, 2, t)
+
+
+def second_order_tilde_p(field, k, z, t):
+    """P~_k(z, t) = P^1(t) + |dlam|^2 P^2(t) + 4 |dlam|^4 w~3(t) (x) w~3(t).
+
+    Equals the identity at t = 0.  Time is the rescaled mode time.
+    """
+    lam, dlam, d2lam = _defective_lambdas(field, k, z)
+    block = _second_order_block(lam, dlam, d2lam)
+    w1 = w_vector(block, 1, t)
+    w2 = w_vector(block, 2, t)
+    w3t = tilde_w3_vector(field, k, z, t)
+    p = (
+        np.outer(w1, w1.conj())
+        + abs(dlam) ** 2 * np.outer(w2, w2.conj())
+        + 4.0 * abs(dlam) ** 4 * np.outer(w3t, w3t.conj())
+    )
+    return 0.5 * (p + p.conj().T)
+
+
+def lemma_tilde_p3_coefficient(field, k, z):
+    """Coefficient 146.25 (1+|d2lam|^2)/min{1, |dlam|^4} of the w~3 semi-norm
+    bound with algebraic factor (1 + k^8 t^4)."""
+    _, dlam, d2lam = _defective_lambdas(field, k, z)
+    return 146.25 * (1.0 + abs(d2lam) ** 2) / min(1.0, abs(dlam) ** 4)
+
+
 def test_tilde_w3_vector_at_zero(field2):
     k, z = 2, 0.7
     lam, dlam, d2lam = cd.lambda_k(field2, k, z)
-    w3 = cd.tilde_w3_vector(field2, k, z, 0.0)
+    w3 = tilde_w3_vector(field2, k, z, 0.0)
     np.testing.assert_allclose(w3[:2], 0.0, atol=1e-14)
     assert w3[2] == pytest.approx(1.0 / (2.0 * np.conj(dlam) ** 2), rel=1e-12)
 
@@ -183,10 +315,10 @@ def test_tilde_p_decay_identity(field2):
     lam, _, _ = cd.lambda_k(field2, k, z)
     rng = np.random.default_rng(1)
     y0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-    ref = p_norm_sq(y0, cd.second_order_tilde_p(field2, k, z, 0.0))
+    ref = p_norm_sq(y0, second_order_tilde_p(field2, k, z, 0.0))
     for t in (0.2, 0.7, 1.5):
         yt = expm(-m, t) @ y0
-        val = p_norm_sq(yt, cd.second_order_tilde_p(field2, k, z, k * k * t))
+        val = p_norm_sq(yt, second_order_tilde_p(field2, k, z, k * k * t))
         assert val == pytest.approx(np.exp(-2 * k * k * lam.real * t) * ref, rel=1e-9)
 
 
@@ -199,7 +331,7 @@ def test_tilde_lemma_instantiation_slack(field2):
         [
             [1, 0, 0],
             [0, 1.0 / np.conj(dlam), 0],
-            list(cd.tilde_w3_vector(field2, k, z, 0.0)),
+            list(tilde_w3_vector(field2, k, z, 0.0)),
         ],
         dtype=complex,
     )
@@ -214,7 +346,7 @@ def test_tilde_lemma_instantiation_slack(field2):
                 xis = [[0.0, coef.real, 0.5], [0.0, 1.0], [1.0]]
                 slack = lower_bound_lemma_gap(block_chain, xis, theta, t, x)
                 assert slack >= -1e-10
-            w3t = cd.tilde_w3_vector(field2, k, z, t)
+            w3t = tilde_w3_vector(field2, k, z, t)
             np.testing.assert_allclose(
                 w3t,
                 (0.5 * t * t + coef * t) * block_chain[0]
@@ -232,8 +364,8 @@ def test_tilde_p3_seminorm_bound(field2):
         for z in (0.4, 1.1):
             m = cd.second_order_system(field2, k, z)
             lam, _, _ = cd.lambda_k(field2, k, z)
-            coeff = cd.lemma_tilde_p3_coefficient(field2, k, z)
-            w30 = cd.tilde_w3_vector(field2, k, z, 0.0)
+            coeff = lemma_tilde_p3_coefficient(field2, k, z)
+            w30 = tilde_w3_vector(field2, k, z, 0.0)
             for _ in range(5):
                 y0 = rng.normal(size=3) + 1j * rng.normal(size=3)
                 for t in (0.0, 0.5, 2.0, 5.0):

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lyapdecay import fokker_planck as fp
+from lyapdecay.jordan import structure_from_chains
 from lyapdecay.linalg import expm, hermitian_extremes
-from lyapdecay.oracle import check_dominance, duhamel_solve
+from lyapdecay.lyapunov import build_form, decay_constant, tilde_constant
+from lyapdecay.oracle import check_dominance, duhamel_solve, nilpotent2_propagator_sq
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,46 @@ def test_envelope_k12_dominance(field):
             assert check_dominance(m, envm, np.linspace(0, 20, 50)).dominated
 
 
+def test_envelope_k12_dominates_below_any_cut():
+    # alpha = 1e-15 sat below the old cut 1e-14, whose C = 1, M = 1 envelope
+    # the propagator beat by log 0.96 and 2.39 at alpha a t = 1 and 3.  There
+    # t ~ 1e15, where the oracle resolves logs of ~2e15 only to ~0.4, so the
+    # reference is the closed form with the common e^{-2 k a t} taken out
+    for al in (1e-15, 1e-300):
+        f = fp.drift_field(lambda z: 1.0, lambda z, al=al: al, 1.0, al)
+        for k in (1, 2):
+            envm = fp.fp_envelope_k12(f, k, 0.0)
+            assert (envm.C_const, envm.mu, envm.M) == (24.0, float(k), 2)
+            algebraic = dataclasses.replace(envm, mu=0.0)
+            for s in (1.0, 3.0):
+                t = s / al
+                want = np.log(nilpotent2_propagator_sq(0.0, k * al, t))
+                assert algebraic.log_bound(t) > want, (al, k, s)
+
+
+def _k3_chain_route(al):
+    """The k = 3 envelope through the tilde-treated chain with weights (alpha^-2, 1)."""
+    st = structure_from_chains(
+        [(1.0 / 3.0, [[1.0, 0.0, 0.0]]), (1.0, [[0.0, al, 0.0], [np.sqrt(1.5) * al, 0.0, 1.0]])]
+    )
+    return tilde_constant(st, build_form(st, block_weights={1: np.array([al ** (-2.0), 1.0])}, tilde_blocks=(1,)))
+
+
+def test_envelopes_match_chain_route_on_default_grid(field):
+    from lyapdecay.cli import _OPTIONS, _parse_grid
+
+    for z in _parse_grid(_OPTIONS["model-fp"]["z_grid"].default):
+        a, al = field.a(z), field.alpha(z)
+        assert al != 0.0  # at z = pi/2 and 3 pi/2, alpha is rounding noise of ~1e-17
+        st = structure_from_chains([(1.0, [[1.0, 0.0], [0.0, 1.0 / al]])])
+        pair = decay_constant(st, build_form(st, block_weights={0: np.array([1.0, al * al])}))
+        routes = [(fp.fp_envelope_k12(field, k, z), pair.scaled(k * a)) for k in (1, 2)]
+        routes.append((fp.fp_envelope_k3(field, z), _k3_chain_route(al).scaled(3.0 * a)))
+        for got, want in routes:
+            assert (got.M, got.mu, got.a) == (want.M, want.mu, want.a), z
+            assert got.C_const == pytest.approx(want.C_const, rel=1e-14, abs=0.0), z
+
+
 def test_tilde_p3_display_matrix():
     np.testing.assert_allclose(
         fp.fp_tilde_p3(1.0).real,
@@ -147,11 +191,12 @@ def test_tilde_p3_eigenvalue_ratio_bound():
 def test_envelope_k3_constant_formula(field):
     for z in (0.4, 2.0):
         envm = fp.fp_envelope_k3(field, z)
-        al = field.alpha(z)
-        ext = hermitian_extremes(fp.fp_tilde_p3(al))
-        want = ext.lambda_max / ext.lambda_min * 12.0 * max(2.0, 1.0 + al * al)
-        assert envm.C_const == pytest.approx(want, rel=1e-10)
-        assert envm.M == 1  # no algebraic factor
+        want = _k3_chain_route(field.alpha(z))
+        assert envm.C_const == pytest.approx(want.C_const, rel=1e-14)
+        assert envm.M == want.M == 1  # no algebraic factor
+    # alpha^-2 overflows, the closed form stays finite
+    tiny = fp.fp_envelope_k3(fp.drift_field(lambda z: 1.0, lambda z: 1e-300, 1.0, 1e-300), 0.0)
+    assert (tiny.C_const, tiny.mu, tiny.M) == (24.0, 1.0, 1)
 
 
 def test_envelope_k3_uniform_cap_value():

@@ -212,6 +212,22 @@ def test_mode_envelope_matches_chain_route_on_default_grid(field):
             assert got.C_const == pytest.approx(want.C_const, rel=1e-14, abs=0.0), (k, z)
 
 
+def test_nondefective_mode_envelope_matches_chain_route():
+    # sigma_z == 0: four eigenvector chains with unit weights, C = 2 kappa(P(0))
+    from lyapdecay.lyapunov import decay_constant
+
+    for s in (0.5, 1.0, 1.5):
+        flat = gt.RelaxationField(lambda z, s=s: s, lambda z: 0.0, s, s, 0.0)
+        for k in (1, -2, 5):
+            st = structure_from_chains(gt.gt_chains(flat, k, 0.0))
+            want = decay_constant(st, build_form(st))
+            got = gt.gt_mode_envelope(flat, k, 0.0)
+            assert (got.M, got.mu) == (1, want.mu) == (1, s / 2.0), (s, k)
+            assert got.C_const == pytest.approx(2.0 * want.C_const, rel=1e-14, abs=0.0), (s, k)
+            rep = check_dominance(gt.gt_mode_matrix(flat, k, 0.0), got, np.linspace(0, 30, 60))
+            assert rep.dominated, (s, k)
+
+
 def test_zero_mode_envelope_dominance_on_decaying_block(field):
     for z in (-1.5, 0.6):
         envm = gt.gt_mode_envelope(field, 0, z)

@@ -99,7 +99,7 @@ def test_verify_chain_exact_and_perturbed():
     noisy = [
         (b.eigenvalue, b.chain + 1e-3 * np.ones_like(b.chain)) for b in st.blocks
     ]
-    st_noisy = structure_from_chains(noisy, dim=st.dim)
+    st_noisy = structure_from_chains(noisy)
     assert verify_chain(c, st_noisy) >= 1e-4
 
 
@@ -169,7 +169,7 @@ def test_inconsistent_clusters_raise():
 
 def test_structure_from_chains_validates_dimension():
     with pytest.raises(ValueError):
-        structure_from_chains([(1.0, [np.array([1.0, 0.0])])], dim=2)
+        structure_from_chains([(1.0, [np.array([1.0, 0.0])])])
 
 
 def test_structure_serialization_round_trip():

@@ -14,6 +14,7 @@ from lyapdecay.lyapunov import (
     c_m_constant,
     case2_weights,
     decay_constant,
+    defect_one_constant,
     improved_defect1_envelope,
     lower_bound_lemma_gap,
     p_induced_norm,
@@ -156,7 +157,7 @@ def test_decay_constant_defect1_family(eps):
     st = jordan_chains(defect1_matrix(eps))
     form = build_form(st, block_weights={0: np.array([1.0, eps * eps])})
     env = decay_constant(st, form)
-    assert env.C_const == 12.0 * max(2.0, 1.0 + eps * eps)
+    assert env.C_const == 12.0 * max(2.0, 1.0 + eps * eps) == defect_one_constant(1.0, eps * eps)
     assert env.M == 2 and env.mu == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,6 +1,8 @@
 """Every per-mode envelope constant is covered by the global mode constant
 of its branch, on the grids the ``model-*`` commands use by default."""
 
+import pytest
+
 from lyapdecay import convection_diffusion as cd
 from lyapdecay import fokker_planck as fp
 from lyapdecay import goldstein_taylor as gt
@@ -18,9 +20,10 @@ def _covered(c_mode, c_global):
     return c_mode <= c_global * (1.0 + REL_TOL)
 
 
-def test_convection_diffusion_mode_constants():
+@pytest.mark.parametrize("make_field", [cd.tanh_field, cd.trig_field], ids=["builtin:tanh", "builtin:trig"])
+def test_convection_diffusion_mode_constants(make_field):
     zg, K = _defaults("model-cd")
-    field = cd.tanh_field()
+    field = make_field()
     for order, envelope in ((1, cd.first_order_envelope), (2, cd.second_order_envelope)):
         mode_const = cd.assembled_constants(field, order)["mode_const"]
         worst = max(
