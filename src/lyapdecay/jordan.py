@@ -306,8 +306,8 @@ def structure_from_chains(
 
     This is the analytic entry point used by the model modules; chains are
     taken as given (no normalization is imposed), and their width is the
-    dimension, which the chain lengths must sum to.  Gap membership uses the
-    tolerance ``gap_rel_tol * (1 + |mu|)``.
+    dimension: every chain must have it, and the chain lengths must sum to
+    it.  Gap membership uses the tolerance ``gap_rel_tol * (1 + |mu|)``.
     """
     blocks = tuple(
         JordanBlock(eigenvalue=complex(lam), chain=np.atleast_2d(np.asarray(chain, dtype=complex)))
@@ -316,6 +316,9 @@ def structure_from_chains(
     if not blocks:
         raise ValueError("at least one block is required")
     d = blocks[0].chain.shape[1]
+    for n, b in enumerate(blocks):
+        if b.chain.shape[1] != d:
+            raise ValueError(f"block {n} has chains of width {b.chain.shape[1]}, expected dimension {d}")
     total = sum(b.length for b in blocks)
     if total != d:
         raise ValueError(f"chain lengths sum to {total}, expected dimension {d}")

@@ -5,11 +5,11 @@ package are tiny (d <= 8 in the models), so the implementations favour
 accuracy and determinism over speed: a faster path must give the same bits.
 The matrix exponential is hand-rolled scaling-and-squaring with a truncated
 Taylor series because it serves as the verification oracle for every decay
-envelope in the package.  It commutes with complex conjugation, so
+envelope in the package; equal scaled matrices of a stack share one Taylor
+sum and one squaring ladder.  It commutes with complex conjugation, so
 :func:`expm_apply` computes one propagator per pair of conjugate matrices
-(the Fourier modes k and -k of a model with real coefficients) and
-conjugates it for the second.  Eigenvalue and singular value work is
-delegated to LAPACK through numpy.
+(the Fourier modes k and -k of a real model) and conjugates it for the
+second.  Eigenvalue and singular value work goes to LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ __all__ = [
     "eigenvalues",
     "HermitianSpectrum",
     "load_matrix_json",
-    "matrix_to_json",
 ]
 
 # Taylor truncation threshold: with ||A|| <= _EXPM_THETA the series below
 # reaches relative error ~1e-16, well inside the 1e-12 contract.
 _EXPM_THETA = 0.5
 _EXPM_TERMS = 24
-#: propagators per stacked expm call in expm_apply: bounds the propagators held at once
+#: propagators per stacked expm call in expm_apply, in whole modes (at least
+#: one): bounds the propagators held at once
 _APPLY_CHUNK = 256
 
 
@@ -72,7 +72,9 @@ def expm(a, t=1.0) -> np.ndarray:
     or an array broadcast over its leading axes; one matrix and one time take
     the stack path as a stack of one.  Every matrix of a stack takes its own
     1-norm and squaring count, so the result equals a loop of one-matrix
-    calls bit for bit.
+    calls bit for bit: matrices whose scaled matrices ``A t / 2^s`` have the
+    same bytes (-0 and +0 differ) share one Taylor sum and one squaring
+    ladder, and each takes the ladder's value at its own count.
 
     ``expm(a.conj(), t)`` equals ``expm(a, t).conj()`` in value: conjugation
     negates imaginary parts, which changes no modulus and, rounding being
@@ -90,20 +92,27 @@ def expm(a, t=1.0) -> np.ndarray:
     squarings = np.ceil(np.log2(np.maximum(norm, _EXPM_THETA) / _EXPM_THETA)).astype(int)
     if squarings.size == 0:
         return at
-    least, most = int(squarings.min()), int(squarings.max())
+    sq = squarings.ravel()
     x = at / np.ldexp(1.0, squarings)[..., None, None]
+    # the distinct scaled matrices, each matrix's among them, and their largest counts
+    rows = x.reshape(sq.size, -1).view(np.dtype((np.void, 16 * d * d))).ravel()
+    leaders, group = np.unique(rows, return_inverse=True)
+    x = leaders.view(complex).reshape(-1, d, d)
+    most = np.zeros(leaders.size, dtype=int)
+    np.maximum.at(most, group, sq)
     result = term = np.eye(d, dtype=complex)
     for k in range(1, _EXPM_TERMS + 1):
         term = term @ x / k
         result = result + term
-    for _ in range(least):
-        result = result @ result
-    for level in range(least, most):
-        # the matrices of the stack that need more squarings
-        idx = np.nonzero(squarings > level)
+    # each matrix takes its distinct matrix's ladder at its own count
+    out = result[group]
+    for level in range(1, int(most.max()) + 1):
+        idx = np.nonzero(most >= level)
         part = result[idx]
         result[idx] = part @ part
-    return result
+        here = np.nonzero(sq == level)
+        out[here] = result[group[here]]
+    return out.reshape(at.shape)
 
 
 def _conjugate_pairs(a) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +148,9 @@ def expm_apply(a, v, t) -> np.ndarray:
     propagator ``P = expm(a[i], t[j])`` serves both: ``P`` is applied to
     ``v[i]`` and ``P.conj()`` to the mirror's vector (see
     :func:`_conjugate_pairs`).  The computed propagators go through
-    :func:`expm` in chunks of ``_APPLY_CHUNK``, each chunk applied to its
-    vectors at once, so the propagators are never all held.  Each ``y[i, j]``
+    :func:`expm` in chunks of whole modes: as many as ``_APPLY_CHUNK``
+    propagators hold, or one mode with more times.  So the times of a mode
+    share one call, and the propagators are never all held.  Each ``y[i, j]``
     equals ``expm(a[i], t[j]) @ v[i]`` bit for bit, except that a real or
     imaginary part that is exactly zero could take the other sign: a
     conjugated propagator differs from the mirror's own in signs of zero at
@@ -152,8 +162,9 @@ def expm_apply(a, v, t) -> np.ndarray:
     nt = t.size
     first, mirror = _conjugate_pairs(a)
     out = np.empty((a.shape[0], nt, a.shape[-1]), dtype=complex)
-    for lo in range(0, first.size * nt, _APPLY_CHUNK):
-        s, j = np.divmod(np.arange(lo, min(lo + _APPLY_CHUNK, first.size * nt)), nt)
+    step = nt * max(1, _APPLY_CHUNK // nt) if nt else 1  # whole modes
+    for lo in range(0, first.size * nt, step):
+        s, j = np.divmod(np.arange(lo, min(lo + step, first.size * nt)), nt)
         i, m = first[s], mirror[s]
         p = expm(a[i], t[j])
         out[i, j] = (p @ v[i][..., None])[..., 0]
@@ -221,11 +232,3 @@ def load_matrix_json(obj) -> np.ndarray:
         raise ValueError(f"expected {d * d} entries for dim {d}, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries])
     return as_cmatrix(flat.reshape(d, d))
-
-
-def matrix_to_json(a) -> dict:
-    m = as_cmatrix(a)
-    return {
-        "dim": m.shape[0],
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lyapdecay.jordan import structure_from_chains
+from lyapdecay.linalg import as_cmatrix
 
 
 def geometry_matrix() -> np.ndarray:
@@ -14,6 +15,15 @@ def geometry_matrix() -> np.ndarray:
 def defect1_matrix(eps: float) -> np.ndarray:
     """Upper-triangular defect-one family: identity plus eps in the corner."""
     return np.array([[1.0, eps], [0.0, 1.0]], dtype=complex)
+
+
+def matrix_to_json(a) -> dict:
+    """The matrix interchange format that ``linalg.load_matrix_json`` reads."""
+    m = as_cmatrix(a)
+    return {
+        "dim": m.shape[0],
+        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
+    }
 
 
 @pytest.fixture

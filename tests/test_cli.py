@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from lyapdecay.cli import build_parser, main
-from lyapdecay.linalg import matrix_to_json
-
-from conftest import defect1_matrix, geometry_matrix
+from conftest import defect1_matrix, geometry_matrix, matrix_to_json
 
 
 @pytest.fixture

@@ -172,6 +172,13 @@ def test_structure_from_chains_validates_dimension():
         structure_from_chains([(1.0, [np.array([1.0, 0.0])])])
 
 
+def test_structure_from_chains_rejects_chains_of_another_width():
+    # the lengths sum to the first chain's width 2, but block 1 lives in C^3
+    blocks = [(1.0, [[1.0, 0.0]]), (2.0, [[0.0, 0.0, 1.0]])]
+    with pytest.raises(ValueError, match="block 1 has chains of width 3, expected dimension 2"):
+        structure_from_chains(blocks)
+
+
 def test_structure_serialization_round_trip():
     st = jordan_chains(geometry_matrix())
     blob = st.to_json()

@@ -6,17 +6,17 @@ import pytest
 import scipy.linalg as sla
 
 from lyapdecay.linalg import (
+    _APPLY_CHUNK,
     HermitianSpectrum,
     eigenvalues,
     expm,
     expm_apply,
     hermitian_extremes,
     load_matrix_json,
-    matrix_to_json,
     spectral_norm,
 )
 
-from conftest import defect1_matrix, geometry_matrix
+from conftest import defect1_matrix, geometry_matrix, matrix_to_json
 
 
 def test_expm_identity_at_zero_time():
@@ -97,6 +97,48 @@ def test_expm_stack_mixes_squaring_counts():
     got = expm(stack, t)
     assert np.array_equal(got, _loop_expm(stack, t))
     assert np.array_equal(got[0], np.eye(2))
+
+
+def _scaled(a, t):
+    """The scaled matrices of expm's rule, as bytes, and their squaring counts."""
+    at = np.asarray(a, dtype=complex) * np.asarray(t, dtype=float)[..., None, None]
+    squarings = np.ceil(np.log2(np.maximum(np.abs(at).sum(axis=-2).max(axis=-1), 0.5) / 0.5)).astype(int)
+    x = at / np.ldexp(1.0, squarings)[..., None, None]
+    return [m.tobytes() for m in x.reshape((-1,) + x.shape[-2:])], squarings.ravel()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_expm_shared_scaled_matrices_keep_their_bits(d):
+    rng = np.random.default_rng(500 + d)
+    a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    # on a grid from 0, the times j and 2j often give the same scaled matrix
+    for n, t_max in ((50, 12.0), (33, 3.0), (200, 50.0)):
+        t = np.linspace(0.0, t_max, n)[:, None]
+        keys, _ = _scaled(a, t)
+        assert len(set(keys)) < len(keys)
+        got = expm(a, t)
+        assert np.array_equal(got.view(np.uint64), _loop_expm(a, t).view(np.uint64)), (n, t_max)
+    # one scaled matrix at squaring counts 0, 1 and 3 (||b||_1 in (1/4, 1/2] by a
+    # power of two, |t| = 1, 2, 8); a twin whose scaled matrices differ from it
+    # only in the sign of a zero (at t < 0, a zero real part with a positive
+    # imaginary part keeps its sign through the complex scaling); and a
+    # neighbour one ulp away
+    b = a[0].copy()
+    b[0, 0] = complex(0.0, abs(b[0, 0]))
+    b = b / np.ldexp(1.0, _scaled(b, 1.0)[1][0])
+    twin = b.copy()
+    twin[0, 0] = complex(-0.0, b[0, 0].imag)
+    ulp = b.copy()
+    ulp[-1, -1] = complex(b[-1, -1].real, np.nextafter(b[-1, -1].imag, np.inf))
+    stack = np.array([b, twin, b, twin, b, b, a[1], ulp])
+    t = np.array([-1.0, -1.0, -2.0, -2.0, -8.0, 4.0, 0.5, -1.0])
+    keys, squarings = _scaled(stack, t)
+    assert list(squarings[:5]) == [0, 0, 1, 1, 3]
+    assert keys[0] == keys[2] == keys[4] != keys[1] == keys[3]
+    assert np.array_equal(np.frombuffer(keys[0]), np.frombuffer(keys[1]))
+    got = expm(stack, t)
+    for i in range(len(t)):
+        assert np.array_equal(got[i].view(np.uint64), expm(stack[i], t[i]).view(np.uint64)), i
 
 
 def test_expm_broadcasts_t_over_leading_axes():
@@ -208,6 +250,22 @@ def test_expm_apply_bitwise_equals_loop(d, expm_matrices):
         want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(len(a))])
         assert got.shape == (len(a), 50, d)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("nt", [300, 37])
+def test_expm_apply_chunks_whole_modes(nt, expm_matrices):
+    # nt = 300: one mode is longer than a chunk; nt = 37 does not divide 256
+    rng = np.random.default_rng(600 + nt)
+    a, computed = _apply_stacks(2)["pairs and an unpaired matrix"]
+    a = np.concatenate([a, rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))])
+    computed += 6
+    v = rng.normal(size=a.shape[:2]) + 1j * rng.normal(size=a.shape[:2])
+    ts = np.linspace(0.0, 9.0, nt)
+    got = expm_apply(a, v, ts)
+    per = max(1, _APPLY_CHUNK // nt)  # whole modes per call
+    assert expm_matrices == [nt * min(per, computed - lo) for lo in range(0, computed, per)]
+    want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(len(a))])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize(
