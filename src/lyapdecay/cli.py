@@ -174,6 +174,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     unused = sorted(given & {"drift", "K"}) if resolved.get("variant") == "diffusion" else []
     if unused:
         raise ValueError(f"--variant diffusion does not use {' or '.join('--' + key for key in unused)}")
+    # checked before any command builds a grid from them
+    if "t_max" in resolved and not (np.isfinite(resolved["t_max"]) and resolved["t_max"] > 0):
+        raise ValueError(f"--t-max must be finite and > 0, got {resolved['t_max']!r}")
+    if "z_max" in resolved and not np.isfinite(resolved["z_max"]):
+        raise ValueError(f"--z-max must be finite, got {resolved['z_max']!r}")
     resolved["threads_env"] = os.environ.get("LYAPDECAY_THREADS")
     return resolved
 
@@ -221,8 +226,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
-    if not (np.isfinite(cfg["t_max"]) and cfg["t_max"] > 0):
-        raise ValueError(f"--t-max must be finite and > 0, got {cfg['t_max']!r}")
     matrix = load_matrix_json(args.matrix)
     if args.c_const is not None or args.mu is not None or args.m is not None:
         if None in (args.c_const, args.mu, args.m):

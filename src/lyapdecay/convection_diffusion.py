@@ -33,7 +33,6 @@ __all__ = [
     "second_order_envelope",
     "evolve_spectrum",
     "fourier_coefficients",
-    "synthesize",
     "gaussian_bump_state",
     "deviation_norm_sq",
     "theorem_bound_check",
@@ -185,15 +184,6 @@ def fourier_coefficients(samples, K: int) -> np.ndarray:
     x = 2.0 * np.pi * np.arange(n) / n
     ks = np.arange(-K, K + 1)
     return np.exp(-1j * np.outer(ks, x)) @ f / n
-
-
-def synthesize(coeffs_k, x) -> np.ndarray:
-    """Evaluate sum_k c_k exp(i k x) for coefficients indexed k = -K..K."""
-    c = np.asarray(coeffs_k, dtype=complex)
-    K = (c.size - 1) // 2
-    x = np.asarray(x, dtype=float)
-    ks = np.arange(-K, K + 1)
-    return np.exp(1j * np.outer(x, ks)) @ c
 
 
 def gaussian_bump_state(K: int, order: int = 1, v_amp: float = 0.0) -> np.ndarray:

@@ -18,9 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .jordan import structure_from_chains
 from .linalg import expm_apply, hermitian_extremes
-from .lyapunov import DecayEnvelope, build_form, decay_constant, defect_one_constant
+from .lyapunov import DecayEnvelope, defect_one_constant
 from .oracle import _check_field_bounds, sweep
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "fp_envelope_k12",
     "fp_envelope_k3",
     "fp_tilde_p3",
-    "fp_delta",
     "fp_k4_check",
     "fp_k4_envelope",
     "fp_minor_f",
@@ -43,7 +41,6 @@ __all__ = [
     "fp_deviation_norm_sq",
     "fp_theorem_check",
     "fp_gaussian_state",
-    "fp_semidiscrete_residual",
     "fp_diffusion_variant",
 ]
 
@@ -128,12 +125,6 @@ def fp_tilde_p3(alpha: float) -> np.ndarray:
     return np.array(
         [[1.0 + 1.5 * alpha * alpha, 0.0, r], [0.0, 1.0, 0.0], [r, 0.0, 1.0]], dtype=complex
     )
-
-
-def fp_delta(alpha: float) -> float:
-    """delta = 1 + (3/4) alpha^2; the nontrivial eigenvalues of the k = 3
-    form at t = 0 are delta +- sqrt(delta^2 - 1) (the third is 1)."""
-    return 1.0 + 0.75 * alpha * alpha
 
 
 def fp_envelope_k3(field: DriftField, z: float) -> DecayEnvelope:
@@ -317,17 +308,12 @@ class HermiteBasis:
             table[j + 1] = (y * table[j] - np.sqrt(j) * table[j - 1]) / np.sqrt(j + 1.0)
         return table
 
-    def _eval_table(self, x) -> np.ndarray:
-        """h_k(x) = sqrt(a) H_k(y) e^{-y^2/2} / sqrt(2 pi k!), y = x sqrt(a),
-        as rows k = 0..K."""
-        y = np.asarray(x, dtype=float) * np.sqrt(self.a)
-        return np.sqrt(self.a / (2.0 * np.pi)) * self.hermite_table(y) * np.exp(-0.5 * y * y)
-
     def eval_h(self, k: int, x) -> np.ndarray:
-        """h_k(x), one row of the evaluation table."""
+        """h_k(x) = sqrt(a) H_k(y) e^{-y^2/2} / sqrt(2 pi k!), y = x sqrt(a)."""
         if not 0 <= k <= self.K:
             raise IndexError(f"k = {k} outside 0..{self.K}")
-        return self._eval_table(x)[k]
+        y = np.asarray(x, dtype=float) * np.sqrt(self.a)
+        return np.sqrt(self.a / (2.0 * np.pi)) * self.hermite_table(y)[k] * np.exp(-0.5 * y * y)
 
     def project(self, f: Callable[[float], float]) -> np.ndarray:
         """Coefficients <f, h_k> in the (steady-state weighted) inner product.
@@ -345,11 +331,6 @@ class HermiteBasis:
         """Quadrature Gram matrix of h_0..h_K in the weighted inner product."""
         table = self.hermite_table(np.sqrt(2.0) * self.nodes)
         return (table * self.weights) @ table.T / np.sqrt(np.pi)
-
-    def synthesize(self, coeffs, x) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=float)
-        h = self._eval_table(x)
-        return sum(c[k] * h[k] for k in range(c.size))
 
 
 def fp_gaussian_state(field: DriftField, z: float, K: int = 40) -> np.ndarray:
@@ -372,52 +353,6 @@ def fp_gaussian_state(field: DriftField, z: float, K: int = 40) -> np.ndarray:
     f[0] = 1.0
     g[0] = 0.0
     return np.array([f, g])
-
-
-def fp_semidiscrete_residual(field: DriftField, state: np.ndarray, z: float) -> float:
-    """Max pointwise residual of the synthesized mode dynamics on 1601 points of [-8, 8].
-
-    The time derivatives come from the mode ODEs; the spatial operator is
-    applied to the synthesized series by fourth-order finite differences, so
-    the two sides share no recurrence algebra.  Checks both the density
-    equation df/dt = (f' + a x f)' and the sensitivity equation
-    dg/dt = (g' + a x g)' + a_z (x f' + f); ``state`` holds f and g as rows.
-    """
-    a, az = field.a(z), field.da(z)
-    f, g = np.asarray(state, dtype=float)
-    K = f.size - 1
-    basis = HermiteBasis(K, a)
-    x = np.linspace(-8.0, 8.0, 1601)
-    h = x[1] - x[0]
-    f_vals = basis.synthesize(f, x)
-    g_vals = basis.synthesize(g, x)
-
-    # mode ODE time derivatives
-    dtf_coeff = -a * np.arange(K + 1) * f
-    dtg_coeff = np.zeros(K + 1)
-    if K >= 1:
-        dtg_coeff[1] = -a * g[1] - az * f[1]
-    for k in range(2, K + 1):
-        dtg_coeff[k] = -k * a * g[k] - az * (k * f[k] + np.sqrt(k * (k - 1.0)) * f[k - 2])
-    dtf = basis.synthesize(dtf_coeff, x)
-    dtg = basis.synthesize(dtg_coeff, x)
-
-    def d1(u):
-        out = np.full_like(u, np.nan)
-        out[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
-        return out
-
-    def d2(u):
-        out = np.full_like(u, np.nan)
-        out[2:-2] = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
-        return out
-
-    interior = slice(2, -2)
-    lf = d2(f_vals) + a * (f_vals + x * d1(f_vals))
-    lg = d2(g_vals) + a * (g_vals + x * d1(g_vals))
-    res_f = np.nanmax(np.abs((dtf - lf)[interior]))
-    res_g = np.nanmax(np.abs((dtg - lg - az * (x * d1(f_vals) + f_vals))[interior]))
-    return float(max(res_f, res_g))
 
 
 @dataclass(frozen=True)
@@ -450,10 +385,7 @@ def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.n
     a_mat = np.array([[k - 2.0, 0.0], [coupling, float(k)]], dtype=complex)
     if k == 2:
         return a_mat, None
-    st = structure_from_chains(
-        [
-            (k - 2.0, [np.array([1.0, 0.0], dtype=complex)]),
-            (float(k), [np.array([np.conj(coupling) / 2.0, 1.0], dtype=complex)]),
-        ],
-    )
-    return a_mat, decay_constant(st, build_form(st))
+    # P(0) sums the dyads of the two eigenvectors of A^H, (1, 0) and v
+    v = np.array([np.conj(coupling) / 2.0, 1.0], dtype=complex)
+    ext = hermitian_extremes(np.diag([1.0, 0.0]) + np.outer(v, v.conj()))
+    return a_mat, DecayEnvelope(ext.lambda_max / ext.lambda_min, k - 2.0, 1)

@@ -15,8 +15,9 @@ Numerical Jordan decisions are ill-posed, so two entry points exist:
   clustering, rank profiles, chains by minimum-norm least squares) and
   raises :class:`JordanAmbiguityError` instead of guessing when the rank
   profile does not match the clustered multiplicity;
-* :func:`structure_from_chains` accepts closed-form chains, which is how the
-  model modules supply their analytically known block data.
+* :func:`structure_from_chains` accepts closed-form chains; it assembles
+  the structure that :func:`jordan_chains` returns, and the tests build the
+  model modules' known block data through it as a reference.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class JordanBlock:
     @property
     def length(self) -> int:
         return self.chain.shape[0]
-
-    @property
-    def eigenvector(self) -> np.ndarray:
-        return self.chain[0]
 
 
 @dataclass(frozen=True)
@@ -304,10 +301,12 @@ def structure_from_chains(
 ) -> JordanStructure:
     """Assemble a structure from explicit (eigenvalue, chain) pairs.
 
-    This is the analytic entry point used by the model modules; chains are
-    taken as given (no normalization is imposed), and their width is the
-    dimension: every chain must have it, and the chain lengths must sum to
-    it.  Gap membership uses the tolerance ``gap_rel_tol * (1 + |mu|)``.
+    :func:`jordan_chains` ends here.  No model module calls it: their
+    per-mode envelopes are closed forms, which the tests check against the
+    analytic chains assembled here.  Chains are taken as given (no
+    normalization is imposed), and their width is the dimension: every chain
+    must have it, and the chain lengths must sum to it.  Gap membership uses
+    the tolerance ``gap_rel_tol * (1 + |mu|)``.
     """
     blocks = tuple(
         JordanBlock(eigenvalue=complex(lam), chain=np.atleast_2d(np.asarray(chain, dtype=complex)))

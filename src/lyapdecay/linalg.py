@@ -25,7 +25,6 @@ __all__ = [
     "expm_apply",
     "spectral_norm",
     "hermitian_extremes",
-    "eigenvalues",
     "HermitianSpectrum",
     "load_matrix_json",
 ]
@@ -197,18 +196,6 @@ def hermitian_extremes(p) -> HermitianSpectrum:
         raise ValueError("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return HermitianSpectrum(float(w[0]), float(w[-1]))
-
-
-def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues with algebraic multiplicity, sorted by (real, imag).
-
-    LAPACK convergence failures propagate as ``numpy.linalg.LinAlgError``;
-    they are never swallowed.
-    """
-    m = as_cmatrix(a)
-    ev = np.linalg.eigvals(m)
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
 
 
 def load_matrix_json(obj) -> np.ndarray:

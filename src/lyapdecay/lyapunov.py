@@ -51,7 +51,6 @@ __all__ = [
     "lower_bound_lemma_gap",
     "p_induced_norm",
     "p_norm_sq",
-    "product_form_p",
     "suggest_case3_weights",
     "sup_poly_exp",
     "tilde_constant",
@@ -242,27 +241,6 @@ def build_p(form: LyapunovForm, t: float) -> np.ndarray:
             for m in range(1, b.length + 1):
                 p += w[m - 1] * _rank_one(w_vector(b, m, t))
     return 0.5 * (p + p.conj().T)
-
-
-def product_form_p(form: LyapunovForm, t: float) -> np.ndarray:
-    """P(t) as the matrix product V e^{Jt} Sigma(t) B (V e^{Jt})^H.
-
-    Valid for forms whose off-gap blocks all have length 1 (case-2 blocks are
-    time-independent in :func:`build_p` but not in this product).
-    """
-    cols = []
-    diag = []
-    for fb in form.blocks:
-        if fb.case == CASE2:
-            raise ValueError("product form is not available for case-2 blocks")
-        b = fb.block
-        decay = np.exp(-2.0 * b.eigenvalue.real * t)
-        phase = np.exp(np.conj(b.eigenvalue) * t)
-        for m in range(1, b.length + 1):
-            cols.append(phase * w_vector(b, m, t))
-            diag.append(fb.weights[m - 1] * decay)
-    ve = np.column_stack(cols)
-    return ve @ np.diag(diag) @ ve.conj().T
 
 
 def build_p_epsilon(structure: JordanStructure, epsilon: float) -> np.ndarray:

@@ -316,6 +316,14 @@ def _exit_code(argv):
         (["model-gt", "--k-max", "-1", "--K", "4", "--z-grid=0:1:2", "--t-points", "3"], None, "k_max"),
         (["verify", "--t-max", "-1"], None, "--t-max"),
         (["verify", "--t-max", "0"], None, "--t-max"),
+        (["family", "--t-max", "inf"], None, "--t-max"),
+        (["family", "--t-max", "0"], None, "--t-max"),
+        (["family", "--z-max", "nan"], None, "--z-max"),
+        (["model-cd", "--t-max", "inf"], None, "--t-max"),
+        (["model-cd", "--t-max", "-1"], None, "--t-max"),
+        (["model-gt", "--t-max", "nan"], None, "--t-max"),
+        (["model-fp", "--variant", "diffusion", "--t-max", "0"], None, "--t-max"),
+        (["model-fp"], {"t_max": -2.5}, "--t-max"),
     ],
 )
 def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
@@ -511,6 +519,17 @@ def test_model_fp_tabulated_drift_of_2_or_more_is_named(tmp_path, capsys):
     assert line.startswith("error: ") and "a(z) < 2" in line and "a(0.0) = 2.5" in line
 
 
+def test_family_constant_rate_equals_its_envelope(tmp_path):
+    # the constant family is mu_min I at every z: ||exp(-C t)||^2 = exp(-2 mu_min t), the envelope
+    out = tmp_path / "f.csv"
+    argv = ["family", "--family", "constant", "--mu-min", "0.7", "--t-max", "5", "--points", "11", "--z-points", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    t, sup, env, ratio = np.loadtxt(out, delimiter=",", skiprows=1).T
+    np.testing.assert_allclose(env, np.exp(-1.4 * t), rtol=1e-15)
+    np.testing.assert_allclose(sup, env, rtol=1e-13)
+    assert np.all(np.abs(ratio - 1.0) < 1e-13)
+
+
 def test_family_ratio_finite_where_both_sides_underflow(tmp_path):
     # at t = 400 the grid supremum and the envelope are both 0.0 in double
     out = tmp_path / "f.csv"
@@ -694,6 +713,15 @@ def test_model_table_names_a_missing_or_misshapen_column(tmp_path, capsys, comma
         assert _table_run(tmp_path, command, option, bad) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: table z "), line
+
+
+def test_model_cd_order_2_needs_the_second_derivative_columns(tmp_path, capsys):
+    # the first-order table has no d2a or d2b: order 1 runs, order 2 names them
+    option, table = _table("model-cd")
+    assert _table_run(tmp_path, "model-cd", option, table, "--order", "1") == 0
+    assert _table_run(tmp_path, "model-cd", option, table, "--order", "2") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: second derivatives of the coefficients are required"
 
 
 @pytest.mark.parametrize("command", ["model-cd", "model-gt", "model-fp"])

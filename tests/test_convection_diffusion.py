@@ -79,6 +79,18 @@ def test_first_order_diagonal_case_decays_exactly():
     assert (envm.C_const, envm.mu, envm.M) == (1.0, k * k * 2.0, 1)
 
 
+def test_second_order_constant_coefficients_decay_exactly():
+    # dlambda = d2lambda = 0: the 3x3 system is k^2 lambda I, the exact exponential
+    f = cd.CoefficientField(
+        a=lambda z: 1.0, b=lambda z: 2.0, da=lambda z: 0.0, db=lambda z: 0.0,
+        b0=2.0, sup_da=0.0, sup_db=0.0, d2a=lambda z: 0.0, d2b=lambda z: 0.0,
+    )
+    for k in (1, -2, 3):
+        envm = cd.second_order_envelope(f, k, 0.1)
+        assert (envm.C_const, envm.mu, envm.M) == (1.0, k * k * 2.0, 1)
+        assert check_dominance(cd.second_order_system(f, k, 0.1), envm, np.linspace(0.0, 5.0, 21)).dominated
+
+
 def test_first_order_matches_defect1_propagator_after_scaling(field):
     # the 2x2 mode matrix is the defect-one family transposed and rescaled
     k, z = 1, 0.3
@@ -409,10 +421,19 @@ def test_state_normalization_enforced(field):
         cd.evolve_spectrum(field, coeffs, 0.0, [0.0])  # u_0 = 0
 
 
+def synthesize(coeffs_k, x) -> np.ndarray:
+    """Evaluate sum_k c_k exp(i k x) for coefficients indexed k = -K..K."""
+    c = np.asarray(coeffs_k, dtype=complex)
+    K = (c.size - 1) // 2
+    x = np.asarray(x, dtype=float)
+    ks = np.arange(-K, K + 1)
+    return np.exp(1j * np.outer(x, ks)) @ c
+
+
 def test_parseval_against_physical_space(field):
     state = cd.gaussian_bump_state(32, order=1, v_amp=0.3)
     x = 2.0 * np.pi * np.arange(512) / 512
-    u = cd.synthesize(state[:, 0], x)
+    u = synthesize(state[:, 0], x)
     physical = float(np.mean(np.abs(u) ** 2))
     spectral = float(np.sum(np.abs(state[:, 0]) ** 2))
     assert physical == pytest.approx(spectral, abs=1e-6)

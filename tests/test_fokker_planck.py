@@ -120,6 +120,14 @@ def test_envelope_k12_constant_and_exactness(field):
     assert (envm0.C_const, envm0.mu, envm0.M) == (1.0, 2.0, 1)
 
 
+def test_envelope_k3_flat_drift_is_the_exact_exponential():
+    # alpha == 0: the triple is 3a diag(1/3, 1, 1), decaying at 2a in the squared norm
+    f0 = fp.drift_field(lambda z: 1.3, lambda z: 0.0, 1.3, 0.0)
+    envm = fp.fp_envelope_k3(f0, 0.0)
+    assert (envm.C_const, envm.mu, envm.M) == (1.0, 1.3, 1)
+    assert check_dominance(fp.fp_mode_system(f0, 3, 0.0), envm, np.linspace(0.0, 8.0, 33)).dominated
+
+
 def test_envelope_k12_dominance(field):
     for k in (1, 2):
         for z in (0.2, 1.4, 4.0):
@@ -176,10 +184,16 @@ def test_tilde_p3_display_matrix():
     )
 
 
+def fp_delta(alpha):
+    """delta = 1 + (3/4) alpha^2; the nontrivial eigenvalues of the k = 3
+    form at t = 0 are delta +- sqrt(delta^2 - 1) (the third is 1)."""
+    return 1.0 + 0.75 * alpha * alpha
+
+
 def test_tilde_p3_eigenvalue_ratio_bound():
     for alpha in np.linspace(0.01, 3.0, 31):
         ext = hermitian_extremes(fp.fp_tilde_p3(alpha))
-        delta = fp.fp_delta(alpha)
+        delta = fp_delta(alpha)
         assert ext.lambda_max / ext.lambda_min <= 4 * delta * delta - 1 + 1e-9
         np.testing.assert_allclose(
             sorted([delta - np.sqrt(delta**2 - 1), delta + np.sqrt(delta**2 - 1)]),
@@ -300,12 +314,61 @@ def test_evolution_matches_duhamel(field):
         )
 
 
+def fp_semidiscrete_residual(field, state, z):
+    """Max pointwise residual of the synthesized mode dynamics on 1601 points of [-8, 8].
+
+    The time derivatives come from the mode ODEs; the spatial operator is
+    applied to the synthesized series by fourth-order finite differences, so
+    the two sides share no recurrence algebra.  Checks both the density
+    equation df/dt = (f' + a x f)' and the sensitivity equation
+    dg/dt = (g' + a x g)' + a_z (x f' + f); ``state`` holds f and g as rows.
+    """
+    a, az = field.a(z), field.da(z)
+    f, g = np.asarray(state, dtype=float)
+    K = f.size - 1
+    x = np.linspace(-8.0, 8.0, 1601)
+    h = x[1] - x[0]
+    # rows h_k(x) = sqrt(a) H_k(y) e^{-y^2/2} / sqrt(2 pi k!), y = x sqrt(a):
+    # coefficients @ h_table synthesizes a series
+    y = x * np.sqrt(a)
+    h_table = np.sqrt(a / (2.0 * np.pi)) * fp.HermiteBasis(K, a).hermite_table(y) * np.exp(-0.5 * y * y)
+    f_vals = f @ h_table
+    g_vals = g @ h_table
+
+    # mode ODE time derivatives
+    dtf_coeff = -a * np.arange(K + 1) * f
+    dtg_coeff = np.zeros(K + 1)
+    if K >= 1:
+        dtg_coeff[1] = -a * g[1] - az * f[1]
+    for k in range(2, K + 1):
+        dtg_coeff[k] = -k * a * g[k] - az * (k * f[k] + np.sqrt(k * (k - 1.0)) * f[k - 2])
+    dtf = dtf_coeff @ h_table
+    dtg = dtg_coeff @ h_table
+
+    def d1(u):
+        out = np.full_like(u, np.nan)
+        out[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
+        return out
+
+    def d2(u):
+        out = np.full_like(u, np.nan)
+        out[2:-2] = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
+        return out
+
+    interior = slice(2, -2)
+    lf = d2(f_vals) + a * (f_vals + x * d1(f_vals))
+    lg = d2(g_vals) + a * (g_vals + x * d1(g_vals))
+    res_f = np.nanmax(np.abs((dtf - lf)[interior]))
+    res_g = np.nanmax(np.abs((dtg - lg - az * (x * d1(f_vals) + f_vals))[interior]))
+    return float(max(res_f, res_g))
+
+
 def test_semidiscrete_residual_small(field):
     fs = np.zeros(13)
     gs = np.zeros(13)
     fs[0], fs[1], fs[3], fs[5] = 1.0, 0.4, 0.2, 0.05
     gs[1], gs[2], gs[4] = 0.3, -0.2, 0.1
-    assert fp.fp_semidiscrete_residual(field, np.array([fs, gs]), 0.5) < 1e-6
+    assert fp_semidiscrete_residual(field, np.array([fs, gs]), 0.5) < 1e-6
 
 
 def test_theorem_check_small(field):
@@ -382,3 +445,21 @@ def test_diffusion_variant_envelope_dominance():
             # the reported global rate e^{-t} is dominated a fortiori
             slow = lambda t, c=envm.C_const: c * np.exp(-t)
             assert check_dominance(a_mat, slow, np.linspace(0.01, 10, 30)).dominated
+
+
+def _diffusion_chain_route(k, coupling):
+    """The pair envelope through the two eigenvector chains of A^H with unit weights."""
+    st = structure_from_chains([(k - 2.0, [[1.0, 0.0]]), (float(k), [[np.conj(coupling) / 2.0, 1.0]])])
+    return decay_constant(st, build_form(st))
+
+
+def test_diffusion_variant_equals_chain_route_bit_for_bit():
+    # the CLI's field, k = 3..39 on 61 z values in [-7, 7]: both signs of the
+    # coupling, and the CLI's pairs k = 3..8
+    df = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
+    for z in np.linspace(-7.0, 7.0, 61):
+        for k in range(3, 40):
+            a_mat, got = fp.fp_diffusion_variant(k, z, df)
+            want = _diffusion_chain_route(k, a_mat[1, 0].real)
+            assert (got.mu, got.M, got.a) == (want.mu, want.M, want.a), (k, z)
+            assert np.array([got.C_const]).view(np.uint64) == np.array([want.C_const]).view(np.uint64), (k, z)

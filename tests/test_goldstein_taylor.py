@@ -268,6 +268,15 @@ def test_conservation_and_steady_state(field):
     assert np.max(np.abs(dev)) < 1e-10
 
 
+def test_evolve_rejects_an_unnormalized_zero_mode(field):
+    # the zero mode carries the masses 1 (entry 0) and 0 (entry 2)
+    for entry, value in ((0, 0.5), (2, 0.1)):
+        s0 = gt.gt_bump_state(3)
+        s0[3, entry] = value
+        with pytest.raises(ValueError, match="zero mode is not normalized"):
+            gt.gt_evolve(field, s0, 0.4, [1.0])
+
+
 def test_deviation_counts_the_conserved_masses_zero(field):
     # quadrature puts the bump's mass a rounding error off 1; evolve keeps both
     # masses bit for bit, so they are the steady state's own and leave no floor

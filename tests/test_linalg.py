@@ -8,7 +8,6 @@ import scipy.linalg as sla
 from lyapdecay.linalg import (
     _APPLY_CHUNK,
     HermitianSpectrum,
-    eigenvalues,
     expm,
     expm_apply,
     hermitian_extremes,
@@ -364,47 +363,6 @@ def test_hermitian_extremes_rayleigh_bounds():
         assert ext.lambda_min - 1e-10 <= r <= ext.lambda_max + 1e-10
 
 
-def test_eigenvalues_defective_double():
-    ev = eigenvalues(geometry_matrix())
-    assert np.max(np.abs(ev - 0.5)) < 1e-6
-
-
-def test_eigenvalues_upper_triangular():
-    a = np.array([[1.0, 3.0, -2.0], [0, 2.0, 5.0], [0, 0, -0.5]], dtype=complex)
-    np.testing.assert_allclose(np.sort(eigenvalues(a).real), [-0.5, 1.0, 2.0], atol=1e-12)
-
-
-def _charpoly_coeffs(a):
-    # Faddeev-LeVerrier: trace recursion, no eigenvalue code involved
-    d = a.shape[0]
-    coeffs = [1.0 + 0j]
-    m = np.zeros_like(a)
-    for k in range(1, d + 1):
-        m = a @ m + coeffs[-1] * np.eye(d)
-        coeffs.append(-np.trace(a @ m) / k)
-    return np.array(coeffs)
-
-
-def test_eigenvalues_match_charpoly_roots():
-    rng = np.random.default_rng(21)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    got = np.sort_complex(eigenvalues(a))
-    want = np.sort_complex(np.roots(_charpoly_coeffs(a)))
-    assert np.max(np.abs(got - want)) < 1e-6
-
-
-def test_eigenvalues_adjoint_conjugate_multiset():
-    rng = np.random.default_rng(23)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    ev = eigenvalues(a)
-    ev_h = eigenvalues(a.conj().T)
-    # match greedily as multisets
-    pool = list(ev_h)
-    for lam in ev:
-        i = int(np.argmin([abs(np.conj(lam) - other) for other in pool]))
-        assert abs(np.conj(lam) - pool.pop(i)) < 1e-8
-
-
 def test_matrix_json_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -413,5 +371,9 @@ def test_matrix_json_round_trip(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
     np.testing.assert_array_equal(load_matrix_json(str(path)), a)
+    # text that opens with "{", after any whitespace, is the JSON itself
+    np.testing.assert_array_equal(load_matrix_json("\n  " + json.dumps(obj)), a)
     with pytest.raises(ValueError):
         load_matrix_json({"dim": 2, "entries": [[1.0, 0.0]]})
+    with pytest.raises(ValueError, match="expected 4 entries"):
+        load_matrix_json('{"dim": 2, "entries": [[1.0, 0.0]]}')
