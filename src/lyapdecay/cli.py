@@ -11,6 +11,10 @@ in a fixed order.  The LYAPDECAY_THREADS environment variable is accepted
 and recorded for provenance; the computation itself is single-threaded, so
 results do not depend on it.  Exit codes: 0 ok, 1 bound violation, 2 invalid
 input.
+
+Start-up: this module imports only what every subcommand uses (``jordan``,
+``linalg``, ``lyapunov``); a module that only some subcommands use is
+imported inside them, so ``analyze`` never loads the oracle or the models.
 """
 
 from __future__ import annotations
@@ -25,14 +29,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import convection_diffusion as cd
-from . import family as fam
-from . import fokker_planck as fp
-from . import goldstein_taylor as gt
 from .jordan import DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, JordanAmbiguityError, jordan_chains
 from .linalg import load_matrix_json
 from .lyapunov import DecayEnvelope, build_form, decay_constant, suggest_case3_weights
-from .oracle import check_dominance, dominance_ratio
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -225,6 +224,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import check_dominance
+
     cfg = _merge_config(args)
     matrix = load_matrix_json(args.matrix)
     if args.c_const is not None or args.mu is not None or args.m is not None:
@@ -250,6 +251,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from . import family as fam
+    from .oracle import dominance_ratio
+
     cfg = _merge_config(args)
     zg = np.linspace(-cfg["z_max"], cfg["z_max"], cfg["z_points"])
     if cfg["family"] == "quadratic":
@@ -325,18 +329,24 @@ def _field(spec: str, builtins: dict, cls):
 
 
 def _run_cd(cfg: dict, zg, ts) -> dict:
+    from . import convection_diffusion as cd
+
     field = _field(cfg["coeffs"], {"builtin:tanh": cd.tanh_field, "builtin:trig": cd.trig_field}, cd.CoefficientField)
     state = cd.gaussian_bump_state(cfg["K"], order=cfg["order"], v_amp=0.3)
     return cd.theorem_bound_check(field, lambda z: state, zg, ts, order=cfg["order"])
 
 
 def _run_gt(cfg: dict, zg, ts) -> dict:
+    from . import goldstein_taylor as gt
+
     field = _field(cfg["sigma"], {"builtin:tanh": gt.tanh_relaxation}, gt.RelaxationField)
     state = gt.gt_bump_state(cfg["K"])
     return gt.gt_theorem_check(field, lambda z: state, zg, ts, k_max=cfg["k_max"])
 
 
 def _run_fp(cfg: dict, zg, ts) -> dict:
+    from . import fokker_planck as fp
+
     field = _field(cfg["drift"], {"builtin:sin": fp.sin_drift}, fp.DriftField)
     state = lambda z: fp.fp_gaussian_state(field, z=z, K=cfg["K"])
     return fp.fp_theorem_check(field, state, zg, ts)
@@ -370,6 +380,9 @@ _MODELS = {
 
 def _fp_diffusion(cfg: dict, zg, ts) -> int:
     """Diffusion-uncertainty variant: every mode pair k = 3..8 against its own envelope."""
+    from . import fokker_planck as fp
+    from .oracle import check_dominance
+
     dfield = fp.DiffusionField(lambda z: 1.0 + 0.25 * np.sin(z), lambda z: 0.25 * np.cos(z), 0.75)
     rows, worst, passed = [], 0.0, True
     for k in range(3, 9):

@@ -308,13 +308,6 @@ class HermiteBasis:
             table[j + 1] = (y * table[j] - np.sqrt(j) * table[j - 1]) / np.sqrt(j + 1.0)
         return table
 
-    def eval_h(self, k: int, x) -> np.ndarray:
-        """h_k(x) = sqrt(a) H_k(y) e^{-y^2/2} / sqrt(2 pi k!), y = x sqrt(a)."""
-        if not 0 <= k <= self.K:
-            raise IndexError(f"k = {k} outside 0..{self.K}")
-        y = np.asarray(x, dtype=float) * np.sqrt(self.a)
-        return np.sqrt(self.a / (2.0 * np.pi)) * self.hermite_table(y)[k] * np.exp(-0.5 * y * y)
-
     def project(self, f: Callable[[float], float]) -> np.ndarray:
         """Coefficients <f, h_k> in the (steady-state weighted) inner product.
 
@@ -326,11 +319,6 @@ class HermiteBasis:
         scale = np.sqrt(2.0 / self.a)
         table = self.hermite_table(np.sqrt(2.0) * self.nodes)
         return scale * np.sum(self.total_weights * fx * table, axis=1)
-
-    def gram(self) -> np.ndarray:
-        """Quadrature Gram matrix of h_0..h_K in the weighted inner product."""
-        table = self.hermite_table(np.sqrt(2.0) * self.nodes)
-        return (table * self.weights) @ table.T / np.sqrt(np.pi)
 
 
 def fp_gaussian_state(field: DriftField, z: float, K: int = 40) -> np.ndarray:

@@ -82,24 +82,6 @@ class JordanStructure:
     defective_gap_indices: frozenset[int]
     dim: int
 
-    @property
-    def chain_matrix(self) -> np.ndarray:
-        """All chain vectors stacked as columns (d x d), block by block."""
-        return np.column_stack([v for b in self.blocks for v in b.chain])
-
-    def block_diagonal_jordan(self) -> np.ndarray:
-        """The bidiagonal Jordan matrix J of C^H matching ``chain_matrix``."""
-        d = self.dim
-        j = np.zeros((d, d), dtype=complex)
-        pos = 0
-        for b in self.blocks:
-            l = b.length
-            j[pos : pos + l, pos : pos + l] = np.conj(b.eigenvalue) * np.eye(l)
-            for k in range(l - 1):
-                j[pos + k, pos + k + 1] = 1.0
-            pos += l
-        return j
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,

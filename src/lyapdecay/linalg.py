@@ -15,6 +15,7 @@ second.  Eigenvalue and singular value work goes to LAPACK through numpy.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,16 +202,17 @@ def hermitian_extremes(p) -> HermitianSpectrum:
 def load_matrix_json(obj) -> np.ndarray:
     """Parse the matrix interchange format {"dim": d, "entries": [[re, im], ...]}.
 
-    ``obj`` may be a dict, a JSON string, or a path-like pointing at a file.
-    Entries are row-major.
+    ``obj`` may be a dict, a JSON string, or a path-like pointing at a file;
+    ``bytes`` are decoded as UTF-8 text first.  Text that opens with "{",
+    after any whitespace, is the JSON itself.  Entries are row-major.
     """
-    if isinstance(obj, (str, bytes)):
-        text = str(obj)
-        if text.lstrip().startswith("{"):
-            obj = json.loads(text)
-        else:
-            with open(text) as fh:
-                obj = json.load(fh)
+    if isinstance(obj, bytes):
+        obj = obj.decode("utf-8")
+    if isinstance(obj, str) and obj.lstrip().startswith("{"):
+        obj = json.loads(obj)
+    elif isinstance(obj, (str, os.PathLike)):
+        with open(obj) as fh:
+            obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"matrix JSON must be an object with dim and entries, got {type(obj).__name__}")
     d = int(obj["dim"])

@@ -1,5 +1,8 @@
 """Shared fixtures: canonical matrices and a structured random-matrix factory."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -32,23 +35,56 @@ def geo():
 
 
 @pytest.fixture
-def expm_matrices(monkeypatch):
+def expm_matrices():
     """A list that receives the number of matrices of every ``linalg.expm``
-    call, through each module of the package that binds it."""
-    import sys
+    call, through each module of the package that binds it.
 
+    Every module is imported first: one imported during the test would bind
+    the counter through ``from .linalg import expm`` and keep it afterwards.
+    """
+    import lyapdecay
     from lyapdecay import linalg
 
+    modules = [importlib.import_module(f"lyapdecay.{m.name}") for m in pkgutil.iter_modules(lyapdecay.__path__)]
     counts, orig = [], linalg.expm
 
     def counted(a, t=1.0):
         counts.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(t)))))
         return orig(a, t)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lyapdecay") and getattr(module, "expm", None) is orig:
-            monkeypatch.setattr(module, "expm", counted)
-    return counts
+    with pytest.MonkeyPatch.context() as mp:
+        for module in modules:
+            if getattr(module, "expm", None) is orig:
+                mp.setattr(module, "expm", counted)
+        yield counts
+    from lyapdecay import oracle
+
+    assert oracle.expm is linalg.expm is orig
+
+
+def jordan_matrix(blocks) -> np.ndarray:
+    """The bidiagonal Jordan matrix of C^H for (eigenvalue of C, length) blocks."""
+    blocks = list(blocks)
+    d = sum(l for _, l in blocks)
+    j = np.zeros((d, d), dtype=complex)
+    pos = 0
+    for lam, l in blocks:
+        j[pos : pos + l, pos : pos + l] = np.conj(lam) * np.eye(l)
+        for k in range(l - 1):
+            j[pos + k, pos + k + 1] = 1.0
+        pos += l
+    return j
+
+
+def chain_matrix(st) -> np.ndarray:
+    """All chain vectors of a ``JordanStructure`` as columns (d x d), block by block."""
+    return np.column_stack([v for b in st.blocks for v in b.chain])
+
+
+def adjoint_from_chains(st) -> np.ndarray:
+    """C^H = V J V^-1, the adjoint of the matrix whose chains ``st`` holds."""
+    v = chain_matrix(st)
+    return v @ jordan_matrix((b.eigenvalue, b.length) for b in st.blocks) @ np.linalg.inv(v)
 
 
 def _partition(rng, d, max_len=3):
@@ -91,13 +127,7 @@ def random_structured_matrix(rng, d=None, all_gap=False):
     if not all_gap and len(lengths) >= 2 and rng.uniform() < 0.3:
         # plant a same-eigenvalue cluster made of two blocks
         eigs[1] = eigs[0]
-    j = np.zeros((d, d), dtype=complex)
-    pos = 0
-    for lam, l in zip(eigs, lengths):
-        j[pos : pos + l, pos : pos + l] = np.conj(lam) * np.eye(l)
-        for k in range(l - 1):
-            j[pos + k, pos + k + 1] = 1.0
-        pos += l
+    j = jordan_matrix(zip(eigs, lengths))
 
     def haar(n):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -118,7 +148,4 @@ def analytic_gap_structure():
     lam2 = 0.8 - 0.3j
     st = structure_from_chains([(lam, [v0, v1]), (lam2, [w0])])
     # reconstruct the matrix that has exactly these adjoint chains
-    vmat = st.chain_matrix
-    jmat = st.block_diagonal_jordan()
-    ch = vmat @ jmat @ np.linalg.inv(vmat)
-    return ch.conj().T, st
+    return adjoint_from_chains(st).conj().T, st

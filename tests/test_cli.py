@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -421,6 +422,47 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["M"] == 1
+
+
+#: the modules every subcommand uses, and so the only ones ``lyapdecay.cli`` imports
+_CORE_MODULES = ["lyapdecay", "lyapdecay.cli", "lyapdecay.jordan", "lyapdecay.linalg", "lyapdecay.lyapunov"]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        (None, []),
+        ("analyze", []),
+        ("verify", ["lyapdecay.oracle"]),
+        ("model-cd", ["lyapdecay.oracle", "lyapdecay.convection_diffusion"]),
+    ],
+    ids=["import", "analyze", "verify", "model-cd"],
+)
+def test_subcommand_loads_only_the_modules_it_runs(command, extra, tmp_path):
+    import subprocess
+    import sys
+
+    import lyapdecay
+
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(matrix_to_json(geometry_matrix())))
+    argv = {
+        "analyze": ["analyze", "--matrix", str(mfile), "--out", str(tmp_path / "a.json")],
+        "verify": ["verify", "--matrix", str(mfile), "--points", "5", "--out", str(tmp_path / "v.csv")],
+        "model-cd": [
+            "model-cd", "--K", "2", "--z-grid=0:1:2", "--t-points", "3",
+            "--out", str(tmp_path / "m.csv"), "--report", str(tmp_path / "m.json"),
+        ],
+    }.get(command)
+    code = "import sys\nfrom lyapdecay.cli import main\n"
+    code += f"assert main({argv!r}) == 0\n" if argv else ""
+    code += 'print(*sorted(m for m in sys.modules if m.split(".")[0] == "lyapdecay"))'
+    # the child imports the package these tests import
+    src = str(Path(lyapdecay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(_CORE_MODULES + extra)
 
 
 def test_model_fp_diffusion_ratio_column_finite_where_both_sides_underflow(tmp_path):

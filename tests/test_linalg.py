@@ -377,3 +377,25 @@ def test_matrix_json_round_trip(tmp_path):
         load_matrix_json({"dim": 2, "entries": [[1.0, 0.0]]})
     with pytest.raises(ValueError, match="expected 4 entries"):
         load_matrix_json('{"dim": 2, "entries": [[1.0, 0.0]]}')
+
+
+def test_matrix_json_from_a_path(tmp_path):
+    a = np.array([[1.0, 2.0 - 1.0j], [0.5j, 3.0]])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json(a)))
+    np.testing.assert_array_equal(load_matrix_json(path), a)
+    with pytest.raises(FileNotFoundError):
+        load_matrix_json(tmp_path / "missing.json")
+
+
+def test_matrix_json_from_bytes(tmp_path):
+    # bytes are UTF-8 text: the JSON itself, or a file name
+    a = np.array([[1.0, 2.0 - 1.0j], [0.5j, 3.0]])
+    text = json.dumps(matrix_to_json(a))
+    np.testing.assert_array_equal(load_matrix_json(text.encode()), a)
+    np.testing.assert_array_equal(load_matrix_json(b"\n " + text.encode()), a)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    np.testing.assert_array_equal(load_matrix_json(str(path).encode()), a)
+    with pytest.raises(ValueError, match="expected 4 entries"):
+        load_matrix_json(b'{"dim": 2, "entries": [[1.0, 0.0]]}')

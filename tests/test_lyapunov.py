@@ -28,6 +28,7 @@ from lyapdecay.lyapunov import (
 from lyapdecay.oracle import nilpotent2_propagator_sq
 
 from conftest import (
+    adjoint_from_chains,
     analytic_gap_structure,
     defect1_matrix,
     geometry_matrix,
@@ -560,9 +561,7 @@ def test_never_tangential_case1_structures():
         for i in range(d):
             chains.append((base + 0.4 * i + 0.3j * rng.normal(), [q[:, i] + 0.1 * q[:, (i + 1) % d]]))
         st = structure_from_chains(chains)
-        vmat = st.chain_matrix
-        ch = vmat @ st.block_diagonal_jordan() @ np.linalg.inv(vmat)
-        c = ch.conj().T
+        c = adjoint_from_chains(st).conj().T
         form = build_form(st)
         p = build_p(form, 0.0)
         floor = st.mu / p_induced_norm(c, p)
