@@ -91,6 +91,8 @@ class _Opt(NamedTuple):
 _CONFIG_TYPES = {int: (int,), _count: (int,), float: (int, float), str: (str,)}
 
 _TOLS = {"rel_tol": _Opt(float, DEFAULT_RANK_TOL), "cluster_tol": _Opt(float, DEFAULT_CLUSTER_TOL)}
+#: float options that must be > 0 as well as finite
+_POSITIVE = {"rel_tol", "cluster_tol", "t_max"}
 _OUTPUTS = {"out": _Opt(str), "report": _Opt(str)}
 
 #: every option a command takes from a flag or a ``--config`` file; flag
@@ -173,11 +175,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     unused = sorted(given & {"drift", "K"}) if resolved.get("variant") == "diffusion" else []
     if unused:
         raise ValueError(f"--variant diffusion does not use {' or '.join('--' + key for key in unused)}")
-    # checked before any command builds a grid from them
-    if "t_max" in resolved and not (np.isfinite(resolved["t_max"]) and resolved["t_max"] > 0):
-        raise ValueError(f"--t-max must be finite and > 0, got {resolved['t_max']!r}")
-    if "z_max" in resolved and not np.isfinite(resolved["z_max"]):
-        raise ValueError(f"--z-max must be finite, got {resolved['z_max']!r}")
+    # checked before any command builds a grid or a structure from them
+    for key, opt in _OPTIONS[args.command].items():
+        value, positive = resolved[key], key in _POSITIVE
+        if opt.type is float and not (np.isfinite(value) and (value > 0 or not positive)):
+            rule = " and > 0" if positive else ""
+            raise ValueError(f"--{key.replace('_', '-')} must be finite{rule}, got {value!r}")
     resolved["threads_env"] = os.environ.get("LYAPDECAY_THREADS")
     return resolved
 
@@ -240,7 +243,13 @@ def cmd_verify(args) -> int:
         env = DecayEnvelope(args.c_const, args.mu, args.m)
     else:
         _, _, env = _analysis_pipeline(matrix, cfg["rel_tol"], cfg["cluster_tol"])
-    times = np.concatenate([[0.0], np.geomspace(1e-3, cfg["t_max"], cfg["points"] - 1)])
+    # 0, then geometric steps from 1e-3 to t_max; even steps where that
+    # would not rise to t_max
+    t_max, points = cfg["t_max"], cfg["points"]
+    if points >= 3 and t_max > 1e-3:
+        times = np.concatenate([[0.0], np.geomspace(1e-3, t_max, points - 1)])
+    else:
+        times = np.linspace(0.0, t_max, points) if points > 1 else np.array([t_max])
     report = check_dominance(matrix, env, times)
     _write_csv(cfg["out"], ["t", "propagator_sq", "bound", "ratio"], report.to_rows())
     if not report.dominated:

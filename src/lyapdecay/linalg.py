@@ -204,7 +204,9 @@ def load_matrix_json(obj) -> np.ndarray:
 
     ``obj`` may be a dict, a JSON string, or a path-like pointing at a file;
     ``bytes`` are decoded as UTF-8 text first.  Text that opens with "{",
-    after any whitespace, is the JSON itself.  Entries are row-major.
+    after any whitespace, is the JSON itself.  ``dim`` is an integer >= 1 and
+    ``entries`` holds dim^2 pairs [re, im] of real numbers, row-major; any
+    other value raises ValueError naming the field.
     """
     if isinstance(obj, bytes):
         obj = obj.decode("utf-8")
@@ -215,9 +217,20 @@ def load_matrix_json(obj) -> np.ndarray:
             obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"matrix JSON must be an object with dim and entries, got {type(obj).__name__}")
-    d = int(obj["dim"])
-    entries = obj["entries"]
+    d, entries = obj.get("dim"), obj.get("entries")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"matrix JSON dim must be an integer >= 1, got {d!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"matrix JSON entries must be a list of [re, im] pairs, got {type(entries).__name__}")
     if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries for dim {d}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+        raise ValueError(f"matrix JSON entries: expected {d * d} entries for dim {d}, got {len(entries)}")
+    flat = np.empty(d * d, dtype=complex)
+    for n, pair in enumerate(entries):
+        try:
+            # exact types: a JSON true is a bool, not the number 1
+            if not (isinstance(pair, list) and len(pair) == 2 and {type(x) for x in pair} <= {int, float}):
+                raise TypeError
+            flat[n] = complex(*pair)
+        except (TypeError, OverflowError):
+            raise ValueError(f"matrix JSON entries[{n}] must be [re, im], two real doubles, got {pair!r}") from None
     return as_cmatrix(flat.reshape(d, d))

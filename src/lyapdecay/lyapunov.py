@@ -12,9 +12,10 @@ Given the Jordan structure of C^H, each block contributes a quadratic form:
 The combined P(t) is Hermitian positive definite, |x(t)|^2_{P(t)} decays at
 the sharp rate exp(-2 mu t), and sandwiching by the extreme eigenvalues of
 P(0) yields the Euclidean envelope C (1 + t^(2(M-1))) exp(-2 mu t) with a
-fully explicit constant.  A "tilde" variant treats one off-gap block with the
-time-dependent construction instead, which can keep the constant bounded in
-non-defective limits where the fixed case-2 ladder blows up.
+fully explicit constant.  A block's case follows from the structure alone.
+The case-2 ladder grows as tau^(2(1-l)), so the constant blows up as an
+off-gap defective block nears the gap: any envelope without an algebraic
+factor pays about 1/tau^2 there.
 
 The case-2 ladder is applied with its largest weight on the eigenvector and
 weight one on the top generalized vector; the opposite pairing violates the
@@ -35,7 +36,6 @@ __all__ = [
     "CASE1",
     "CASE2",
     "CASE3",
-    "CASE3_TILDE",
     "TINY",
     "DecayEnvelope",
     "FormBlock",
@@ -53,7 +53,6 @@ __all__ = [
     "p_norm_sq",
     "suggest_case3_weights",
     "sup_poly_exp",
-    "tilde_constant",
     "verify_matrix_inequality",
     "w_vector",
 ]
@@ -61,7 +60,6 @@ __all__ = [
 CASE1 = "case1"
 CASE2 = "case2"
 CASE3 = "case3"
-CASE3_TILDE = "case3_tilde"
 #: smallest normal double: a value below it has lost digits, so its log decides
 TINY = np.finfo(float).tiny
 
@@ -179,29 +177,21 @@ def w_vector(block: JordanBlock, m: int, t: float) -> np.ndarray:
 def build_form(
     structure: JordanStructure,
     block_weights: dict[int, object] | None = None,
-    tilde_blocks: tuple[int, ...] = (),
 ) -> LyapunovForm:
     """Assign case tags and weights to every block of a structure.
 
     Blocks in ``structure.defective_gap_indices`` are case 3, other blocks of
-    length > 1 case 2 and length-1 blocks case 1; indices in ``tilde_blocks``
-    name off-gap blocks that take the time-dependent construction instead.
-    ``block_weights`` maps a block index to one positive weight per chain
-    vector, b^1..b^l for case 2 and beta^1..beta^l otherwise (a scalar will do
-    for a length-1 block); omitted blocks take weight 1, the case-2 ladder in
-    tau = 2 (Re lam - mu), or all ones.  A wrong length, a weight that is not
-    finite and positive, or an index with no block raises ValueError.
+    length > 1 case 2 and length-1 blocks case 1.  ``block_weights`` maps a
+    block index to one positive weight per chain vector, b^1..b^l for case 2
+    and beta^1..beta^l otherwise (a scalar will do for a length-1 block);
+    omitted blocks take weight 1, the case-2 ladder in tau = 2 (Re lam - mu),
+    or all ones.  A wrong length, a weight that is not finite and positive,
+    or an index with no block raises ValueError.
     """
     block_weights = dict(block_weights or {})
     fbs = []
     for n, b in enumerate(structure.blocks):
-        at_gap = n in structure.defective_gap_indices
-        if n in tilde_blocks:
-            if at_gap:
-                raise ValueError("tilde treatment targets off-gap blocks")
-            case = CASE3_TILDE
-        else:
-            case = CASE3 if at_gap else CASE2 if b.length > 1 else CASE1
+        case = CASE3 if n in structure.defective_gap_indices else CASE2 if b.length > 1 else CASE1
         spec = block_weights.pop(n, None)
         if spec is not None:
             try:
@@ -237,7 +227,7 @@ def build_p(form: LyapunovForm, t: float) -> np.ndarray:
             # ladder runs from the top of the chain down to the eigenvector
             for j in range(b.length):
                 p += w[j] * _rank_one(b.chain[b.length - 1 - j])
-        else:  # CASE3 / CASE3_TILDE
+        else:  # CASE3
             for m in range(1, b.length + 1):
                 p += w[m - 1] * _rank_one(w_vector(b, m, t))
     return 0.5 * (p + p.conj().T)
@@ -285,8 +275,6 @@ def decay_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvel
     C = 2 lambda_max / lambda_min * c_M * max over gap-defective blocks of
     sum_m beta^m / min_{k<=m} beta^k.
     """
-    if any(fb.case == CASE3_TILDE for fb in form.blocks):
-        raise ValueError("forms with tilde-treated blocks use tilde_constant")
     ext = _p0_extremes(form)
     m_def = structure.max_defective_block
     if m_def == 1:
@@ -373,44 +361,9 @@ def improved_defect1_envelope(form: LyapunovForm, block_index: int) -> DecayEnve
     weight choice that normalizes P(0) = I).
     """
     fb = form.blocks[block_index]
-    if fb.case not in (CASE3, CASE3_TILDE) or fb.block.length != 2:
+    if fb.case != CASE3 or fb.block.length != 2:
         raise ValueError("refined bound requires a defect-one block in the time-dependent case")
     return DecayEnvelope(2.0, fb.block.eigenvalue.real, 2, a=float(fb.weights[1] / fb.weights[0]))
-
-
-def tilde_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvelope:
-    """Envelope constant for a form with one tilde-treated off-gap block.
-
-    C~ = 2 lambda_max/lambda_min * c_l * S * sum_m beta^m / min_{k<=m} beta^k,
-    where l is the treated block's length and S absorbs the block's algebraic
-    factor into the gap exponential (S = sup_t (1+t^(2(m-1))) e^{-2(Re lam - mu) t},
-    equal to 1 whenever the rate surplus is large enough).  The remaining
-    structure must have M = 1; the envelope then carries no algebraic factor.
-    """
-    tilde_idx = [n for n, fb in enumerate(form.blocks) if fb.case == CASE3_TILDE]
-    if len(tilde_idx) != 1:
-        raise ValueError("exactly one tilde-treated block is required")
-    n2 = tilde_idx[0]
-    if structure.max_defective_block > 1:
-        raise ValueError("remaining structure must be non-defective at the gap (M = 1)")
-    fb = form.blocks[n2]
-    l = fb.block.length
-    ext = _p0_extremes(form)
-    if l == 1:
-        # a length-one treated block is an ordinary rank-one term; the form
-        # is time-independent and the plain condition-number constant applies
-        return DecayEnvelope(ext.lambda_max / ext.lambda_min, structure.mu, 1)
-    gap_surplus = fb.block.eigenvalue.real - structure.mu
-    s_factor = max(sup_poly_exp(2 * (m - 1), 2.0 * gap_surplus) for m in range(2, l + 1))
-    c = (
-        2.0
-        * ext.lambda_max
-        / ext.lambda_min
-        * c_m_constant(l)
-        * s_factor
-        * _weight_sum_term(fb.weights)
-    )
-    return DecayEnvelope(c, structure.mu, 1)
 
 
 def sup_poly_exp(q: int, c: float) -> float:

@@ -77,6 +77,23 @@ def test_verify_defect1_passes(matrix_file, tmp_path):
     assert first[0] == 0.0 and first[1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "points, t_max",
+    [(1, 50.0), (2, 50.0), (2, 1e-4), (3, 50.0), (5, 1e-4), (5, 1e-3), (9, 2e-3), (200, 1e6)],
+)
+def test_verify_time_grid_rises_to_t_max(matrix_file, tmp_path, points, t_max):
+    # every grid rises to t_max and stays inside [0, t_max], for any points and t_max
+    out = tmp_path / "v.csv"
+    argv = ["--points", str(points), "--t-max", repr(t_max), "--out", str(out)]
+    assert main(["verify", "--matrix", matrix_file(defect1_matrix(1.0)), *argv]) == 0
+    t = np.array([float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]])
+    assert t.size == points and t[-1] == t_max and t[0] >= 0.0
+    assert np.all(np.diff(t) > 0)
+    if points >= 3 and t_max > 1e-3:
+        # the geometric grid that the bench rebuilds, bit for bit
+        np.testing.assert_array_equal(t, np.concatenate([[0.0], np.geomspace(1e-3, t_max, points - 1)]))
+
+
 def test_verify_undercut_constant_fails(matrix_file, tmp_path, capsys):
     # a constant below the observed peak ratio forces a violation
     rc = main(
@@ -325,10 +342,20 @@ def _exit_code(argv):
         (["model-gt", "--t-max", "nan"], None, "--t-max"),
         (["model-fp", "--variant", "diffusion", "--t-max", "0"], None, "--t-max"),
         (["model-fp"], {"t_max": -2.5}, "--t-max"),
+        # a non-finite tolerance must not reach jordan_chains: with nan it reads
+        # [[1, 1], [0, 1]] as M = 1, C = 1, a false envelope
+        (["analyze", "--rel-tol", "nan"], None, "--rel-tol"),
+        (["analyze", "--cluster-tol", "inf"], None, "--cluster-tol"),
+        (["analyze", "--cluster-tol", "0"], None, "--cluster-tol"),
+        (["verify", "--rel-tol=-1e-9"], None, "--rel-tol"),
+        (["verify"], {"cluster_tol": float("nan")}, "--cluster-tol"),
+        (["family", "--alpha", "inf"], None, "--alpha"),
+        (["family", "--beta", "nan"], None, "--beta"),
+        (["family"], {"mu_min": float("-inf")}, "--mu-min"),
     ],
 )
 def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
-    if argv[0] == "verify":
+    if argv[0] in ("analyze", "verify"):
         argv = argv + ["--matrix", matrix_file(np.eye(2))]
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))

@@ -6,7 +6,14 @@ import pytest
 from lyapdecay import fokker_planck as fp
 from lyapdecay.jordan import structure_from_chains
 from lyapdecay.linalg import expm, hermitian_extremes
-from lyapdecay.lyapunov import build_form, decay_constant, tilde_constant
+from lyapdecay.lyapunov import (
+    DecayEnvelope,
+    build_form,
+    build_p,
+    c_m_constant,
+    decay_constant,
+    sup_poly_exp,
+)
 from lyapdecay.oracle import check_dominance, duhamel_solve, nilpotent2_propagator_sq
 
 
@@ -167,11 +174,19 @@ def test_envelope_k12_dominates_below_any_cut():
 
 
 def _k3_chain_route(al):
-    """The k = 3 envelope through the tilde-treated chain with weights (alpha^-2, 1)."""
+    """The k = 3 envelope from the time-dependent form on the off-gap chain,
+    weights beta = (alpha^-2, 1): C = 2 kappa(P(0)) c_2 S sum_m beta^m /
+    min_{k<=m} beta^k, where S = sup (1 + t^2) e^{-(4/3) t} absorbs the
+    algebraic factor into the gap surplus 2/3.  P(0) of that form is the
+    case-2 form's with the ladder reversed."""
     st = structure_from_chains(
         [(1.0 / 3.0, [[1.0, 0.0, 0.0]]), (1.0, [[0.0, al, 0.0], [np.sqrt(1.5) * al, 0.0, 1.0]])]
     )
-    return tilde_constant(st, build_form(st, block_weights={1: np.array([al ** (-2.0), 1.0])}, tilde_blocks=(1,)))
+    betas = np.array([al ** (-2.0), 1.0])
+    ext = hermitian_extremes(build_p(build_form(st, block_weights={1: betas[::-1]}), 0.0))
+    weight_sum = float(np.sum(betas / np.minimum.accumulate(betas)))
+    c = 2.0 * ext.lambda_max / ext.lambda_min * c_m_constant(2) * sup_poly_exp(2, 4.0 / 3.0) * weight_sum
+    return DecayEnvelope(c, st.mu, 1)
 
 
 def test_envelopes_match_chain_route_on_default_grid(field):

@@ -379,6 +379,32 @@ def test_matrix_json_round_trip(tmp_path):
         load_matrix_json('{"dim": 2, "entries": [[1.0, 0.0]]}')
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"dim": 1.5, "entries": [[1, 0]]}', "dim"),
+        ('{"dim": 0, "entries": []}', "dim"),
+        ('{"dim": -2, "entries": []}', "dim"),
+        ('{"dim": true, "entries": [[1, 0]]}', "dim"),
+        ('{"dim": "1", "entries": [[1, 0]]}', "dim"),
+        ('{"entries": [[1, 0]]}', "dim"),
+        ('{"dim": 1}', "entries"),
+        ('{"dim": 1, "entries": {"0": [1, 0]}}', "entries"),
+        ('{"dim": 1, "entries": [[1]]}', r"entries\[0\]"),
+        ('{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0, 0]]}', r"entries\[3\]"),
+        ('{"dim": 1, "entries": [[1, true]]}', r"entries\[0\]"),
+        ('{"dim": 1, "entries": [["1", 0]]}', r"entries\[0\]"),
+        ('{"dim": 1, "entries": [1]}', r"entries\[0\]"),
+        pytest.param('{"dim": 1, "entries": [[1%s, 0]]}' % ("0" * 400), r"entries\[0\]", id="int-overflow"),
+    ],
+)
+def test_matrix_json_rejects_a_malformed_field_naming_it(text, field):
+    # each malformed field is named, never silently truncated (dim 1.5 to 1)
+    # or reported by the numpy or Python call it breaks
+    with pytest.raises(ValueError, match=f"matrix JSON {field}"):
+        load_matrix_json(text)
+
+
 def test_matrix_json_from_a_path(tmp_path):
     a = np.array([[1.0, 2.0 - 1.0j], [0.5j, 3.0]])
     path = tmp_path / "m.json"

@@ -21,7 +21,6 @@ from lyapdecay.lyapunov import (
     p_norm_sq,
     suggest_case3_weights,
     sup_poly_exp,
-    tilde_constant,
     verify_matrix_inequality,
     w_vector,
 )
@@ -94,6 +93,25 @@ def test_build_p_orthonormal_case1_blocks_give_identity():
     form = build_form(st)
     for t in (0.0, 2.0, 9.0):
         np.testing.assert_allclose(build_p(form, t), np.eye(3), atol=1e-12)
+
+
+def test_case3_p0_is_the_case2_form_with_its_ladder_reversed():
+    # at t = 0 each w^m is the chain vector v(m-1), so a case-3 block with
+    # weights beta^1..beta^l has the terms of the case-2 ladder beta^l..beta^1
+    rng = np.random.default_rng(21)
+    for length in (2, 3, 4):
+        for _ in range(5):
+            chain = rng.normal(size=(length, length + 1)) + 1j * rng.normal(size=(length, length + 1))
+            other = rng.normal(size=length + 1) + 1j * rng.normal(size=length + 1)
+            betas = rng.uniform(0.1, 10.0, size=length)
+            p0 = {}
+            # the chain at the gap is case 3; above the other block, case 2
+            for case, lam, weights in ((CASE3, 0.5, betas), (CASE2, 1.5, betas[::-1])):
+                st = structure_from_chains([(2.0 - lam + 0.3j, [other]), (lam, chain)])
+                form = build_form(st, block_weights={1: weights})
+                assert form.blocks[1].case == case
+                p0[case] = build_p(form, 0.0)
+            assert np.linalg.norm(p0[CASE3] - p0[CASE2]) <= 1e-15 * np.linalg.norm(p0[CASE2])
 
 
 # ---------------------------------------------------------------- P_epsilon
@@ -379,67 +397,6 @@ def test_improved_defect1_requires_defect_one(geo):
         improved_defect1_envelope(build_form(st), 0)
 
 
-# ------------------------------------------------------------ tilde variant
-
-
-def _fp_k3_structure(alpha):
-    blocks = [
-        (1.0 / 3.0, [np.array([1.0, 0, 0], dtype=complex)]),
-        (
-            1.0,
-            [
-                np.array([0, alpha, 0], dtype=complex),
-                np.array([np.sqrt(1.5) * alpha, 0, 1.0], dtype=complex),
-            ],
-        ),
-    ]
-    return structure_from_chains(blocks)
-
-
-def test_tilde_constant_matches_display():
-    alpha = 1.0
-    st = _fp_k3_structure(alpha)
-    form = build_form(st, block_weights={1: np.array([alpha**-2, 1.0])}, tilde_blocks=(1,))
-    p0 = build_p(form, 0.0)
-    want = np.array(
-        [[1 + 1.5 * alpha**2, 0, np.sqrt(1.5) * alpha], [0, 1, 0], [np.sqrt(1.5) * alpha, 0, 1]]
-    )
-    np.testing.assert_allclose(p0, want, atol=1e-12)
-    env = tilde_constant(st, form)
-    ext = hermitian_extremes(p0)
-    assert env.M == 1 and env.mu == pytest.approx(1.0 / 3.0)
-    assert env.C_const == pytest.approx(
-        ext.lambda_max / ext.lambda_min * 12.0 * max(2.0, 1.0 + alpha**2), rel=1e-12
-    )
-
-
-def test_tilde_constant_single_block_reduces_to_condition_number():
-    st = structure_from_chains(
-        [(0.5, [np.array([1.0, 0.3], dtype=complex)]), (1.5, [np.array([0.1, 1.0], dtype=complex)])]
-    )
-    form = build_form(st, tilde_blocks=(1,))
-    env = tilde_constant(st, form)
-    ext = hermitian_extremes(build_p(form, 0.0))
-    assert env.C_const == pytest.approx(ext.lambda_max / ext.lambda_min, rel=1e-12)
-    assert env.M == 1
-
-
-def test_tilde_ratio_bound_over_alpha_grid():
-    for alpha in np.linspace(0.05, 3.0, 25):
-        st = _fp_k3_structure(alpha)
-        form = build_form(st, block_weights={1: np.array([alpha**-2, 1.0])}, tilde_blocks=(1,))
-        ext = hermitian_extremes(build_p(form, 0.0))
-        delta = 1.0 + 0.75 * alpha * alpha
-        assert ext.lambda_max / ext.lambda_min <= 4.0 * delta * delta - 1.0 + 1e-9
-
-
-def test_tilde_requires_simple_remainder(geo):
-    st = jordan_chains(geo)
-    form = build_form(st)
-    with pytest.raises(ValueError):
-        tilde_constant(st, form)  # no tilde block present
-
-
 # ------------------------------------------------------------ invariants
 
 
@@ -598,9 +555,3 @@ def test_sup_poly_exp_closed_form_q2():
             want = max(1.0, (1.0 + tstar**2) * np.exp(-c * tstar))
         assert got == pytest.approx(want, rel=1e-9)
 
-
-def test_decay_constant_rejects_tilde_forms():
-    st = _fp_k3_structure(0.8)
-    form = build_form(st, block_weights={1: np.array([0.8**-2, 1.0])}, tilde_blocks=(1,))
-    with pytest.raises(ValueError):
-        decay_constant(st, form)

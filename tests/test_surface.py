@@ -48,7 +48,6 @@ UNCALLED = {
     "p_induced_norm": "parked for ROADMAP item 3 (the integrand of its Gronwall factor)",
     "verify_chain": "parked for ROADMAP item 3, which deletes it unless it calls it",
     "improved_defect1_envelope": "parked for ROADMAP item 3, which deletes it unless it calls it",
-    "tilde_constant": "the tests' reference for fp_envelope_k3, built on lyapunov internals",
     "gt_chains": "the tests' reference chains of the relaxation modes, built on module internals",
 }
 
