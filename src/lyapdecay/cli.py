@@ -7,7 +7,8 @@ three model experiments ``model-cd``, ``model-gt``, ``model-fp``.
 
 Outputs are deterministic for a fixed configuration: CSV values are printed
 with 17 significant digits (lossless double round-trip) and all sweeps run
-in a fixed order.  The LYAPDECAY_THREADS environment variable is accepted
+in a fixed order; an output file that already exists is rewritten in place
+(see ``_write``).  The LYAPDECAY_THREADS environment variable is accepted
 and recorded for provenance; the computation itself is single-threaded, so
 results do not depend on it.  Exit codes: 0 ok, 1 bound violation, 2 invalid
 input.
@@ -24,6 +25,8 @@ import dataclasses
 import functools
 import json
 import os
+import re
+import stat
 import sys
 from typing import Callable, NamedTuple
 
@@ -38,21 +41,31 @@ EXIT_BOUND_VIOLATION = 1
 EXIT_INVALID_INPUT = 2
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def _write(path: str | None, text: str) -> None:
+    """``text`` to stdout (``path`` None or ``-``) or to ``path``.
+
+    An existing file is rewritten in place, without ``O_TRUNC``, and a
+    longer one is then trimmed to the new length: truncating on open costs
+    ext4 a block release, and a writeback on close.  Only a regular file is
+    trimmed, so ``/dev/null``, FIFOs and ttys work as before.  Neither this
+    nor truncation is atomic.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        st = os.fstat(fh.fileno())
+        fh.write(data)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            fh.truncate(len(data))
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
+    # one value format, 17 significant digits, for every column
+    row_format = ",".join(["%.16e"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [row_format % tuple(row) for row in rows]
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -424,9 +437,20 @@ def cmd_model(args) -> int:
     return EXIT_OK if rep["passed"] else EXIT_BOUND_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as ``-1e-9``, ``-inf`` or ``-3:3:13`` after a flag
+    as the flag's value, so that the option's own check answers it; plain
+    argparse takes only ``-1`` and ``-0.5`` for values.  No flag of the
+    program starts with a minus and a digit.  Subparsers share this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 @functools.cache  # built once per process; each parse_args makes a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lyapdecay", description=__doc__)
+    p = _Parser(prog="lyapdecay", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     commands = {
         "analyze": ("Jordan structure, adapted form and envelope constant", cmd_analyze),

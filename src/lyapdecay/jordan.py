@@ -185,7 +185,7 @@ def _chains_for_cluster(
     # B of a scalar cluster is pure rounding noise; anything below the
     # clustering resolution cannot be distinguished from zero, so the radius
     # provides the scale floor for the rank thresholds
-    raw_norm_b = np.linalg.norm(b, 2)
+    raw_norm_b = np.linalg.svd(b, compute_uv=False)[0]  # the bits of norm(b, 2)
     norm_b = max(raw_norm_b, cluster_radius)
     # Rank profile of powers; number of blocks of length >= j is rank(B^(j-1)) - rank(B^j).
     ranks = [d]

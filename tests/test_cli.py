@@ -352,6 +352,13 @@ def _exit_code(argv):
         (["family", "--alpha", "inf"], None, "--alpha"),
         (["family", "--beta", "nan"], None, "--beta"),
         (["family"], {"mu_min": float("-inf")}, "--mu-min"),
+        # a value after a space that argparse alone would take for a flag
+        # ("expected one argument") reaches the option's own check
+        (["verify", "--rel-tol", "-1e-9"], None, "--rel-tol must be finite and > 0"),
+        (["analyze", "--cluster-tol", "-.5"], None, "--cluster-tol must be finite and > 0"),
+        (["verify", "--t-max", "-inf"], None, "--t-max must be finite and > 0"),
+        (["verify", "--mu", "-1e-3"], None, "--mu and --m must be given together"),
+        (["model-cd", "--z-grid", "-1:1:0"], None, "--z-grid must be lo:hi:n"),
     ],
 )
 def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
@@ -365,6 +372,67 @@ def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tm
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and named in errors[0]
     assert "Traceback" not in err
+
+
+def test_negative_value_after_a_space_is_the_flags_value(matrix_file, tmp_path):
+    argv = ["verify", "--matrix", matrix_file(np.eye(2)), "--c-const", "2", "--mu", "-1e-3", "--m", "1"]
+    assert main(argv + ["--points", "5", "--out", str(tmp_path / "v.csv")]) == 0
+    tiny = ["--K", "4", "--t-points", "2", "--out", str(tmp_path / "cd.csv"), "--report", str(tmp_path / "cd.json")]
+    assert main(["model-cd", "--z-grid", "-1:1:2", *tiny]) == 0
+    assert json.loads((tmp_path / "cd.json").read_text())["config"]["z_grid"] == "-1:1:2"
+
+
+def test_rewrite_opens_the_existing_file_without_truncating_it(matrix_file, tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("x" * 100_000)
+    flags, os_open = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main(["analyze", "--matrix", matrix_file(np.eye(2)), "--out", str(out)]) == 0
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert json.loads(out.read_text())["M"] == 1
+
+
+def test_rewrite_that_shrinks_a_file_leaves_only_the_new_bytes(matrix_file, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--matrix", matrix_file(np.eye(2)), "--out", str(out)]
+    assert main(argv) == 0
+    fresh = out.read_bytes()
+    out.write_bytes(b"old tail " * 10_000)
+    assert main(argv) == 0
+    assert out.read_bytes() == fresh
+
+
+def test_rewrite_through_a_symlink_updates_the_target_and_keeps_the_link(matrix_file, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("{}" + " " * 5000)
+    link.symlink_to(target)
+    assert main(["analyze", "--matrix", matrix_file(np.eye(2)), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["M"] == 1
+
+
+def test_out_and_report_on_one_path_leave_the_report(tmp_path):
+    path = str(tmp_path / "both")
+    argv = ["model-cd", "--K", "4", "--z-grid=0:1:2", "--t-points", "3", "--out", path, "--report", path]
+    assert main(argv) == 0
+    assert set(json.loads((tmp_path / "both").read_text())) >= {"config", "constants", "passed"}
+
+
+def test_output_to_dev_null_exits_0(matrix_file):
+    assert main(["analyze", "--matrix", matrix_file(np.eye(2)), "--out", os.devnull]) == 0
+    assert main(["verify", "--matrix", matrix_file(np.eye(2)), "--points", "4", "--out", os.devnull]) == 0
+
+
+def test_output_to_a_directory_exits_2(matrix_file, tmp_path, capsys):
+    assert main(["analyze", "--matrix", matrix_file(np.eye(2)), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Is a directory" in err and "Traceback" not in err
 
 
 def test_config_value_gives_the_bytes_of_the_same_flag(tmp_path, monkeypatch):
