@@ -26,7 +26,6 @@ import functools
 import json
 import os
 import re
-import stat
 import sys
 from typing import Callable, NamedTuple
 
@@ -44,21 +43,22 @@ EXIT_INVALID_INPUT = 2
 def _write(path: str | None, text: str) -> None:
     """``text`` to stdout (``path`` None or ``-``) or to ``path``.
 
-    An existing file is rewritten in place, without ``O_TRUNC``, and a
-    longer one is then trimmed to the new length: truncating on open costs
-    ext4 a block release, and a writeback on close.  Only a regular file is
-    trimmed, so ``/dev/null``, FIFOs and ttys work as before.  Neither this
-    nor truncation is atomic.
+    An existing file is rewritten in place: it is opened without
+    ``O_TRUNC``, cut to the new length if it is longer, and then written
+    over.  Truncating on open costs ext4 a block release, and a writeback on
+    close.  ``/dev/null``, FIFOs and ttys report size 0 and are never cut.
+    Neither this nor truncation is atomic: an interrupted rewrite leaves the
+    new length, new bytes up to where it stopped and old bytes after them.
     """
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     data = text.encode()
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        st = os.fstat(fh.fileno())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
         fh.write(data)
-        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
-            fh.truncate(len(data))
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
@@ -441,7 +441,11 @@ class _Parser(argparse.ArgumentParser):
     """Reads a token such as ``-1e-9``, ``-inf`` or ``-3:3:13`` after a flag
     as the flag's value, so that the option's own check answers it; plain
     argparse takes only ``-1`` and ``-0.5`` for values.  No flag of the
-    program starts with a minus and a digit.  Subparsers share this class."""
+    program starts with a minus and a digit.  Subparsers share this class.
+
+    ``_negative_number_matcher`` is an argparse internal, read by
+    ``_add_action`` and ``_parse_optional`` (checked on CPython 3.11);
+    ``test_cli`` fails if a release renames it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
