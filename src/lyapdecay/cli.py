@@ -7,11 +7,12 @@ three model experiments ``model-cd``, ``model-gt``, ``model-fp``.
 
 Outputs are deterministic for a fixed configuration: CSV values are printed
 with 17 significant digits (lossless double round-trip) and all sweeps run
-in a fixed order; an output file that already exists is rewritten in place
-(see ``_write``).  The LYAPDECAY_THREADS environment variable is accepted
-and recorded for provenance; the computation itself is single-threaded, so
-results do not depend on it.  Exit codes: 0 ok, 1 bound violation, 2 invalid
-input.
+in a fixed order; JSON reports carry the bytes of
+``json.dumps(report, indent=2, sort_keys=True)`` (see ``_json_text``); an
+output file that already exists is rewritten in place (see ``_write``).
+The LYAPDECAY_THREADS environment variable is accepted and recorded for
+provenance; the computation itself is single-threaded, so results do not
+depend on it.  Exit codes: 0 ok, 1 bound violation, 2 invalid input.
 
 Start-up: this module imports only what every subcommand uses (``jordan``,
 ``linalg``, ``lyapunov``); a module that only some subcommands use is
@@ -27,6 +28,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,8 +71,43 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+#: json's spelling of the floats whose repr is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, ``indent``
+    opening each line at the depth of ``obj``.  json encodes with ``indent``
+    in pure Python (CPython 3.11's C encoder ignores it).  A bool is tested
+    before int, as a bool is an int.  A type json rejects, or a key that is
+    not a ``str`` (json would convert it), raises TypeError."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"keys must be str, got {list(obj)!r}")
+        items = [_encode_str(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: str | None, obj: dict) -> None:
-    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write(path, _json_text(obj) + "\n")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -208,8 +245,6 @@ def _analysis_pipeline(matrix, rel_tol: float, cluster_tol: float, weights=None)
             for n in structure.defective_gap_indices
         }
     elif weights:
-        if not isinstance(weights, list):
-            raise ValueError("--weights must be a JSON list of per-block weight lists")
         block_weights = dict(enumerate(weights))
     form = build_form(structure, block_weights=block_weights)
     env = decay_constant(structure, form)
@@ -220,8 +255,14 @@ def cmd_analyze(args) -> int:
     cfg = _merge_config(args)
     matrix = load_matrix_json(args.matrix)
     weights = args.weights
-    if weights and weights != "heuristic":
-        weights = json.loads(weights)
+    if weights is not None and weights != "heuristic":
+        try:
+            weights = json.loads(weights)
+        except json.JSONDecodeError:
+            pass  # still a str: rejected below
+        # a null entry would silently keep that block's default weights
+        if not isinstance(weights, list) or None in weights:
+            raise ValueError(f"--weights must be 'heuristic' or a JSON list of per-block weight lists, got {args.weights!r}")
     structure, form, env = _analysis_pipeline(
         matrix, cfg["rel_tol"], cfg["cluster_tol"], weights
     )

@@ -18,6 +18,16 @@ Numerical Jordan decisions are ill-posed, so two entry points exist:
 * :func:`structure_from_chains` accepts closed-form chains; it assembles
   the structure that :func:`jordan_chains` returns, and the tests build the
   model modules' known block data through it as a reference.
+
+:func:`jordan_chains` builds B = C^H - conj(lam) I for every cluster in one
+broadcast, and takes all their spectral norms, and all full SVDs of their
+first powers, from one stacked ``np.linalg.svd`` call each: a stacked call
+gives the bits of one call per matrix (``tests/test_jordan.py`` holds numpy
+to that).  Two merges would change bits.  The values-only SVD's s[0]
+differs from the full SVD's s[0], so the norm call stays apart from the
+full one.  ``np.abs`` of a complex array differs from the scalar ``abs``
+(the bits of Python's ``complex.__abs__``) with which
+:func:`cluster_eigenvalues` compares pairs, so clustering stays scalar.
 """
 
 from __future__ import annotations
@@ -164,36 +174,41 @@ def _canonicalize(chain: np.ndarray) -> np.ndarray:
     return chain / (nrm * phase)
 
 
-def _rank_nullspace_abs(a: np.ndarray, abs_tol: float) -> tuple[int, np.ndarray]:
-    """Rank/nullspace against an absolute singular value threshold.
+def _rank_nullspace_abs(s: np.ndarray, vh: np.ndarray, abs_tol: float) -> tuple[int, np.ndarray]:
+    """Rank/nullspace from a full SVD (values ``s``, right factor ``vh``)
+    against an absolute singular value threshold.
 
     Powers of a singular matrix collapse towards zero, so thresholding
     relative to the power's own largest singular value would never report a
     rank drop; the caller supplies the scale (||B||^j).
     """
-    _, s, vh = np.linalg.svd(a)
     rank = int(np.sum(s > abs_tol))
     return rank, vh[rank:].conj()
 
 
 def _chains_for_cluster(
-    ch: np.ndarray, lam: complex, mult: int, rank_tol: float, cluster_radius: float
+    b: np.ndarray, lam: complex, mult: int, rank_tol: float, cluster_radius: float, raw_norm_b: float, first
 ) -> list[np.ndarray]:
-    """All chains for one eigenvalue cluster of C (C^H passed as ``ch``)."""
-    d = ch.shape[0]
-    b = ch - np.conj(lam) * np.eye(d)
+    """All chains for one eigenvalue cluster of C, from B = C^H - conj(lam) I.
+
+    ``raw_norm_b`` is the spectral norm of B and ``first`` holds the first
+    power I @ B with its full SVD (power, s, vh); :func:`jordan_chains`
+    computes both for every cluster at once.
+    """
+    d = b.shape[0]
     # B of a scalar cluster is pure rounding noise; anything below the
     # clustering resolution cannot be distinguished from zero, so the radius
     # provides the scale floor for the rank thresholds
-    raw_norm_b = np.linalg.svd(b, compute_uv=False)[0]  # the bits of norm(b, 2)
     norm_b = max(raw_norm_b, cluster_radius)
     # Rank profile of powers; number of blocks of length >= j is rank(B^(j-1)) - rank(B^j).
     ranks = [d]
     kernels = [np.zeros((0, d), dtype=complex)]
-    power = np.eye(d, dtype=complex)
+    power, s, vh = first
     for j in range(1, mult + 1):
-        power = power @ b
-        r, ns = _rank_nullspace_abs(power, rank_tol * norm_b**j)
+        if j > 1:
+            power = power @ b
+            _, s, vh = np.linalg.svd(power)
+        r, ns = _rank_nullspace_abs(s, vh, rank_tol * norm_b**j)
         if r >= ranks[-1]:  # no progress: profile cannot reach the multiplicity
             raise JordanAmbiguityError(
                 f"rank profile stalls for eigenvalue {lam:.6g}; "
@@ -269,10 +284,18 @@ def jordan_chains(
     m = as_cmatrix(c)
     clusters = cluster_eigenvalues(np.linalg.eigvals(m), cluster_rel_tol)
     radius = cluster_rel_tol * (1.0 + max(abs(lam) for lam, _ in clusters))
-    ch = m.conj().T
+    # B = C^H - conj(lam) I of every cluster, its spectral norm and the full
+    # SVD of its first power, each in one stacked call (same bits as one call
+    # per cluster; the module docstring says which merges would change them)
+    eye = np.eye(m.shape[0])
+    bs = m.conj().T - np.conj([lam for lam, _ in clusters])[:, None, None] * eye
+    raw_norms = np.linalg.svd(bs, compute_uv=False)[:, 0]
+    firsts = eye.astype(complex) @ bs
+    _, s1, vh1 = np.linalg.svd(firsts)
     blocks: list[JordanBlock] = []
-    for lam, mult in clusters:
-        for chain in _chains_for_cluster(ch, lam, mult, rel_tol, radius):
+    for i, (lam, mult) in enumerate(clusters):
+        first = (firsts[i], s1[i], vh1[i])
+        for chain in _chains_for_cluster(bs[i], lam, mult, rel_tol, radius, raw_norms[i], first):
             blocks.append(JordanBlock(eigenvalue=complex(lam), chain=chain))
     return structure_from_chains([(b.eigenvalue, b.chain) for b in blocks], gap_rel_tol=rel_tol)
 

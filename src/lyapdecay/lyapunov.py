@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import JordanBlock, JordanStructure
-from .linalg import as_cmatrix, hermitian_extremes, is_hermitian
+from .linalg import as_cmatrix, is_hermitian
 
 __all__ = [
     "CASE1",
@@ -275,14 +275,14 @@ def decay_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvel
     C = 2 lambda_max / lambda_min * c_M * max over gap-defective blocks of
     sum_m beta^m / min_{k<=m} beta^k.
     """
-    ext = _p0_extremes(form)
+    lambda_min, lambda_max = _p0_extremes(form)
     m_def = structure.max_defective_block
     if m_def == 1:
-        return DecayEnvelope(ext.lambda_max / ext.lambda_min, structure.mu, 1)
+        return DecayEnvelope(lambda_max / lambda_min, structure.mu, 1)
     factor = max(
         _weight_sum_term(form.blocks[n].weights) for n in structure.defective_gap_indices
     )
-    c = 2.0 * ext.lambda_max / ext.lambda_min * c_m_constant(m_def) * factor
+    c = 2.0 * lambda_max / lambda_min * c_m_constant(m_def) * factor
     return DecayEnvelope(c, structure.mu, m_def)
 
 
@@ -293,12 +293,21 @@ def defect_one_constant(kappa: float, w_sq: float) -> float:
     return 12.0 * kappa * max(2.0, 1.0 + w_sq)
 
 
-def _p0_extremes(form: LyapunovForm):
-    """Extreme eigenvalues of P(0); raises unless P(0) is positive definite."""
-    ext = hermitian_extremes(build_p(form, 0.0))
-    if ext.lambda_min <= 0:
+def _p0_extremes(form: LyapunovForm) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of P(0); raises unless P(0) is finite
+    and positive definite.
+
+    :func:`build_p` returns 0.5 (p + p^H), which is exactly Hermitian in
+    floating point, so :func:`~lyapdecay.linalg.hermitian_extremes`'s
+    symmetry check and second symmetrisation would change no bit here.
+    """
+    p0 = build_p(form, 0.0)
+    if not np.all(np.isfinite(p0)):
+        raise ValueError("matrix entries must be finite")
+    w = np.linalg.eigvalsh(p0)
+    if w[0] <= 0:
         raise ValueError("P(0) is not positive definite")
-    return ext
+    return float(w[0]), float(w[-1])
 
 
 def _weight_sum_term(betas: np.ndarray) -> float:

@@ -363,6 +363,15 @@ def _exit_code(argv):
         (["verify", "--t-max", "-inf"], None, "--t-max must be finite and > 0"),
         (["verify", "--mu", "-1e-3"], None, "--mu and --m must be given together"),
         (["model-cd", "--z-grid", "-1:1:0"], None, "--z-grid must be lo:hi:n"),
+        # --weights is 'heuristic' or a JSON list: each of these ran with the
+        # default weights, and a null entry kept that block's defaults
+        (["analyze", "--weights", "0"], None, "--weights"),
+        (["analyze", "--weights", "false"], None, "--weights"),
+        (["analyze", "--weights", "null"], None, "--weights"),
+        (["analyze", "--weights", '""'], None, "--weights"),
+        (["analyze", "--weights", "{}"], None, "--weights"),
+        (["analyze", "--weights", "[null]"], None, "--weights"),
+        (["analyze", "--weights", "[[1.0]"], None, "--weights"),
     ],
 )
 def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
@@ -376,6 +385,45 @@ def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tm
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and named in errors[0]
     assert "Traceback" not in err
+
+
+_JSON_CORPUS = [
+    -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
+    2**63 + 1, -(2**70), 0, True, False, None, [], {}, (), [[]], [{}], ([], ()),
+    np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.float64("-inf"),
+    'quote " and backslash \\', "controls \x00\x01\x1f\t\n\r\x7f", "non-ASCII é ☃ 𝄞 \u2028",
+    {"b": [1, {"z": (2.5, None)}], "a": {"y": [[]], "x": {}}, "": True, "é": "é"},
+]
+
+
+@pytest.mark.parametrize("obj", _JSON_CORPUS, ids=range(len(_JSON_CORPUS)))
+def test_report_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [np.int64(1), np.bool_(True), {1, 2}, b"x", [np.int64(1)], {"a": {1}}, {1: 2}])
+def test_report_writer_raises_type_error(obj):
+    # json converts the int key of {1: 2}; the writer takes str keys only
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+
+
+def test_reports_carry_json_dumps_bytes(matrix_file, tmp_path, monkeypatch):
+    reports, json_text = [], cli._json_text
+
+    def spy(obj, indent="\n"):
+        if indent == "\n":
+            reports.append(obj)
+        return json_text(obj, indent)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--matrix", matrix_file(geometry_matrix()), "--weights", "heuristic", "--out", str(out)]) == 0
+    tiny = ["--K", "4", "--t-points", "3", "--out", str(tmp_path / "cd.csv"), "--report", str(tmp_path / "cd.json")]
+    assert main(["model-cd", "--z-grid=-1:1:3", *tiny]) == 0
+    assert len(reports) == 2
+    for obj, path in zip(reports, [out, tmp_path / "cd.json"]):
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_negative_value_after_a_space_is_the_flags_value(matrix_file, tmp_path):

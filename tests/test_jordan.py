@@ -185,3 +185,26 @@ def test_structure_serialization_round_trip():
     assert blob["blocks"][0]["length"] == 2
     chain = np.array([[complex(re, im) for re, im in vec] for vec in blob["blocks"][0]["chain"]])
     np.testing.assert_allclose(chain, st.blocks[0].chain)
+
+
+def test_stacked_svds_keep_the_bits_of_one_call_per_cluster():
+    # jordan_chains builds every cluster's B = C^H - conj(lam) I in one
+    # broadcast and takes their norms and first-power SVDs from one stacked
+    # call each; a numpy whose stacked calls change bits must fail here
+    rng = np.random.default_rng(23)
+    for d in range(2, 9):
+        for scale in (1e-6, 1.0, 1e4):
+            c = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            ch, lams = c.conj().T, np.linalg.eigvals(c)
+            eye = np.eye(d)
+            bs = ch - np.conj(lams)[:, None, None] * eye
+            norms = np.linalg.svd(bs, compute_uv=False)
+            firsts = eye.astype(complex) @ bs
+            stacked = np.linalg.svd(firsts)
+            for i, lam in enumerate(lams):
+                b = ch - np.conj(complex(lam)) * np.eye(d)
+                first = np.eye(d, dtype=complex) @ b
+                assert bs[i].tobytes() == b.tobytes() and firsts[i].tobytes() == first.tobytes()
+                assert norms[i].tobytes() == np.linalg.svd(b, compute_uv=False).tobytes()
+                for got, want in zip(stacked, np.linalg.svd(first)):
+                    assert got[i].tobytes() == want.tobytes()

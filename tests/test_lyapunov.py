@@ -24,6 +24,7 @@ from lyapdecay.lyapunov import (
     verify_matrix_inequality,
     w_vector,
 )
+from lyapdecay.lyapunov import _p0_extremes
 from lyapdecay.oracle import nilpotent2_propagator_sq
 
 from conftest import (
@@ -555,3 +556,31 @@ def test_sup_poly_exp_closed_form_q2():
             want = max(1.0, (1.0 + tstar**2) * np.exp(-c * tstar))
         assert got == pytest.approx(want, rel=1e-9)
 
+
+
+def test_p_is_exactly_hermitian_so_p0_extremes_skips_the_check():
+    # _p0_extremes calls eigvalsh on build_p(form, 0) without
+    # hermitian_extremes's symmetry check and second symmetrisation
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        d = 6
+        chains = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        # a length-2 block at the gap (case 3), length 3 off it (case 2), length 1 (case 1)
+        st = structure_from_chains([(0.5, chains[:2]), (1.3 + 0.2j, chains[2:5]), (2.0, chains[5:])])
+        weights = {n: rng.uniform(1e-3, 1e3, size=b.length) for n, b in enumerate(st.blocks)}
+        form = build_form(st, block_weights=weights)
+        assert [fb.case for fb in form.blocks] == [CASE3, CASE2, CASE1]
+        for t in (0.0, 0.3, 1.0, 7.5, 1e3):
+            p = build_p(form, t)
+            assert np.array_equal(p, p.conj().T)  # equal up to the sign of zero imaginary parts
+            assert (0.5 * (p + p.conj().T)).tobytes() == p.tobytes()
+        ext = hermitian_extremes(build_p(form, 0.0))
+        lo, hi = _p0_extremes(form)
+        assert (lo.hex(), hi.hex()) == (ext.lambda_min.hex(), ext.lambda_max.hex())
+
+
+def test_p0_extremes_rejects_an_overflowing_p0():
+    st = structure_from_chains([(1.0, [[1.0, 0.0]]), (2.0, [[0.0, 1.0]])])
+    # 0.5 (p + p^H) overflows; hermitian_extremes raised the same error here
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        _p0_extremes(build_form(st, block_weights={0: [1e308]}))
