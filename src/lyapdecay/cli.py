@@ -247,7 +247,12 @@ def _analysis_pipeline(matrix, rel_tol: float, cluster_tol: float, weights=None)
     elif weights:
         block_weights = dict(enumerate(weights))
     form = build_form(structure, block_weights=block_weights)
-    env = decay_constant(structure, form)
+    try:
+        env = decay_constant(structure, form)
+    except ValueError as exc:  # P(0) overflows or is not positive definite
+        if weights is None:
+            raise
+        raise ValueError(f"--weights: {exc}") from None
     return structure, form, env
 
 

@@ -300,10 +300,13 @@ def _p0_extremes(form: LyapunovForm) -> tuple[float, float]:
     :func:`build_p` returns 0.5 (p + p^H), which is exactly Hermitian in
     floating point, so :func:`~lyapdecay.linalg.hermitian_extremes`'s
     symmetry check and second symmetrisation would change no bit here.
+    Weights near the largest double overflow P(0); that is this error, not a
+    numpy warning.
     """
-    p0 = build_p(form, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0 = build_p(form, 0.0)
     if not np.all(np.isfinite(p0)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError("P(0) entries must be finite: the block weights overflow it")
     w = np.linalg.eigvalsh(p0)
     if w[0] <= 0:
         raise ValueError("P(0) is not positive definite")

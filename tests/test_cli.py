@@ -594,6 +594,23 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["M"] == 1
 
 
+def test_analyze_overflowing_weights_print_one_error_line(tmp_path):
+    # in a process of its own, where numpy warnings would reach stderr
+    import subprocess
+    import sys
+
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(matrix_to_json(np.diag([1.0, 2.0]))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lyapdecay.cli", "analyze", "--matrix", str(mfile), "--weights", "[[1e308]]"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --weights: P(0) entries must be finite: the block weights overflow it\n"
+
+
 #: the modules every subcommand uses, and so the only ones ``lyapdecay.cli`` imports
 _CORE_MODULES = ["lyapdecay", "lyapdecay.cli", "lyapdecay.jordan", "lyapdecay.linalg", "lyapdecay.lyapunov"]
 
@@ -649,7 +666,7 @@ def test_model_fp_diffusion_ratio_column_finite_where_both_sides_underflow(tmp_p
     assert (rows[:, 5].max() > 1.0 + 1e-9) == (rc == 1)
 
 
-def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch):
+def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch, expm_matrices):
     # the model-* and family outputs at their defaults; the reports record the
     # output names, so they are passed bare as the benchmark passes them, and
     # LYAPDECAY_THREADS is left unset
@@ -664,10 +681,18 @@ def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch):
     }
     for name, argv in runs.items():
         assert main(argv + ["--out", f"{name}.csv", "--report", f"{name}.json"]) == 0
+    # the sweeps' propagators go through expm in a few large stacked calls
+    # (78 with the 16384-entry budget, 377 with one of 256 propagators)
+    assert sum(expm_matrices) == 83850
+    assert len(expm_matrices) <= 100
     assert main(["family", "--out", "family.csv"]) == 0
     assert len(digests) == 9
     for fname, digest in digests.items():
-        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, (
+            f"{fname}: the pinned bytes carry the bits of the BLAS kernel that numpy's OpenBLAS picks for "
+            "this CPU, and they match SkylakeX; a stacked matmul differs between Prescott, Haswell and "
+            "SkylakeX, so OPENBLAS_CORETYPE=Haswell fails here without a change in the program"
+        )
 
 
 def test_model_defaults_build_their_initial_state_once(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from lyapdecay import convection_diffusion as cd
 from lyapdecay import fokker_planck as fp
 from lyapdecay import goldstein_taylor as gt
+from lyapdecay import linalg
 from lyapdecay.jordan import JordanBlock, structure_from_chains
 from lyapdecay.linalg import expm, spectral_norm
 from lyapdecay.lyapunov import (
@@ -520,11 +521,16 @@ def test_theorem_check_holds_second_derivatives_to_their_bounds(field2, order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_theorem_check_equals_per_cell_evolve(field2, order):
-    # 2K = 6 modes x 60 times span more than one stacked chunk
+def test_theorem_check_equals_per_cell_evolve(field2, order, expm_matrices, monkeypatch):
+    # 2K = 6 modes, 3 computed (k and -k are conjugate), x 60 times span more
+    # than one stacked chunk of 500 complex entries: 2 modes of (order + 1)^2
+    # entries a call at order 1 and 1 at order 2
+    monkeypatch.setattr(linalg, "_APPLY_CHUNK", 500)
     zs = np.array([-0.7, 0.0, 1.1])
     ts = np.linspace(0.0, 9.0, 60)
     state = lambda z: cd.gaussian_bump_state(3, order=order, v_amp=0.3)
     rep = cd.theorem_bound_check(field2, state, zs, ts, order=order)
+    per = max(1, 500 // (60 * (order + 1) ** 2))
+    assert expm_matrices == [60 * min(per, 3 - lo) for lo in range(0, 3, per)] * zs.size
     want = [[cd.deviation_norm_sq(cd.evolve_spectrum(field2, state(z), z, [t])[0]) for t in ts] for z in zs]
     assert np.array_equal(rep["norm_sq"], np.array(want))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lyapdecay import goldstein_taylor as gt
+from lyapdecay import linalg
 from lyapdecay.jordan import structure_from_chains, verify_chain
 from lyapdecay.linalg import expm, hermitian_extremes, spectral_norm
 from lyapdecay.lyapunov import build_form, build_p, p_norm_sq
@@ -308,12 +309,17 @@ def test_theorem_check_tanh_field(field):
     assert rep["passed"] and rep["max_ratio"] < 1.0
 
 
-def test_theorem_check_equals_per_cell_evolve(field):
-    # 2K + 1 = 7 modes x 40 times span more than one stacked chunk
+def test_theorem_check_equals_per_cell_evolve(field, expm_matrices, monkeypatch):
+    # 2K + 1 = 7 modes, 4 computed (k and -k are conjugate), x 40 times span
+    # more than one stacked chunk of 2000 complex entries: 3 modes of 4^2
+    # entries, then 1
+    monkeypatch.setattr(linalg, "_APPLY_CHUNK", 2000)
     uni = gt.gt_uniform_constant(field, k_max=4, n_sigma=3, n_dsigma=3)
     zs = np.array([-1.0, 0.3])
     ts = np.linspace(0.0, 15.0, 40)
+    expm_matrices.clear()
     rep = gt.gt_theorem_check(field, lambda z: gt.gt_bump_state(3), zs, ts, uniform=uni)
+    assert expm_matrices == [40 * 3, 40 * 1] * zs.size
     want = [
         [gt.gt_deviation_norm_sq(gt.gt_evolve(field, gt.gt_bump_state(3), z, [t])[0]) for t in ts]
         for z in zs

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lyapdecay import linalg
 from lyapdecay.linalg import (
-    _APPLY_CHUNK,
     HermitianSpectrum,
     expm,
     expm_apply,
@@ -237,34 +237,42 @@ def _apply_stacks(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_expm_apply_bitwise_equals_loop(d, expm_matrices):
-    # 50 times span more than one chunk; signed zeros count, so compare the bits
+def test_expm_apply_bitwise_equals_loop(d, expm_matrices, monkeypatch):
+    # a budget of two modes of 50 times, so every stack spans more than one
+    # chunk; signed zeros count, so compare the bits
+    monkeypatch.setattr(linalg, "_APPLY_CHUNK", 2 * 50 * d * d)
     rng = np.random.default_rng(300 + d)
     ts = np.linspace(0.0, 12.0, 50)
     for name, (a, computed) in _apply_stacks(d).items():
         v = rng.normal(size=a.shape[:2]) + 1j * rng.normal(size=a.shape[:2])
         expm_matrices.clear()
         got = expm_apply(a, v, ts)
-        assert sum(expm_matrices) == computed * ts.size, name
+        assert expm_matrices == [ts.size * min(2, computed - lo) for lo in range(0, computed, 2)], name
         want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(len(a))])
         assert got.shape == (len(a), 50, d)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
 @pytest.mark.parametrize("nt", [300, 37])
-def test_expm_apply_chunks_whole_modes(nt, expm_matrices):
-    # nt = 300: one mode is longer than a chunk; nt = 37 does not divide 256
+def test_expm_apply_chunks_whole_modes(nt, expm_matrices, monkeypatch):
+    # a budget of 1000 complex entries, d^2 per propagator: at nt = 300 one
+    # mode is longer than a chunk; at nt = 37 chunks hold 6 (d = 2) or 3
+    # (d = 3) of the 10 modes, and 37 d^2 does not divide 1000
+    monkeypatch.setattr(linalg, "_APPLY_CHUNK", 1000)
     rng = np.random.default_rng(600 + nt)
-    a, computed = _apply_stacks(2)["pairs and an unpaired matrix"]
-    a = np.concatenate([a, rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))])
-    computed += 6
-    v = rng.normal(size=a.shape[:2]) + 1j * rng.normal(size=a.shape[:2])
     ts = np.linspace(0.0, 9.0, nt)
-    got = expm_apply(a, v, ts)
-    per = max(1, _APPLY_CHUNK // nt)  # whole modes per call
-    assert expm_matrices == [nt * min(per, computed - lo) for lo in range(0, computed, per)]
-    want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(len(a))])
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for d in (2, 3):
+        a, computed = _apply_stacks(d)["pairs and an unpaired matrix"]
+        a = np.concatenate([a, rng.normal(size=(6, d, d)) + 1j * rng.normal(size=(6, d, d))])
+        computed += 6
+        v = rng.normal(size=a.shape[:2]) + 1j * rng.normal(size=a.shape[:2])
+        expm_matrices.clear()
+        got = expm_apply(a, v, ts)
+        per = max(1, 1000 // (nt * d * d))  # whole modes per call
+        assert expm_matrices == [nt * min(per, computed - lo) for lo in range(0, computed, per)], d
+        assert len(expm_matrices) > 1
+        want = np.array([[expm(a[i], t) @ v[i] for t in ts] for i in range(len(a))])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), d
 
 
 @pytest.mark.parametrize(

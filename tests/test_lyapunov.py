@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -581,6 +583,7 @@ def test_p_is_exactly_hermitian_so_p0_extremes_skips_the_check():
 
 def test_p0_extremes_rejects_an_overflowing_p0():
     st = structure_from_chains([(1.0, [[1.0, 0.0]]), (2.0, [[0.0, 1.0]])])
-    # 0.5 (p + p^H) overflows; hermitian_extremes raised the same error here
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+    # 0.5 (p + p^H) overflows: one error naming P(0), and no numpy warning
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="P\\(0\\) entries must be finite"):
+        warnings.simplefilter("error")
         _p0_extremes(build_form(st, block_weights={0: [1e308]}))
