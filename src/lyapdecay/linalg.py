@@ -30,18 +30,24 @@ __all__ = [
     "load_matrix_json",
 ]
 
-# Taylor truncation threshold: with ||A|| <= _EXPM_THETA the series below
-# reaches relative error ~1e-16, well inside the 1e-12 contract.
+# Taylor truncation: every scaled matrix X has ||X||_1 <= _EXPM_THETA, so the
+# tail after n terms is at most e^theta theta^(n+1) / (n+1)! in 1-norm:
+# 3.5e-20 at n = 16, below the unit roundoff 1.1e-16 (relative to
+# ||exp(X)||_1 >= e^-theta, 5.8e-20).  16 is a measured count, not a proven
+# one: on the 107,709 matrices of every expm call of the four default
+# model-* runs and of family, 16 terms give the bits of 24, while 15 change
+# 7 matrices and 14 change 4211.
 _EXPM_THETA = 0.5
-_EXPM_TERMS = 24
+_EXPM_TERMS = 16
 #: complex entries (propagators x d^2) per stacked expm call in expm_apply,
-#: in whole modes (at least one).  Every expm call pays about 190 numpy calls
-#: whatever its size (24 Taylor steps, about 11 squaring levels, the
-#: grouping), and the budget amortises them: 16384 entries keep each complex
-#: temporary at 256 KB, and the default model sweeps make 78 calls, where a
-#: budget of 256 propagators made 377 and took 12 % more wall time.  On a
-#: 2-core x86-64 host, 8192 entries took 7 % more time and 32768 took 5 %
-#: more with 1.3 MB (3 %) more peak RSS.
+#: in whole modes (at least one).  Every expm call pays numpy operations
+#: whatever its size: 35, plus 3 per Taylor step and 10 per squaring level,
+#: which makes 199 at the 11.6 levels a default model sweep's call averages
+#: (np.unique counted as one).  The budget amortises them: 16384 entries
+#: keep each complex temporary at 256 KB, and the default model sweeps make
+#: 78 calls, where a budget of 256 propagators made 377 and took 12 % more
+#: wall time.  On a 2-core x86-64 host, 8192 entries took 7 % more time and
+#: 32768 took 5 % more with 1.3 MB (3 %) more peak RSS.
 _APPLY_CHUNK = 16384
 
 
@@ -70,9 +76,15 @@ def as_cmatrix(a, stack: bool = False) -> np.ndarray:
 def expm(a, t=1.0) -> np.ndarray:
     """Matrix exponential ``exp(A t)`` by scaling and squaring.
 
-    The scaled matrix is pushed below norm 1/2 and summed with a truncated
-    Taylor series; relative error in spectral norm is ~1e-14 for the matrix
-    scales used here (contract: <= 1e-12).
+    The scaled matrix is pushed to 1-norm at most 1/2 and summed with 16
+    Taylor terms, whose tail is at most e^(1/2) 2^-17 / 17! = 3.5e-20, below
+    the unit roundoff; what is left is rounding, amplified by the squarings.
+    Contract: relative error in spectral norm <= 1e-12 for d <= 8, at
+    1-norms up to 1e3 for normal matrices and up to about 1e2 with a Jordan
+    block of length <= 4 (one seeded length-4 input reached 2.1e-12 at 1e2).
+    Past that the error grows: 1.2e-7 to 3.3e-6 at 1e3 with length 4, and
+    scipy.linalg.expm does no better.  The tests check both against
+    40-digit mpmath.
 
     ``a`` may be one matrix or a stack ``(..., d, d)``, with ``t`` a number
     or an array broadcast over its leading axes; one matrix and one time take

@@ -1,5 +1,6 @@
 """Shared fixtures: canonical matrices and a structured random-matrix factory."""
 
+import contextlib
 import importlib
 import pkgutil
 
@@ -34,32 +35,51 @@ def geo():
     return geometry_matrix()
 
 
-@pytest.fixture
-def expm_matrices():
-    """A list that receives the number of matrices of every ``linalg.expm``
-    call, through each module of the package that binds it.
+@contextlib.contextmanager
+def _expm_spy(record):
+    """Pass the arguments and the result ``(a, t, out)`` of every
+    ``linalg.expm`` call to ``record``, through each module of the package
+    that binds it.
 
     Every module is imported first: one imported during the test would bind
-    the counter through ``from .linalg import expm`` and keep it afterwards.
+    the spy through ``from .linalg import expm`` and keep it afterwards.
     """
     import lyapdecay
     from lyapdecay import linalg
 
     modules = [importlib.import_module(f"lyapdecay.{m.name}") for m in pkgutil.iter_modules(lyapdecay.__path__)]
-    counts, orig = [], linalg.expm
+    orig = linalg.expm
 
-    def counted(a, t=1.0):
-        counts.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(t)))))
-        return orig(a, t)
+    def spy(a, t=1.0):
+        out = orig(a, t)
+        record(a, t, out)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         for module in modules:
             if getattr(module, "expm", None) is orig:
-                mp.setattr(module, "expm", counted)
-        yield counts
+                mp.setattr(module, "expm", spy)
+        yield
     from lyapdecay import oracle
 
     assert oracle.expm is linalg.expm is orig
+
+
+@pytest.fixture
+def expm_matrices():
+    """A list that receives the number of matrices of every ``linalg.expm`` call."""
+    counts = []
+    with _expm_spy(lambda a, t, out: counts.append(int(np.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(t)))))):
+        yield counts
+
+
+@pytest.fixture
+def expm_calls():
+    """A list that receives copies ``(a, t, out)`` of the arguments and the
+    result of every ``linalg.expm`` call."""
+    calls = []
+    with _expm_spy(lambda a, t, out: calls.append((np.array(a, dtype=complex), np.array(t, dtype=float), out.copy()))):
+        yield calls
 
 
 def jordan_matrix(blocks) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,7 +16,7 @@ from lyapdecay.linalg import (
     spectral_norm,
 )
 
-from conftest import defect1_matrix, geometry_matrix, matrix_to_json
+from conftest import defect1_matrix, geometry_matrix, jordan_matrix, matrix_to_json
 
 
 def test_expm_identity_at_zero_time():
@@ -47,6 +48,42 @@ def test_expm_against_scipy_random():
         t = rng.uniform(0.0, 3.0)
         ref = sla.expm(a * t)
         np.testing.assert_allclose(expm(a, t), ref, rtol=1e-12, atol=1e-13 * np.linalg.norm(ref))
+
+
+def _contract_inputs(d):
+    """A normal d x d matrix and one with a Jordan block of length 2 to 4,
+    both stable with the same seeded eigenvalues, the block at the smallest
+    decay rate, under a seeded similarity of condition at most 1.6 / 0.6."""
+    rng = np.random.default_rng(700 + d)
+    mu = rng.uniform(0.3, 1.0)
+    lam = -(mu + rng.uniform(0.0, 1.5, size=d)) + 1j * rng.uniform(-2.0, 2.0, size=d)
+    lam[0] = complex(-mu, lam[0].imag)
+
+    def haar():
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    q = haar()
+    length = min(d, 2 + d % 3)
+    v = haar() @ np.diag(rng.uniform(0.6, 1.6, size=d)) @ haar()
+    j = jordan_matrix([(lam[0], length)] + [(x, 1) for x in lam[1 : d - length + 1]])
+    return {"normal": q @ np.diag(lam) @ q.conj().T, f"Jordan block {length}": v @ j @ np.linalg.inv(v)}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_expm_meets_its_accuracy_contract_against_mpmath(d):
+    # relative error in spectral norm against exp of the same double matrix
+    # at 40 digits (80 digits give the same doubles), at 1-norms 1e-3 to 1e3.
+    # A Jordan block's error grows with the norm, so the 1e-12 contract stops
+    # at 1e2: at 1e3 the length-4 block (d = 5) reaches 1.2e-7, where
+    # scipy.linalg.expm gives 2.0e-7
+    for name, a0 in _contract_inputs(d).items():
+        for norm in (1e-3, 1e-1, 1e1, 1e2, 1e3):
+            a = a0 * (norm / np.abs(a0).sum(axis=0).max())
+            with mpmath.workdps(40):
+                ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+            err = np.linalg.norm(expm(a) - ref, 2) / np.linalg.norm(ref, 2)
+            assert err <= (1e-6 if name != "normal" and norm > 1e2 else 1e-12), (name, norm, err)
 
 
 def test_expm_semigroup_property():
@@ -213,6 +250,23 @@ def test_expm_commutes_with_conjugation_on_default_mode_stacks(model):
     a, ts = _default_mode_stack(model)
     t = ts[:, None, None]
     assert np.array_equal(expm(a.conj(), t), expm(a, t).conj())
+
+
+def test_expm_truncation_keeps_the_bits_of_twenty_four_terms(tmp_path, monkeypatch, expm_calls):
+    # _EXPM_TERMS = 16 is a measured count: on every expm stack of these
+    # default runs, 16 Taylor terms give the bits of 24.  model-cd --order 1
+    # is the default run where 15 terms changed bits (7 matrices, SkylakeX
+    # kernel).  Unlike the pinned digests, this compares the program with
+    # itself, so it tests the truncation alone and pins no BLAS kernel's bits
+    from lyapdecay.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    for argv in (["model-cd", "--order", "1", "--report", "cd.json"], ["model-gt", "--report", "gt.json"], ["family"]):
+        assert main(argv + ["--out", "out.csv"]) == 0
+    assert sum(out.size // out.shape[-1] ** 2 for _, _, out in expm_calls) == 20800 + 21450 + 23859
+    monkeypatch.setattr(linalg, "_EXPM_TERMS", 24)
+    for a, t, out in expm_calls:
+        assert np.array_equal(out.view(np.uint64), expm(a, t).view(np.uint64))
 
 
 def _apply_stacks(d):
