@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .oracle import propagator_lognorm
+from .linalg import as_cmatrix
+from .oracle import _lognorm_points, _norm2, _times
 
 __all__ = [
     "ParamFamily",
@@ -46,17 +47,24 @@ class ParamFamily:
         if self.mu_min <= 0:
             raise ValueError("mu_min must be positive")
         zg = np.asarray(self.z_grid, dtype=float)
-        mu = np.array([self.mu_of_z(z) for z in zg])
+        # a value that overflows is an error of its own, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = np.array([self.mu_of_z(z) for z in zg])
+            dmu = np.array([self.dmu_of_z(z) for z in zg])
+        for name, vals in (("mu", mu), ("mu'", dmu)):
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                z, v = float(zg[bad[0]]), float(vals[bad[0]])
+                raise ValueError(f"{name}(z) must be finite on the z grid, got {name}({z!r}) = {v!r}")
         if np.any(mu < self.mu_min * (1.0 - 1e-12)):
             raise ValueError("mu(z) drops below mu_min on the grid")
         # sanity: the supplied derivative must match central differences
         # (interior points only; a sampled family may clamp at the grid edges)
-        zin = zg[1:-1] if zg.size >= 3 else zg
+        zin, ana = (zg[1:-1], dmu[1:-1]) if zg.size >= 3 else (zg, dmu)
         h = 1e-5 * (1.0 + np.abs(zin))
         num = np.array([
             (self.mu_of_z(z + hz) - self.mu_of_z(z - hz)) / (2 * hz) for z, hz in zip(zin, h)
         ])
-        ana = np.array([self.dmu_of_z(z) for z in zin])
         scale = 1.0 + np.abs(ana) + np.abs(num)
         if np.max(np.abs(num - ana) / scale) > 1e-4:
             raise ValueError("dmu_of_z is inconsistent with mu_of_z (central differences)")
@@ -140,15 +148,67 @@ def uniform_envelope_exponential(alpha: float, beta: float, mu0: float, t: float
     return float(2.0 * np.exp(-2.0 * mu0 * t))
 
 
+def _lognorm_sq_bound(mats, c_norm, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds b of log ||exp(-C_k t_j)||_2^2 for a ``(n, d, d)`` stack
+    with spectral norms ``c_norm`` at times ``ts``, shape ``(n, ts.size)``,
+    and the rounding ``tol`` of a computed b and oracle value at each time.
+
+    b = -2 omega_k t_j, with omega = lambda_min((C + C^H)/2) the logarithmic
+    norm's lower bound: ||exp(-C t)||_2 <= exp(-omega t) for every square C
+    (Soderlind, BIT 46 (2006)).  All omegas come from one stacked
+    ``np.linalg.eigvalsh`` call.  ``tol`` is u S (24 + 2 log2 S), with u the
+    unit roundoff and S = 1 + 2 t max_k ||C_k||_2, which bounds |b|, the
+    |log| of the oracle and 2^m for its m squarings at every point of the
+    time.  It adds up:
+
+    * eigvalsh is backward stable: the computed omega is off by a few
+      u ||C||_2, so b is off by at most 6 u S, the product's rounding
+      included;
+    * the oracle's scaled exponential, and each level's normalisation and
+      product, round the level's matrix by a few u relative, taken as 4 u;
+      a rounding at level l moves log ||.|| 2^(m - l) times as much, so all
+      levels move the squared norm's log by at most 2 (4 u) 2^(m + 1) <=
+      16 u S;
+    * each of the m <= log2 S + 1 log additions rounds a partial sum of
+      size at most 2^l, weighted 2^(m - l): at most 2 u S (log2 S + 1) on
+      the squared norm's log.
+
+    The tests check every oracle value of their grids against b + tol.
+    Where t ||C||_2 nears the largest double, b and tol may overflow to inf.
+    """
+    with np.errstate(over="ignore"):
+        omega = np.linalg.eigvalsh(0.5 * mats + 0.5 * mats.conj().swapaxes(-1, -2))[:, 0]
+        scale = 1.0 + 2.0 * np.max(c_norm) * ts
+        return -2.0 * omega[:, None] * ts, np.finfo(float).eps / 2 * scale * (24.0 + 2.0 * np.log2(scale))
+
+
 def grid_sup_envelope(fam: ParamFamily, t_grid) -> np.ndarray:
     """Pointwise max over the z grid of log ||exp(-C(z) t)||_2^2.
 
     Kept as a log, so it stays finite where the norm underflows; its
     ``np.exp`` is a lower bound of the true z-supremum.  Refining the grid
     cannot decrease the result only when the finer grid contains the coarser
-    one (nested grids); a non-nested grid may miss the old maximizer.  The
-    matrices of the whole grid go to :func:`propagator_lognorm` as one stack.
+    one (nested grids); a non-nested grid may miss the old maximizer.
+
+    The oracle runs only at the points that can reach the maximum.  Each z
+    has the upper bound b(z, t) = -2 omega(z) t of :func:`_lognorm_sq_bound`.
+    At each t the oracle runs first at the seed, the z of the largest bound,
+    and then at every other z whose bound plus ``tol``, the rounding of the
+    bound and of the oracle, is not below the seed's value; an overflowed
+    ``tol`` keeps every z.  The oracle value of a z left out is at most its
+    bound plus ``tol``, below the seed's value, so it cannot be the maximum.
+    Every returned value is the oracle value of one point, computed as
+    :func:`propagator_lognorm` computes it, so the result equals the maximum
+    over the whole grid bit for bit.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    mats = np.array([family_matrix(fam, z) for z in fam.z_grid])
-    return np.max(2.0 * propagator_lognorm(mats, t_grid), axis=0, initial=-np.inf)
+    ts = _times(t_grid)
+    mats = as_cmatrix(np.array([family_matrix(fam, z) for z in fam.z_grid]), stack=True)
+    flat, c_norm = ts.ravel(), _norm2(mats)
+    bound, tol = _lognorm_sq_bound(mats, c_norm, flat)
+    seed = np.argmax(bound, axis=0)
+    best = 2.0 * _lognorm_points(mats, c_norm, seed, flat)
+    keep = ~(bound < best - tol)
+    keep[seed, np.arange(flat.size)] = False
+    z, j = np.nonzero(keep)
+    np.maximum.at(best, j, 2.0 * _lognorm_points(mats, c_norm, z, flat[j]))
+    return best.reshape(ts.shape)

@@ -81,29 +81,41 @@ def propagator_lognorm(c, t) -> float | np.ndarray:
 
     ``c`` is one matrix or a stack ``(..., d, d)``, and ``t`` a scalar or an
     array of times; the result has shape ``c.shape[:-2] + t.shape``, a float
-    for one matrix and a scalar ``t``.  Each (matrix, time) point takes its
-    own squaring count and its own normalisers, so every value equals its
-    one-matrix, one-time call bit for bit.  The points run in chunks of at
-    most ``_LOGNORM_CHUNK`` complex entries (points x d^2): the scaled
-    exponentials of a chunk come from one stacked :func:`expm` call, and the
-    squarings run level by level over the points that still need them.
+    for one matrix and a scalar ``t``.  Every (matrix, time) pair of that
+    outer product goes to :func:`_lognorm_points`, so every value equals its
+    one-matrix, one-time call bit for bit.
     """
     cm = as_cmatrix(c, stack=True)
     ts = _times(t)
     d = cm.shape[-1]
     mats, flat = cm.reshape(-1, d, d), ts.ravel()
-    out = np.zeros(mats.shape[0] * flat.size)
-    c_norm = _norm2(mats)
-    step = max(1, _LOGNORM_CHUNK // (d * d))
-    for lo in range(0, out.size, step):
-        point = np.arange(lo, min(lo + step, out.size))
-        point = point[flat[point % flat.size] != 0]  # t = 0 keeps log 1 = 0
-        if point.size:
-            i, j = np.divmod(point, flat.size)
-            out[point] = _lognorm_ladder(mats[i], c_norm[i], flat[j])
+    index, times = np.divmod(np.arange(mats.shape[0] * flat.size), flat.size)
+    out = _lognorm_points(mats, _norm2(mats), index, flat[times])
     if cm.ndim == 2 and ts.ndim == 0:
         return float(out[0])
     return out.reshape(cm.shape[:-2] + ts.shape)
+
+
+def _lognorm_points(mats, c_norm, index, t) -> np.ndarray:
+    """log ||exp(-C t)||_2 at explicit points: matrix ``mats[index[p]]`` of a
+    validated ``(n, d, d)`` stack with spectral norms ``c_norm`` (from
+    :func:`_norm2`) at the valid time ``t[p]``, for any pairs in any order.
+
+    Each point takes its own squaring count and its own normalisers, so its
+    value does not depend on the other points.  A point at t = 0 keeps
+    log 1 = 0.  The others run in chunks of at most ``_LOGNORM_CHUNK``
+    complex entries (points x d^2): the scaled exponentials of a chunk come
+    from one stacked :func:`expm` call, and the squarings run level by level
+    over the points that still need them.
+    """
+    out = np.zeros(t.shape)
+    live = np.flatnonzero(t)
+    step = max(1, _LOGNORM_CHUNK // mats.shape[-1] ** 2)
+    for lo in range(0, live.size, step):
+        point = live[lo : lo + step]
+        k = index[point]
+        out[point] = _lognorm_ladder(mats[k], c_norm[k], t[point])
+    return out
 
 
 def _norm2(a) -> np.ndarray:

@@ -767,6 +767,22 @@ def test_family_constant_rate_equals_its_envelope(tmp_path):
     assert np.all(np.abs(ratio - 1.0) < 1e-13)
 
 
+@pytest.mark.parametrize(
+    "argv, name, z",
+    [
+        # exp(z) overflows from z = 709.78; on this grid first at 713.33
+        (["--family", "exponential", "--z-max", "800"], "mu", 713.3333333333335),
+        # alpha beta exp(beta z) passes the largest double before alpha exp(beta z)
+        (["--family", "exponential", "--beta", "1.9", "--z-max", "373.4", "--z-points", "2"], "mu'", 373.4),
+    ],
+)
+def test_family_overflowing_rate_prints_one_error_line(argv, name, z, tmp_path, capsys):
+    # pytest's filterwarnings = error turns any numpy warning into a failure
+    assert main(["family", *argv, "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {name}(z) must be finite on the z grid, got {name}({z!r}) = inf\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_family_ratio_finite_where_both_sides_underflow(tmp_path):
     # at t = 400 the grid supremum and the envelope are both 0.0 in double
     out = tmp_path / "f.csv"

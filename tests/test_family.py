@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapdecay.family import (
     ParamFamily,
+    _lognorm_sq_bound,
     constant_family,
     exponential_family,
     family_matrix,
@@ -12,7 +15,7 @@ from lyapdecay.family import (
     uniform_envelope_exponential,
     uniform_envelope_quadratic,
 )
-from lyapdecay.oracle import propagator_lognorm
+from lyapdecay.oracle import _norm2, propagator_lognorm
 
 
 def test_family_matrix_constant_rate():
@@ -114,6 +117,25 @@ def test_grid_sup_envelope_within_closed_form():
     assert np.all(sup <= closed * (1 + 1e-9))
 
 
+def _exhaustive(fam, ts):
+    """log ||exp(-C(z) t)||^2 at every (z, t) of the grid, one z at a time,
+    and the bound at each point and the tolerance at each time that the
+    pruning reads."""
+    mats = np.array([family_matrix(fam, z) for z in fam.z_grid])
+    loop = np.array([2.0 * propagator_lognorm(m, ts) for m in mats]).reshape(-1, ts.size)
+    bound, tol = _lognorm_sq_bound(mats, _norm2(mats), ts.ravel())
+    return loop, bound, tol
+
+
+def _same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+#: times up to the family command's default horizon, 1e6 and past underflow;
+#: and a grid of t = 0 alone
+SUP_TIMES = [np.concatenate([np.linspace(0.0, 20.0, 21), [1e6, 2000.0]]), np.zeros(3)]
+
+
 @pytest.mark.parametrize("z_points", [1, 2, 241])
 @pytest.mark.parametrize(
     "make",
@@ -125,14 +147,55 @@ def test_grid_sup_envelope_within_closed_form():
     ids=["quadratic", "exponential", "constant"],
 )
 def test_grid_sup_envelope_bitwise_equals_per_z_loop(make, z_points):
-    # times up to the family command's default horizon, 1e6 and past underflow
-    fam = make(np.linspace(-6.0, 6.0, z_points))
-    ts = np.concatenate([np.linspace(0.0, 20.0, 21), [1e6, 2000.0]])
-    loop = np.full(ts.shape, -np.inf)
-    for z in fam.z_grid:
-        loop = np.maximum(loop, 2.0 * propagator_lognorm(family_matrix(fam, z), ts))
-    got = grid_sup_envelope(fam, ts)
-    assert got.shape == ts.shape and np.array_equal(got.view(np.uint64), loop.view(np.uint64))
+    # a symmetric grid and one that is neither symmetric nor even
+    grids = [np.linspace(-6.0, 6.0, z_points), -1.3 + 5.4 * np.linspace(0.0, 1.0, z_points) ** 2]
+    for zg in grids:
+        fam = make(zg)
+        for ts in SUP_TIMES:
+            loop, bound, tol = _exhaustive(fam, ts)
+            # every oracle value lies below its bound within the rounding
+            # the pruning allows for; no point could be pruned wrongly
+            assert np.all(loop <= bound + tol)
+            assert _same_bits(grid_sup_envelope(fam, ts), np.max(loop, axis=0))
+
+
+def test_grid_sup_envelope_past_a_seed_that_is_not_the_maximiser():
+    # the seed is the z of the largest bound, z = +-0.5 on the default grid;
+    # the quadratic family's maximiser moves towards z = 0 as t grows
+    fam = quadratic_family(1.0, 1.0, z_grid=np.linspace(-6.0, 6.0, 241))
+    ts = np.linspace(0.0, 20.0, 100)
+    loop, bound, _ = _exhaustive(fam, ts)
+    seed = loop[np.argmax(bound, axis=0), np.arange(ts.size)]
+    assert np.sum(np.max(loop, axis=0) > seed) > 50
+    assert _same_bits(grid_sup_envelope(fam, ts), np.max(loop, axis=0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    kind=st.sampled_from(["quadratic", "exponential"]),
+    log_alpha=st.floats(-2.0, 2.0),
+    log_mu=st.floats(-2.0, 1.0),
+    beta=st.floats(0.05, 1.95) | st.floats(-1.95, -0.05),
+    z_lo=st.floats(-8.0, 8.0),
+    z_width=st.floats(0.0, 10.0),
+    z_points=st.integers(1, 30),
+    log_t_max=st.floats(-3.0, 6.0),
+    t_points=st.integers(1, 12),
+)
+def test_grid_sup_envelope_equals_exhaustive_maximum_property(
+    kind, log_alpha, log_mu, beta, z_lo, z_width, z_points, log_t_max, t_points
+):
+    # log-uniform rates and horizons up to t = 1e6; beta is the exponential
+    # family's alone
+    zg = np.linspace(z_lo, z_lo + z_width, z_points)
+    if kind == "quadratic":
+        fam = quadratic_family(10.0**log_alpha, 10.0**log_mu, z_grid=zg)
+    else:
+        fam = exponential_family(10.0**log_alpha, beta, 10.0**log_mu, z_grid=zg)
+    ts = np.linspace(0.0, 10.0**log_t_max, t_points)
+    loop, bound, tol = _exhaustive(fam, ts)
+    assert np.all(loop <= bound + tol)
+    assert _same_bits(grid_sup_envelope(fam, ts), np.max(loop, axis=0))
 
 
 def test_grid_sup_envelope_refinement_monotone():

@@ -257,12 +257,20 @@ def test_expm_truncation_keeps_the_bits_of_twenty_four_terms(tmp_path, monkeypat
     # default runs, 16 Taylor terms give the bits of 24.  model-cd --order 1
     # is the default run where 15 terms changed bits (7 matrices, SkylakeX
     # kernel).  Unlike the pinned digests, this compares the program with
-    # itself, so it tests the truncation alone and pins no BLAS kernel's bits
-    from lyapdecay.cli import main
+    # itself, so it tests the truncation alone and pins no BLAS kernel's bits.
+    # family runs the oracle only where its bound admits the supremum, so
+    # the whole default grid goes through the oracle here instead
+    from lyapdecay.cli import _OPTIONS, main
+    from lyapdecay.family import family_matrix, quadratic_family
+    from lyapdecay.oracle import propagator_lognorm
 
     monkeypatch.chdir(tmp_path)
-    for argv in (["model-cd", "--order", "1", "--report", "cd.json"], ["model-gt", "--report", "gt.json"], ["family"]):
+    for argv in (["model-cd", "--order", "1", "--report", "cd.json"], ["model-gt", "--report", "gt.json"]):
         assert main(argv + ["--out", "out.csv"]) == 0
+    opts = {key: opt.default for key, opt in _OPTIONS["family"].items()}
+    assert opts["family"] == "quadratic"
+    fam = quadratic_family(opts["alpha"], opts["mu_min"], np.linspace(-opts["z_max"], opts["z_max"], opts["z_points"]))
+    propagator_lognorm([family_matrix(fam, z) for z in fam.z_grid], np.linspace(0.0, opts["t_max"], opts["points"]))
     assert sum(out.size // out.shape[-1] ** 2 for _, _, out in expm_calls) == 20800 + 21450 + 23859
     monkeypatch.setattr(linalg, "_EXPM_TERMS", 24)
     for a, t, out in expm_calls:

@@ -123,6 +123,20 @@ def test_propagator_lognorm_does_not_depend_on_chunk(chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 5])
+def test_lognorm_points_on_shuffled_pairs_bitwise_equal_single_calls(d, monkeypatch):
+    # repeated and t = 0 pairs included, in an order that mixes matrices,
+    # times and squaring counts; 37 points a chunk straddle the matrices
+    monkeypatch.setattr(oracle, "_LOGNORM_CHUNK", 37 * d * d)
+    rng = np.random.default_rng(900 + d)
+    mats = np.array([_stable_matrix(rng, d) for _ in range(4)])
+    index = rng.integers(0, mats.shape[0], size=150)
+    times = rng.choice(PARITY_TIMES, size=index.size)
+    times[::25] = 0.0
+    got = oracle._lognorm_points(mats, oracle._norm2(mats), index, times)
+    assert _same_bits(got, np.array([propagator_lognorm(mats[k], t) for k, t in zip(index, times)]))
+
+
+@pytest.mark.parametrize("d", [2, 5])
 def test_propagator_lognorm_empty_stack_or_times(d, expm_matrices):
     assert propagator_lognorm(np.zeros((0, d, d)), PARITY_TIMES).shape == (0, PARITY_TIMES.size)
     assert propagator_lognorm(np.zeros((0, d, d)), 1.0).shape == (0,)

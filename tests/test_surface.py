@@ -2,7 +2,8 @@
 the three theorem checks propagate their states through the public evolve of
 their model, once per z; each evolve returns one C-contiguous stack of
 coefficient arrays, the conjugate Fourier modes k and -k share one
-propagator, and ``family`` stacks its z grid into a few ``expm`` calls."""
+propagator, and ``family`` runs the oracle only at the (z, t) points its
+bound admits, in a few ``expm`` calls."""
 
 import ast
 import copy
@@ -169,11 +170,13 @@ def test_model_defaults_compute_one_propagator_per_conjugate_pair(argv, matrices
 
 
 def test_family_defaults_stack_the_z_grid_into_few_expm_calls(expm_matrices, tmp_path, monkeypatch):
-    # 241 z x 100 t points; t = 0 needs no propagator, and the ladder runs in
-    # chunks of _LOGNORM_CHUNK complex entries, 4 per 2x2 matrix
+    # of the 241 z x 99 t > 0 points (23,859), the log-norm bound admits 99
+    # seeds and 3,469 more at the default grid; they run in chunks of
+    # _LOGNORM_CHUNK complex entries, 4 per 2x2 matrix: one call for the
+    # seeds, then as few as the rest fill
     from lyapdecay import oracle
 
     monkeypatch.chdir(tmp_path)
     assert main(["family", "--out", "f.csv"]) == 0
-    assert sum(expm_matrices) == 241 * 99
-    assert len(expm_matrices) <= -(-241 * 100 // (oracle._LOGNORM_CHUNK // 4))
+    assert sum(expm_matrices) == 3568
+    assert len(expm_matrices) == 1 + -(-(3568 - 99) // (oracle._LOGNORM_CHUNK // 4))
