@@ -420,29 +420,12 @@ def _run_fp(cfg: dict, zg, ts) -> dict:
     return fp.fp_theorem_check(field, state, zg, ts)
 
 
-class _Model(NamedTuple):
-    help: str
-    run: Callable[[dict, np.ndarray, np.ndarray], dict]
-    #: entries of the check's result copied into the JSON report
-    keys: tuple[str, ...]
-
-
+#: each model command's help and run; its JSON report holds the config and
+#: every entry of the check's result that is not an array
 _MODELS = {
-    "model-cd": _Model(
-        "convection-diffusion sensitivity bound check",
-        _run_cd,
-        ("constants", "max_ratio", "passed", "initial_sup", "tail_fraction"),
-    ),
-    "model-gt": _Model(
-        "two-velocity relaxation sensitivity bound check",
-        _run_gt,
-        ("uniform", "max_ratio", "passed", "initial_sup"),
-    ),
-    "model-fp": _Model(
-        "Fokker-Planck sensitivity bound check",
-        _run_fp,
-        ("constants", "max_ratio", "passed", "initial_sup", "tail_fraction"),
-    ),
+    "model-cd": ("convection-diffusion sensitivity bound check", _run_cd),
+    "model-gt": ("two-velocity relaxation sensitivity bound check", _run_gt),
+    "model-fp": ("Fokker-Planck sensitivity bound check", _run_fp),
 }
 
 
@@ -466,20 +449,21 @@ def _fp_diffusion(cfg: dict, zg, ts) -> int:
 def cmd_model(args) -> int:
     """``model-cd``, ``model-gt`` and ``model-fp``: the global bound on a
     (z, t) grid as a CSV row per point plus a JSON constants report."""
-    model = _MODELS[args.command]
     cfg = _merge_config(args)
     zg = _parse_grid(cfg["z_grid"])
     ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
     if cfg.get("variant") == "diffusion":
         return _fp_diffusion(cfg, zg, ts)
-    rep = model.run(cfg, zg, ts)
+    _, run = _MODELS[args.command]
+    rep = run(cfg, zg, ts)
     rows = [
         (z, t, rep["norm_sq"][i, j], rep["bound"][j], rep["ratio"][i, j])
         for i, z in enumerate(zg)
         for j, t in enumerate(ts)
     ]
     _write_csv(cfg["out"], ["z", "t", "norm_sq", "bound", "ratio"], rows)
-    _write_json(cfg["report"], {"config": cfg, **{key: rep[key] for key in model.keys}})
+    entries = {key: value for key, value in rep.items() if not isinstance(value, np.ndarray)}
+    _write_json(cfg["report"], {"config": cfg, **entries})
     return EXIT_OK if rep["passed"] else EXIT_BOUND_VIOLATION
 
 
@@ -506,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze": ("Jordan structure, adapted form and envelope constant", cmd_analyze),
         "verify": ("check envelope dominance against the propagator", cmd_verify),
         "family": ("uniform-in-parameter envelopes of the 2x2 rate family", cmd_family),
-        **{name: (model.help, cmd_model) for name, model in _MODELS.items()},
+        **{name: (summary, cmd_model) for name, (summary, _) in _MODELS.items()},
     }
     parsers = {}
     for name, (summary, func) in commands.items():

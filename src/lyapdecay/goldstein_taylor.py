@@ -12,14 +12,13 @@ with the large-k limit 2I supplying the tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .linalg import expm_apply, hermitian_extremes
 from .lyapunov import DecayEnvelope, defect_one_constant
-from .oracle import _check_field_bounds, sweep
+from .oracle import sweep
 
 #: factor that pads the 2I limit covering the modes past k_max
 _TAIL_MARGIN = 1.1
@@ -300,14 +299,13 @@ def gt_theorem_check(
 
     The uniform constant defaults to :func:`gt_uniform_constant` (pass a
     precomputed report to avoid resweeping).  Ratios use the supremum of the
-    initial deviation over the z grid, as the statement does.  A field that
-    leaves a bound of its ``BOUNDS`` on the z grid raises ValueError.
+    initial deviation over the z grid, as the statement does.
     """
-    _check_field_bounds(field, z_grid)
     uniform = uniform or gt_uniform_constant(field, k_max=k_max)
     rep = sweep(
+        field,
         initial_state_fn,
-        partial(gt_evolve, field),
+        gt_evolve,
         lambda s, z: gt_deviation_norm_sq(s),
         z_grid,
         t_grid,

@@ -125,19 +125,37 @@ def _norm2(a) -> np.ndarray:
 
 def _lognorm_ladder(mats, c_norm, t) -> np.ndarray:
     """log ||exp(-C_k t_k)||_2 for matrices ``mats`` with spectral norms
-    ``c_norm`` at positive times ``t``, one per point, squaring counts mixed."""
-    scale = np.maximum(c_norm * t, 1e-30)
-    m = np.maximum(0, np.ceil(np.log2(scale))).astype(int)
+    ``c_norm`` at positive times ``t``, one per point, squaring counts mixed.
+
+    A ValueError names the first point where ||C||_2 t passes 2^1023, so
+    that 2^m overflows, or where a norm of the ladder is 0: exp(-C t) is
+    invertible, so a norm of 0 means a squaring underflowed."""
+    with np.errstate(over="ignore"):
+        scale = c_norm * t
+    if not np.all(scale <= 2.0**1023):
+        raise _ladder_error(scale <= 2.0**1023, c_norm, t, "||C||_2 t exceeds 2^1023")
+    m = np.maximum(0, np.ceil(np.log2(np.maximum(scale, 1e-30)))).astype(int)
     a = expm(-mats, t / np.ldexp(1.0, m))
     log_acc = np.zeros(t.shape)
     for level in range(int(m.max())):
         idx = np.nonzero(m > level)[0]
         part = a[idx]
         nrm = _norm2(part)
+        if not nrm.all():
+            raise _ladder_error(nrm, c_norm[idx], t[idx], f"the norm at squaring {level} underflows to 0")
         part = part / nrm[:, None, None]
         a[idx] = part @ part
         log_acc[idx] = 2.0 * (log_acc[idx] + np.log(nrm))
-    return log_acc + np.log(_norm2(a))
+    nrm = _norm2(a)
+    if not nrm.all():
+        raise _ladder_error(nrm, c_norm, t, "the norm of the last squaring underflows to 0")
+    return log_acc + np.log(nrm)
+
+
+def _ladder_error(ok, c_norm, t, cause) -> ValueError:
+    """The error at the first point where ``ok``, flags or norms, is False or 0."""
+    k = np.argmin(ok)
+    return ValueError(f"log ||exp(-C t)||_2 at t = {float(t[k])!r}, ||C||_2 = {float(c_norm[k])!r}: {cause}")
 
 
 def dominance_ratio(p, log_p, b, log_b) -> tuple[np.ndarray, float, bool]:
@@ -211,23 +229,26 @@ def _check_field_bounds(field, z_grid) -> None:
                 raise ValueError(message.format(f=name, z=z, b=bound))
 
 
-def sweep(initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelope: DecayEnvelope, tail=None) -> dict:
+def sweep(field, initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelope: DecayEnvelope, tail=None) -> dict:
     """Check a global bound  envelope(t) sup_z ||y(0, z) - y_inf||^2  on a
-    (z, t) grid of a mode model.
+    (z, t) grid of a mode model with coefficient ``field``.
 
-    ``initial_state_fn(z)`` gives the state at t = 0, ``evolve(state, z,
-    t_grid)`` the stack of states at every time and ``deviation_sq(states, z)``
-    the squared (Parseval) distances of one state or a stack to the steady
-    state.  ``tail(state)``, if given, is the weight of the truncation's
-    outermost modes; its supremum over the grid is reported relative to the
-    initial supremum.  ``ratio``, ``max_ratio`` and ``passed`` come from
-    :func:`dominance_ratio`.
+    The times are validated first, then :func:`_check_field_bounds` holds the
+    field to its ``BOUNDS`` on the z grid, before any state is built.
+    ``initial_state_fn(z)`` gives the state at t = 0, ``evolve(field, state,
+    z, t_grid)`` the stack of states at every time and ``deviation_sq(states,
+    z)`` the squared (Parseval) distances of one state or a stack to the
+    steady state.  ``tail(state)``, if given, is the weight of the
+    truncation's outermost modes; its supremum over the grid is reported
+    relative to the initial supremum.  ``ratio``, ``max_ratio`` and
+    ``passed`` come from :func:`dominance_ratio`.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = _times(t_grid)
+    _check_field_bounds(field, z_grid)
     states0 = [initial_state_fn(z) for z in z_grid]
     initial_sup = float(max(deviation_sq(s, z) for s, z in zip(states0, z_grid)))
-    norm_sq = np.array([deviation_sq(evolve(s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])
+    norm_sq = np.array([deviation_sq(evolve(field, s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])
     bound = envelope.bound(t_grid) * initial_sup
     with np.errstate(divide="ignore"):
         log_p, log_b = np.log(norm_sq), envelope.log_bound(t_grid) + np.log(initial_sup)

@@ -783,6 +783,24 @@ def test_family_overflowing_rate_prints_one_error_line(argv, name, z, tmp_path, 
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["--alpha", "1e200"], "underflows to 0"),
+        (["--t-max", "1e300"], "underflows to 0"),
+        (["--family", "exponential", "--beta", "-1.5", "--z-max", "300"], "underflows to 0"),
+        # t ||C||_2 is finite at 1e300 but overflows here; each t is finite
+        (["--t-max", "1e308"], "||C||_2 t exceeds 2^1023"),
+    ],
+)
+def test_family_past_the_oracle_ladder_prints_one_error_line(argv, cause, tmp_path, capsys):
+    # pytest's filterwarnings = error turns any numpy warning into a failure
+    assert main(["family", *argv, "--out", str(tmp_path / "f.csv")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: log ||exp(-C t)||_2 at t = ") and line.endswith(cause)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_family_ratio_finite_where_both_sides_underflow(tmp_path):
     # at t = 400 the grid supremum and the envelope are both 0.0 in double
     out = tmp_path / "f.csv"
@@ -906,6 +924,31 @@ _TABLES = {
 def _table(command):
     option, columns = _TABLES[command]
     return option, {"z": _Z.tolist(), **{name: col.tolist() for name, col in columns.items()}}
+
+
+#: the top-level keys of each model report: the config and every entry of
+#: its check's result that is not an array
+_REPORT_KEYS = {
+    "model-cd": {"config", "constants", "initial_sup", "max_ratio", "passed", "tail_fraction"},
+    "model-gt": {"config", "uniform", "initial_sup", "max_ratio", "passed"},
+    "model-fp": {"config", "constants", "initial_sup", "max_ratio", "passed", "tail_fraction"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_KEYS))
+def test_model_report_holds_the_non_array_entries_of_its_check(tmp_path, command):
+    option, table = _table(command)
+    extra = []
+    if command == "model-cd":  # a = z and b = 2 + tanh z, with second derivatives
+        table = {**table, "d2a": [0.0] * _Z.size, "d2b": (-2.0 * np.tanh(_Z) / np.cosh(_Z) ** 2).tolist()}
+        extra = ["--order", "2"]
+    elif command == "model-gt":
+        extra = ["--k-max", "4"]
+    assert _table_run(tmp_path, command, option, table, *extra) == 0
+    report = json.loads((tmp_path / "m.json").read_text())
+    assert set(report) == _REPORT_KEYS[command]
+    if command == "model-cd":
+        assert report["config"]["order"] == 2 and {"case2_const", "case3_const"} <= set(report["constants"])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lyapdecay import convection_diffusion as cd
 from lyapdecay import oracle
 from lyapdecay.jordan import jordan_chains
 from lyapdecay.linalg import expm, spectral_norm
@@ -172,12 +175,17 @@ def test_check_dominance_and_sharpness_order_take_one_matrix():
 
 @pytest.mark.parametrize("t_grid", [[0.0, -1.0], [0.0, np.inf], [np.nan, 1.0]])
 def test_sweep_rejects_bad_times(t_grid):
-    # before any state is built or evolved
+    # b(z) = 2 + tanh z falls below b0 = 1.5 at z = -3: bad times are named
+    # first, and with good times the field, before any state is built or evolved
     def never(*args):
         raise AssertionError("called")
 
+    field = dataclasses.replace(cd.tanh_field(), b0=1.5)
+    envelope = DecayEnvelope(1.0, 0.5, 2)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        sweep(never, never, never, [0.0], t_grid, DecayEnvelope(1.0, 0.5, 2))
+        sweep(field, never, never, never, [0.0, -3.0], t_grid, envelope)
+    with pytest.raises(ValueError, match=r"^b\(-3\.0\) < b0$"):
+        sweep(field, never, never, never, [0.0, -3.0], [0.0, 1.0], envelope)
 
 
 def test_dominance_ratio_continuous_across_tiny_and_zero_where_p_is_zero():

@@ -1,4 +1,5 @@
-"""The public surface resolves, every public definition has a caller, and
+"""The public surface resolves, every public definition has a caller, no
+module takes another's private names but the ones listed below, and
 the three theorem checks propagate their states through the public evolve of
 their model, once per z; each evolve returns one C-contiguous stack of
 coefficient arrays, the conjugate Fourier modes k and -k share one
@@ -93,6 +94,42 @@ def test_public_definitions_have_a_caller():
     missing, stale = sorted(uncalled - set(UNCALLED)), sorted(set(UNCALLED) - uncalled)
     assert not missing, f"public definitions with no caller: {missing}"
     assert not stale, f"called now, so drop them from UNCALLED: {stale}"
+
+
+#: the private names a package module takes from another, and why
+PRIVATE_IMPORTS = {
+    "family": (
+        {"_lognorm_points", "_norm2", "_times"},
+        "its pruning bound depends on the oracle's ladder (ROADMAP items 1 and 11)",
+    ),
+}
+
+
+def _private_imports(tree) -> set:
+    """``_``-prefixed names that a module imports from another package module,
+    or reads as attributes of one it imports whole."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:  # from . import module
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    names.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                names.add(node.attr)
+    return names
+
+
+def test_modules_take_no_private_names_of_another():
+    found = {
+        path.stem: names
+        for path in sorted((ROOT / "src" / "lyapdecay").glob("*.py"))
+        if (names := _private_imports(ast.parse(path.read_text())))
+    }
+    assert found == {name: names for name, (names, _) in PRIVATE_IMPORTS.items()}
 
 
 def _counting(monkeypatch, module, name):
