@@ -349,14 +349,13 @@ def _column(data: dict, key: str, size: int | None = None) -> np.ndarray:
     """Table entry ``key`` as a flat array of floats, ``size`` long if given."""
     if key not in data:
         raise ValueError(f"table {key} is missing")
-    try:
-        col = np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError):
-        col = None
-    if col is None or col.ndim != 1 or (size is not None and col.size != size):
+    col = data[key]
+    # finite JSON numbers of exact types: a JSON true is a bool, not the number 1
+    finite = isinstance(col, list) and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in col)
+    if not finite or (size is not None and len(col) != size):
         want = "a list of numbers" if size is None else f"a list of {size} numbers, one per z"
         raise ValueError(f"table {key} must be {want}")
-    return col
+    return np.array(col, dtype=float)
 
 
 def _field(spec: str, builtins: dict, cls):
@@ -376,7 +375,7 @@ def _field(spec: str, builtins: dict, cls):
     if unknown:
         raise ValueError(f"table keys {unknown} are not fields of {cls.__name__}")
     z = _column(data, "z")
-    if not (z.size and np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)):
+    if not (z.size and np.all(np.diff(z) > 0)):
         raise ValueError("table z must be nonempty, finite and strictly increasing")
     bounds = {bound for bound, _, _ in cls.BOUNDS}
     columns = {

@@ -288,7 +288,7 @@ def theorem_bound_check(
         lambda s, z: deviation_norm_sq(s),
         z_grid,
         t_grid,
-        DecayEnvelope(consts["C_global"], field.b0, order + 1),
+        lambda: DecayEnvelope(consts["C_global"], field.b0, order + 1),
         tail=lambda s: float(np.sum(np.abs(s[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
     )
     return {**rep, "constants": consts}

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_cmatrix
-from .oracle import _lognorm_points, _norm2, _times
+from .linalg import as_cmatrix, spectral_norm
+from .oracle import propagator_lognorm
 
 __all__ = [
     "ParamFamily",
@@ -175,8 +175,10 @@ def _lognorm_sq_bound(mats, c_norm, ts) -> tuple[np.ndarray, np.ndarray]:
 
     The tests check every oracle value of their grids against b + tol.
     Where t ||C||_2 nears the largest double, b and tol may overflow to inf.
+    At a time that is not finite and nonnegative they mean nothing and raise
+    no warning: the oracle rejects that time.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         omega = np.linalg.eigvalsh(0.5 * mats + 0.5 * mats.conj().swapaxes(-1, -2))[:, 0]
         scale = 1.0 + 2.0 * np.max(c_norm) * ts
         return -2.0 * omega[:, None] * ts, np.finfo(float).eps / 2 * scale * (24.0 + 2.0 * np.log2(scale))
@@ -197,18 +199,19 @@ def grid_sup_envelope(fam: ParamFamily, t_grid) -> np.ndarray:
     bound and of the oracle, is not below the seed's value; an overflowed
     ``tol`` keeps every z.  The oracle value of a z left out is at most its
     bound plus ``tol``, below the seed's value, so it cannot be the maximum.
-    Every returned value is the oracle value of one point, computed as
-    :func:`propagator_lognorm` computes it, so the result equals the maximum
-    over the whole grid bit for bit.
+    Both calls pass :func:`propagator_lognorm` explicit (z, t) pairs, the
+    first of which validates the times, so every returned value is the
+    oracle value of one point and the result equals the maximum over the
+    whole grid bit for bit.
     """
-    ts = _times(t_grid)
+    ts = np.asarray(t_grid, dtype=float)
     mats = as_cmatrix(np.array([family_matrix(fam, z) for z in fam.z_grid]), stack=True)
-    flat, c_norm = ts.ravel(), _norm2(mats)
-    bound, tol = _lognorm_sq_bound(mats, c_norm, flat)
+    flat = ts.ravel()
+    bound, tol = _lognorm_sq_bound(mats, spectral_norm(mats), flat)
     seed = np.argmax(bound, axis=0)
-    best = 2.0 * _lognorm_points(mats, c_norm, seed, flat)
+    best = 2.0 * propagator_lognorm(mats[seed], flat)
     keep = ~(bound < best - tol)
     keep[seed, np.arange(flat.size)] = False
     z, j = np.nonzero(keep)
-    np.maximum.at(best, j, 2.0 * _lognorm_points(mats, c_norm, z, flat[j]))
+    np.maximum.at(best, j, 2.0 * propagator_lognorm(mats[z], flat[j]))
     return best.reshape(ts.shape)

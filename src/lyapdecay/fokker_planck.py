@@ -266,7 +266,7 @@ def fp_theorem_check(
         lambda s, z: fp_deviation_norm_sq(field, s, z),
         z_grid,
         t_grid,
-        DecayEnvelope(consts["C_global"], field.a0, 2),
+        lambda: DecayEnvelope(consts["C_global"], field.a0, 2),
         tail=lambda s: float(s[0, -1] ** 2 + s[1, -1] ** 2),
     )
     return {**rep, "constants": consts}

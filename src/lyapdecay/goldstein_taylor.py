@@ -301,14 +301,13 @@ def gt_theorem_check(
     precomputed report to avoid resweeping).  Ratios use the supremum of the
     initial deviation over the z grid, as the statement does.
     """
-    uniform = uniform or gt_uniform_constant(field, k_max=k_max)
-    rep = sweep(
-        field,
-        initial_state_fn,
-        gt_evolve,
-        lambda s, z: gt_deviation_norm_sq(s),
-        z_grid,
-        t_grid,
-        DecayEnvelope(uniform["C_global"], 0.5 * field.sigma0, 2),
-    )
+
+    def envelope() -> DecayEnvelope:
+        # sweep calls this after its field check, so a field that leaves its
+        # BOUNDS is rejected before the parameter-box sweep
+        nonlocal uniform
+        uniform = uniform or gt_uniform_constant(field, k_max=k_max)
+        return DecayEnvelope(uniform["C_global"], 0.5 * field.sigma0, 2)
+
+    rep = sweep(field, initial_state_fn, gt_evolve, lambda s, z: gt_deviation_norm_sq(s), z_grid, t_grid, envelope)
     return {**rep, "uniform": uniform}

@@ -193,10 +193,11 @@ def expm_apply(a, v, t) -> np.ndarray:
     return out
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value."""
-    m = as_cmatrix(a)
-    return float(np.linalg.norm(m, 2))
+def spectral_norm(a) -> float | np.ndarray:
+    """Largest singular value of one matrix, a float, or of each matrix of a
+    stack ``(..., d, d)``, with the bits of ``np.linalg.norm(a, 2)``."""
+    out = np.linalg.norm(as_cmatrix(a, stack=True), 2, axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def is_hermitian(a, rel_tol: float = 1e-12) -> bool:

@@ -79,47 +79,41 @@ def propagator_lognorm(c, t) -> float | np.ndarray:
     squaring with renormalization, accumulating the log of the scale factors,
     so the result stays meaningful when the norm itself underflows.
 
-    ``c`` is one matrix or a stack ``(..., d, d)``, and ``t`` a scalar or an
-    array of times; the result has shape ``c.shape[:-2] + t.shape``, a float
-    for one matrix and a scalar ``t``.  Every (matrix, time) pair of that
-    outer product goes to :func:`_lognorm_points`, so every value equals its
-    one-matrix, one-time call bit for bit.
+    ``c`` is one matrix or a stack ``(..., d, d)`` and ``t`` a time or an
+    array of times.  As in :func:`expm`, the leading axes of ``c`` broadcast
+    against ``t``: a ``(P, d, d)`` stack with ``(P,)`` times is P (matrix,
+    time) points, and ``c[:, None]`` with ``(T,)`` times their outer product.
+    The result has the broadcast shape, a float for one matrix and one time.
+
+    The spectral norms are taken once per matrix of ``c``.  A point at t = 0
+    keeps log 1 = 0 and costs nothing.  The others run in chunks of at most
+    ``_LOGNORM_CHUNK`` complex entries (points x d^2): the scaled
+    exponentials of a chunk come from one stacked :func:`expm` call, and the
+    squarings run level by level over the points that still need them.  Each
+    point takes its own squaring count and normalisers, so every value equals
+    its one-matrix, one-time call bit for bit.
     """
     cm = as_cmatrix(c, stack=True)
     ts = _times(t)
+    shape = np.broadcast_shapes(cm.shape[:-2], ts.shape)
     d = cm.shape[-1]
-    mats, flat = cm.reshape(-1, d, d), ts.ravel()
-    index, times = np.divmod(np.arange(mats.shape[0] * flat.size), flat.size)
-    out = _lognorm_points(mats, _norm2(mats), index, flat[times])
-    if cm.ndim == 2 and ts.ndim == 0:
-        return float(out[0])
-    return out.reshape(cm.shape[:-2] + ts.shape)
-
-
-def _lognorm_points(mats, c_norm, index, t) -> np.ndarray:
-    """log ||exp(-C t)||_2 at explicit points: matrix ``mats[index[p]]`` of a
-    validated ``(n, d, d)`` stack with spectral norms ``c_norm`` (from
-    :func:`_norm2`) at the valid time ``t[p]``, for any pairs in any order.
-
-    Each point takes its own squaring count and its own normalisers, so its
-    value does not depend on the other points.  A point at t = 0 keeps
-    log 1 = 0.  The others run in chunks of at most ``_LOGNORM_CHUNK``
-    complex entries (points x d^2): the scaled exponentials of a chunk come
-    from one stacked :func:`expm` call, and the squarings run level by level
-    over the points that still need them.
-    """
-    out = np.zeros(t.shape)
-    live = np.flatnonzero(t)
-    step = max(1, _LOGNORM_CHUNK // mats.shape[-1] ** 2)
+    mats = cm.reshape(-1, d, d)
+    c_norm = _norm2(mats)
+    index = np.broadcast_to(np.arange(mats.shape[0]).reshape(cm.shape[:-2]), shape).ravel()
+    times = np.broadcast_to(ts, shape).ravel()
+    out = np.zeros(times.shape)
+    live = np.flatnonzero(times)
+    step = max(1, _LOGNORM_CHUNK // d**2)
     for lo in range(0, live.size, step):
         point = live[lo : lo + step]
         k = index[point]
-        out[point] = _lognorm_ladder(mats[k], c_norm[k], t[point])
-    return out
+        out[point] = _lognorm_ladder(mats[k], c_norm[k], times[point])
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _norm2(a) -> np.ndarray:
-    """Spectral norms of a stack: the same bits as ``np.linalg.norm(a, 2)``."""
+    """:func:`linalg.spectral_norm` of a stack without the input checks, which
+    would cost each of the ladder's per-level norms about 14 us."""
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
@@ -229,23 +223,25 @@ def _check_field_bounds(field, z_grid) -> None:
                 raise ValueError(message.format(f=name, z=z, b=bound))
 
 
-def sweep(field, initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelope: DecayEnvelope, tail=None) -> dict:
+def sweep(field, initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelope, tail=None) -> dict:
     """Check a global bound  envelope(t) sup_z ||y(0, z) - y_inf||^2  on a
     (z, t) grid of a mode model with coefficient ``field``.
 
     The times are validated first, then :func:`_check_field_bounds` holds the
-    field to its ``BOUNDS`` on the z grid, before any state is built.
-    ``initial_state_fn(z)`` gives the state at t = 0, ``evolve(field, state,
-    z, t_grid)`` the stack of states at every time and ``deviation_sq(states,
-    z)`` the squared (Parseval) distances of one state or a stack to the
-    steady state.  ``tail(state)``, if given, is the weight of the
-    truncation's outermost modes; its supremum over the grid is reported
-    relative to the initial supremum.  ``ratio``, ``max_ratio`` and
-    ``passed`` come from :func:`dominance_ratio`.
+    field to its ``BOUNDS`` on the z grid; only then does ``envelope()``
+    build the :class:`DecayEnvelope` to check.  ``initial_state_fn(z)`` gives
+    the state at t = 0, ``evolve(field, state, z, t_grid)`` the stack of
+    states at every time and ``deviation_sq(states, z)`` the squared
+    (Parseval) distances of one state or a stack to the steady state.
+    ``tail(state)``, if given, is the weight of the truncation's outermost
+    modes; its supremum over the grid is reported relative to the initial
+    supremum.  ``ratio``, ``max_ratio`` and ``passed`` come from
+    :func:`dominance_ratio`.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = _times(t_grid)
     _check_field_bounds(field, z_grid)
+    envelope = envelope()
     states0 = [initial_state_fn(z) for z in z_grid]
     initial_sup = float(max(deviation_sq(s, z) for s, z in zip(states0, z_grid)))
     norm_sq = np.array([deviation_sq(evolve(field, s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])

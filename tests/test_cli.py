@@ -1011,6 +1011,40 @@ def test_model_table_names_a_missing_or_misshapen_column(tmp_path, capsys, comma
         assert line.startswith("error: table z "), line
 
 
+@pytest.mark.parametrize("command", ["model-cd", "model-gt", "model-fp"])
+@pytest.mark.parametrize(
+    "entry",
+    [pytest.param("1.0", id="numeric-string"), pytest.param(True, id="true"), pytest.param(10**400, id="huge-int"),
+     pytest.param(float("inf"), id="infinity")],
+)
+def test_model_table_columns_hold_only_finite_json_numbers(tmp_path, capsys, command, entry):
+    # a numeric string or a true once read as a float, and the run exited 0
+    option, table = _table(command)
+    column = next(key for key in table if key != "z")
+    for key, want in ((column, f"a list of {_Z.size} numbers, one per z"), ("z", "a list of numbers")):
+        bad = {**table, key: [entry, *table[key][1:]]}
+        assert _table_run(tmp_path, command, option, bad) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: table {key} must be {want}"
+
+
+def test_model_gt_rejects_a_table_below_sigma0_before_its_uniform_constant(tmp_path, capsys, monkeypatch):
+    # sigma = 1 + 0.5 tanh z drops below the declared sigma0 = 1.2 at the
+    # default grid's first z; the parameter-box sweep is never paid for
+    from lyapdecay import goldstein_taylor as gt
+
+    def never(*args, **kwargs):
+        raise AssertionError("gt_uniform_constant called")
+
+    monkeypatch.setattr(gt, "gt_uniform_constant", never)
+    option, table = _table("model-gt")
+    (tmp_path / "table.json").write_text(json.dumps({**table, "sigma0": 1.2}))
+    argv = ["model-gt", option, str(tmp_path / "table.json"), "--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: sigma(-3.0) < sigma0\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_model_cd_order_2_needs_the_second_derivative_columns(tmp_path, capsys):
     # the first-order table has no d2a or d2b: order 1 runs, order 2 names them
     option, table = _table("model-cd")

@@ -15,7 +15,8 @@ from lyapdecay.family import (
     uniform_envelope_exponential,
     uniform_envelope_quadratic,
 )
-from lyapdecay.oracle import _norm2, propagator_lognorm
+from lyapdecay.linalg import spectral_norm
+from lyapdecay.oracle import propagator_lognorm
 
 
 def test_family_matrix_constant_rate():
@@ -123,7 +124,7 @@ def _exhaustive(fam, ts):
     pruning reads."""
     mats = np.array([family_matrix(fam, z) for z in fam.z_grid])
     loop = np.array([2.0 * propagator_lognorm(m, ts) for m in mats]).reshape(-1, ts.size)
-    bound, tol = _lognorm_sq_bound(mats, _norm2(mats), ts.ravel())
+    bound, tol = _lognorm_sq_bound(mats, spectral_norm(mats), ts.ravel())
     return loop, bound, tol
 
 
@@ -196,6 +197,15 @@ def test_grid_sup_envelope_equals_exhaustive_maximum_property(
     loop, bound, tol = _exhaustive(fam, ts)
     assert np.all(loop <= bound + tol)
     assert _same_bits(grid_sup_envelope(fam, ts), np.max(loop, axis=0))
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, -1.0], [1.0, np.inf], [np.nan, 1.0], [-np.inf]])
+def test_grid_sup_envelope_rejects_bad_times_with_the_oracle_error(t_grid):
+    # omega = (|z| - 1/2)^2 is 0 at z = +-0.5, where -2 omega t is nan at t = inf;
+    # the pruning bound may not warn before the oracle names the times
+    fam = quadratic_family(1.0, 0.25, z_grid=np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(ValueError, match="^times must be finite and nonnegative$"):
+        grid_sup_envelope(fam, t_grid)
 
 
 def test_grid_sup_envelope_refinement_monotone():

@@ -270,7 +270,8 @@ def test_expm_truncation_keeps_the_bits_of_twenty_four_terms(tmp_path, monkeypat
     opts = {key: opt.default for key, opt in _OPTIONS["family"].items()}
     assert opts["family"] == "quadratic"
     fam = quadratic_family(opts["alpha"], opts["mu_min"], np.linspace(-opts["z_max"], opts["z_max"], opts["z_points"]))
-    propagator_lognorm([family_matrix(fam, z) for z in fam.z_grid], np.linspace(0.0, opts["t_max"], opts["points"]))
+    mats = np.array([family_matrix(fam, z) for z in fam.z_grid])
+    propagator_lognorm(mats[:, None], np.linspace(0.0, opts["t_max"], opts["points"]))
     assert sum(out.size // out.shape[-1] ** 2 for _, _, out in expm_calls) == 20800 + 21450 + 23859
     monkeypatch.setattr(linalg, "_EXPM_TERMS", 24)
     for a, t, out in expm_calls:
@@ -360,6 +361,16 @@ def test_spectral_norm_shear_closed_form():
         a = np.array([[1.0, -et], [0.0, 1.0]])
         want = np.sqrt(1.0 + et**2 / 2.0 + np.sqrt(et**2 + et**4 / 4.0))
         assert spectral_norm(a) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3), (0,)])
+def test_spectral_norm_of_a_stack_has_the_bits_of_single_calls(shape):
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(*shape, 3, 3)) + 1j * rng.normal(size=(*shape, 3, 3))
+    got = spectral_norm(stack)
+    want = np.array([np.linalg.norm(a, 2) for a in stack.reshape(-1, 3, 3)]).reshape(shape)
+    assert got.shape == shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert isinstance(spectral_norm(np.eye(3)), float)
 
 
 def _power_iteration_norm(a, iters=3000):

@@ -106,7 +106,7 @@ def _stack_cases():
 
 @pytest.mark.parametrize("stack", _stack_cases(), ids=lambda s: "x".join(map(str, s.shape)))
 def test_propagator_lognorm_stack_bitwise_equals_reference(stack):
-    got = propagator_lognorm(stack, PARITY_TIMES)
+    got = propagator_lognorm(stack[..., None, :, :], PARITY_TIMES)
     assert got.shape == stack.shape[:-2] + PARITY_TIMES.shape
     want = np.array([[_lognorm_reference(c, t) for t in PARITY_TIMES] for c in stack.reshape(-1, *stack.shape[-2:])])
     assert _same_bits(got.reshape(want.shape), want)
@@ -119,33 +119,61 @@ def test_propagator_lognorm_does_not_depend_on_chunk(chunk, monkeypatch):
     # 148 entries are 37 points at d = 2: chunks straddle the matrices
     rng = np.random.default_rng(800)
     stacks = [np.array([_stable_matrix(rng, d) for _ in range(2)]) for d in (2, 5)]
-    want = [propagator_lognorm(s, PARITY_TIMES) for s in stacks]
+    want = [propagator_lognorm(s[:, None], PARITY_TIMES) for s in stacks]
     monkeypatch.setattr(oracle, "_LOGNORM_CHUNK", chunk)
     for s, w in zip(stacks, want):
-        assert _same_bits(propagator_lognorm(s, PARITY_TIMES), w)
+        assert _same_bits(propagator_lognorm(s[:, None], PARITY_TIMES), w)
 
 
 @pytest.mark.parametrize("d", [2, 5])
-def test_lognorm_points_on_shuffled_pairs_bitwise_equal_single_calls(d, monkeypatch):
-    # repeated and t = 0 pairs included, in an order that mixes matrices,
-    # times and squaring counts; 37 points a chunk straddle the matrices
+def test_propagator_lognorm_on_shuffled_pairs_bitwise_equal_single_calls(d, monkeypatch):
+    # a (P, d, d) stack with (P,) times is P explicit pairs: repeated and
+    # t = 0 pairs included, in an order that mixes matrices, times and
+    # squaring counts; 37 points a chunk straddle the matrices
     monkeypatch.setattr(oracle, "_LOGNORM_CHUNK", 37 * d * d)
     rng = np.random.default_rng(900 + d)
     mats = np.array([_stable_matrix(rng, d) for _ in range(4)])
     index = rng.integers(0, mats.shape[0], size=150)
     times = rng.choice(PARITY_TIMES, size=index.size)
     times[::25] = 0.0
-    got = oracle._lognorm_points(mats, oracle._norm2(mats), index, times)
+    got = propagator_lognorm(mats[index], times)
     assert _same_bits(got, np.array([propagator_lognorm(mats[k], t) for k, t in zip(index, times)]))
 
 
 @pytest.mark.parametrize("d", [2, 5])
 def test_propagator_lognorm_empty_stack_or_times(d, expm_matrices):
-    assert propagator_lognorm(np.zeros((0, d, d)), PARITY_TIMES).shape == (0, PARITY_TIMES.size)
+    assert propagator_lognorm(np.zeros((0, 1, d, d)), PARITY_TIMES).shape == (0, PARITY_TIMES.size)
     assert propagator_lognorm(np.zeros((0, d, d)), 1.0).shape == (0,)
-    assert propagator_lognorm(np.eye(d)[None].repeat(4, axis=0), []).shape == (4, 0)
+    assert propagator_lognorm(np.eye(d)[None].repeat(4, axis=0)[:, None], []).shape == (4, 0)
     assert propagator_lognorm(np.eye(d), np.zeros((0, 3))).shape == (0, 3)
     assert expm_matrices == []
+
+
+@pytest.mark.parametrize(
+    "shape, times",
+    [((3,), PARITY_TIMES), ((3,), [0.0, 1.0]), ((2, 3), np.ones((3, 2))), ((0,), [1.0, 2.0])],
+    ids=["stack-times", "stack-pair", "grid-grid", "empty-times"],
+)
+def test_propagator_lognorm_rejects_shapes_that_do_not_broadcast(shape, times, expm_matrices):
+    with pytest.raises(ValueError, match="broadcast"):
+        propagator_lognorm(np.broadcast_to(defect1_matrix(0.5), (*shape, 2, 2)), times)
+    assert expm_matrices == []
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_propagator_lognorm_spends_no_expm_work_at_t_zero(d, expm_matrices):
+    # of 4 matrices x 6 times, the 9 points at t = 0 are log 1 = 0 and reach
+    # no expm call; the 15 others share one
+    rng = np.random.default_rng(950 + d)
+    mats = np.array([_stable_matrix(rng, d) for _ in range(4)])
+    times = np.array([0.0, 1.0, 0.0, 2.5, 1e3, 0.0])
+    got = propagator_lognorm(mats[:, None], times)
+    assert np.all(got[:, times == 0] == 0.0) and np.all(got[:, times > 0] != 0.0)
+    assert expm_matrices == [4 * 3]
+    zeros = np.zeros((4, 6))
+    assert _same_bits(propagator_lognorm(mats[:, None], zeros), zeros)
+    assert propagator_lognorm(mats, 0.0).tolist() == [0.0] * 4
+    assert expm_matrices == [4 * 3]
 
 
 def test_propagator_lognorm_vector_beyond_underflow():
@@ -176,12 +204,13 @@ def test_check_dominance_and_sharpness_order_take_one_matrix():
 @pytest.mark.parametrize("t_grid", [[0.0, -1.0], [0.0, np.inf], [np.nan, 1.0]])
 def test_sweep_rejects_bad_times(t_grid):
     # b(z) = 2 + tanh z falls below b0 = 1.5 at z = -3: bad times are named
-    # first, and with good times the field, before any state is built or evolved
+    # first, and with good times the field, before the envelope or any state
+    # is built or evolved
     def never(*args):
         raise AssertionError("called")
 
     field = dataclasses.replace(cd.tanh_field(), b0=1.5)
-    envelope = DecayEnvelope(1.0, 0.5, 2)
+    envelope = never
     with pytest.raises(ValueError, match="finite and nonnegative"):
         sweep(field, never, never, never, [0.0, -3.0], t_grid, envelope)
     with pytest.raises(ValueError, match=r"^b\(-3\.0\) < b0$"):

@@ -1,7 +1,7 @@
 """The public surface resolves, every public definition has a caller, no
-module takes another's private names but the ones listed below, and
-the three theorem checks propagate their states through the public evolve of
-their model, once per z; each evolve returns one C-contiguous stack of
+module of the package takes a private name of another, and the three
+theorem checks propagate their states through the public evolve of their
+model, once per z; each evolve returns one C-contiguous stack of
 coefficient arrays, the conjugate Fourier modes k and -k share one
 propagator, and ``family`` runs the oracle only at the (z, t) points its
 bound admits, in a few ``expm`` calls."""
@@ -96,15 +96,6 @@ def test_public_definitions_have_a_caller():
     assert not stale, f"called now, so drop them from UNCALLED: {stale}"
 
 
-#: the private names a package module takes from another, and why
-PRIVATE_IMPORTS = {
-    "family": (
-        {"_lognorm_points", "_norm2", "_times"},
-        "its pruning bound depends on the oracle's ladder (ROADMAP items 1 and 11)",
-    ),
-}
-
-
 def _private_imports(tree) -> set:
     """``_``-prefixed names that a module imports from another package module,
     or reads as attributes of one it imports whole."""
@@ -129,7 +120,7 @@ def test_modules_take_no_private_names_of_another():
         for path in sorted((ROOT / "src" / "lyapdecay").glob("*.py"))
         if (names := _private_imports(ast.parse(path.read_text())))
     }
-    assert found == {name: names for name, (names, _) in PRIVATE_IMPORTS.items()}
+    assert found == {}
 
 
 def _counting(monkeypatch, module, name):
