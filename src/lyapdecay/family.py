@@ -202,16 +202,17 @@ def grid_sup_envelope(fam: ParamFamily, t_grid) -> np.ndarray:
     Both calls pass :func:`propagator_lognorm` explicit (z, t) pairs, the
     first of which validates the times, so every returned value is the
     oracle value of one point and the result equals the maximum over the
-    whole grid bit for bit.
+    whole grid bit for bit.  They take the oracle's spectral-norm ladder
+    (``spectral_levels=True``), which keeps family.csv's pinned digest.
     """
     ts = np.asarray(t_grid, dtype=float)
     mats = as_cmatrix(np.array([family_matrix(fam, z) for z in fam.z_grid]), stack=True)
     flat = ts.ravel()
     bound, tol = _lognorm_sq_bound(mats, spectral_norm(mats), flat)
     seed = np.argmax(bound, axis=0)
-    best = 2.0 * propagator_lognorm(mats[seed], flat)
+    best = 2.0 * propagator_lognorm(mats[seed], flat, spectral_levels=True)
     keep = ~(bound < best - tol)
     keep[seed, np.arange(flat.size)] = False
     z, j = np.nonzero(keep)
-    np.maximum.at(best, j, 2.0 * propagator_lognorm(mats[z], flat[j]))
+    np.maximum.at(best, j, 2.0 * propagator_lognorm(mats[z], flat[j], spectral_levels=True))
     return best.reshape(ts.shape)

@@ -33,9 +33,12 @@ DOMINANCE_SLACK = 1e-9
 #: complex entries (points x d^2), not points, per stacked squaring ladder in
 #: propagator_lognorm, counted as linalg._APPLY_CHUNK counts them but not in
 #: whole modes: 4096 keeps each temporary at 64 KB, below glibc's 128 KB mmap
-#: threshold, which is 64 points at d = 8 and 256 at d = 4.  Each ladder step
-#: takes per-point SVDs, so a larger budget saves little: 16384 entries
-#: raised verify's peak RSS from 40.7 to 42.3 MB (+4 %) and saved no time
+#: threshold, which is 64 points at d = 8 and 256 at d = 4.  A larger budget
+#: saves nothing: on the seed-1 bench verify calls (2-core x86 host, 7
+#: alternating rounds in process) the oracle took 0.494 s (min) / 0.519 s
+#: (median) at 4096 entries, 0.509 / 0.542 s at 8192 and 0.521 / 0.562 s at
+#: 16384, while verify's peak RSS rose from 41.10 MB to 41.66 MB (+1.4 %)
+#: and 42.46 MB (+3.3 %)
 _LOGNORM_CHUNK = 4096
 
 
@@ -72,12 +75,21 @@ def _times(t) -> np.ndarray:
     return ts
 
 
-def propagator_lognorm(c, t) -> float | np.ndarray:
+def propagator_lognorm(c, t, *, spectral_levels=False) -> float | np.ndarray:
     """log ||exp(-C t)||_2, stable far past the underflow threshold.
 
     exp(-C t) is formed as the 2^m-th power of exp(-C t / 2^m) by repeated
     squaring with renormalization, accumulating the log of the scale factors,
-    so the result stays meaningful when the norm itself underflows.
+    so the result stays meaningful when the norm itself underflows.  Each
+    level is divided by 2^e, e the binary exponent of its largest real or
+    imaginary part, which rounds no normal entry (Higham, SIAM J. Matrix
+    Anal. Appl. 26 (2005)); one spectral norm ends each point.
+
+    ``spectral_levels=True`` divides each level by its spectral norm (one SVD)
+    instead.  Its one caller is :func:`family.grid_sup_envelope`: family.csv
+    is pinned by the benchmark's seed digests and by
+    ``test_model_defaults_keep_recorded_digests``, and the power-of-two route
+    moves 134 of its 400 cells by up to 1.4e-14 relative.
 
     ``c`` is one matrix or a stack ``(..., d, d)`` and ``t`` a time or an
     array of times.  As in :func:`expm`, the leading axes of ``c`` broadcast
@@ -107,7 +119,7 @@ def propagator_lognorm(c, t) -> float | np.ndarray:
     for lo in range(0, live.size, step):
         point = live[lo : lo + step]
         k = index[point]
-        out[point] = _lognorm_ladder(mats[k], c_norm[k], times[point])
+        out[point] = _lognorm_ladder(mats[k], c_norm[k], times[point], spectral_levels)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -117,9 +129,19 @@ def _norm2(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
-def _lognorm_ladder(mats, c_norm, t) -> np.ndarray:
+def _pow2_norm(a) -> np.ndarray:
+    """2^e for each matrix of a stack, e the exponent (``np.frexp``) of its
+    largest real or imaginary part, so that dividing by it rounds no entry
+    that stays a normal double; 0 for a zero matrix."""
+    peak = np.abs(a.view(float)).max(axis=(-2, -1))
+    return np.ldexp(np.sign(peak), np.frexp(peak)[1])
+
+
+def _lognorm_ladder(mats, c_norm, t, spectral_levels) -> np.ndarray:
     """log ||exp(-C_k t_k)||_2 for matrices ``mats`` with spectral norms
-    ``c_norm`` at positive times ``t``, one per point, squaring counts mixed.
+    ``c_norm`` at positive times ``t``, one per point, squaring counts mixed;
+    each level is normalised by :func:`_norm2` if ``spectral_levels``, else
+    by :func:`_pow2_norm`.
 
     A ValueError names the first point where ||C||_2 t passes 2^1023, so
     that 2^m overflows, or where a norm of the ladder is 0: exp(-C t) is
@@ -134,7 +156,7 @@ def _lognorm_ladder(mats, c_norm, t) -> np.ndarray:
     for level in range(int(m.max())):
         idx = np.nonzero(m > level)[0]
         part = a[idx]
-        nrm = _norm2(part)
+        nrm = _norm2(part) if spectral_levels else _pow2_norm(part)
         if not nrm.all():
             raise _ladder_error(nrm, c_norm[idx], t[idx], f"the norm at squaring {level} underflows to 0")
         part = part / nrm[:, None, None]

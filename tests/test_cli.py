@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -799,6 +800,25 @@ def test_family_past_the_oracle_ladder_prints_one_error_line(argv, cause, tmp_pa
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: log ||exp(-C t)||_2 at t = ") and line.endswith(cause)
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "t_max, cause",
+    [
+        # the diagonal of the power-of-two ladder's levels underflows before
+        # the corner does, and then a nilpotent level squares to 0
+        ("1e300", r"the norm at squaring \d+ underflows to 0"),
+        ("1e308", r"\|\|C\|\|_2 t exceeds 2\^1023"),
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_verify_past_the_oracle_ladder_prints_one_error_line(t_max, cause, matrix_file, tmp_path, capsys):
+    # pytest's filterwarnings = error turns any numpy warning into a failure
+    argv = ["verify", "--matrix", matrix_file(defect1_matrix(1.0)), "--t-max", t_max, "--out", str(tmp_path / "v.csv")]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"error: log \|\|exp\(-C t\)\|\|_2 at t = \S+, \|\|C\|\|_2 = \S+: " + cause, line)
+    assert not (tmp_path / "v.csv").exists()
 
 
 def test_family_ratio_finite_where_both_sides_underflow(tmp_path):

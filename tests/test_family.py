@@ -119,11 +119,11 @@ def test_grid_sup_envelope_within_closed_form():
 
 
 def _exhaustive(fam, ts):
-    """log ||exp(-C(z) t)||^2 at every (z, t) of the grid, one z at a time,
-    and the bound at each point and the tolerance at each time that the
-    pruning reads."""
+    """log ||exp(-C(z) t)||^2 at every (z, t) of the grid, one z at a time on
+    the spectral ladder that grid_sup_envelope takes, and the bound at each
+    point and the tolerance at each time that the pruning reads."""
     mats = np.array([family_matrix(fam, z) for z in fam.z_grid])
-    loop = np.array([2.0 * propagator_lognorm(m, ts) for m in mats]).reshape(-1, ts.size)
+    loop = np.array([2.0 * propagator_lognorm(m, ts, spectral_levels=True) for m in mats]).reshape(-1, ts.size)
     bound, tol = _lognorm_sq_bound(mats, spectral_norm(mats), ts.ravel())
     return loop, bound, tol
 

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -66,7 +68,15 @@ def _stable_matrix(rng, d):
     return c + (0.1 - np.linalg.eigvals(c).real.min()) * np.eye(d)
 
 
-def _lognorm_reference(c, t):
+def _level_norm(a, spectral):
+    """The reference ladder's normaliser: the spectral norm, or 2^e with e the
+    frexp exponent of the largest real or imaginary part."""
+    if spectral:
+        return np.linalg.norm(a, 2)
+    return 2.0 ** math.frexp(max(max(abs(x.real), abs(x.imag)) for x in a.ravel()))[1]
+
+
+def _lognorm_reference(c, t, spectral=False):
     """One time at a time: one-matrix expm and a Python squaring loop."""
     if t == 0:
         return 0.0
@@ -74,21 +84,33 @@ def _lognorm_reference(c, t):
     a = expm(-np.asarray(c, dtype=complex), t / 2.0**m)
     log_acc = 0.0
     for _ in range(m):
-        nrm = np.linalg.norm(a, 2)
+        nrm = _level_norm(a, spectral)
         a = (a / nrm) @ (a / nrm)
         log_acc = 2.0 * (log_acc + np.log(nrm))
     return log_acc + np.log(np.linalg.norm(a, 2))
 
 
-@pytest.mark.parametrize("d", range(2, 9))
-def test_propagator_lognorm_vector_bitwise_equals_scalar_loop(d):
+def _both_routes(cases, name):
+    """Each case on the default route (no keyword), under its own id, and with
+    spectral_levels=True, under the id with "-spectral" appended."""
+    cases = list(cases)
+    return [
+        pytest.param(c, spectral, id=name(c) + ("-spectral" if spectral else ""))
+        for spectral in (False, True)
+        for c in cases
+    ]
+
+
+@pytest.mark.parametrize("d, spectral", _both_routes(range(2, 9), str))
+def test_propagator_lognorm_vector_bitwise_equals_scalar_loop(d, spectral):
     c = _stable_matrix(np.random.default_rng(500 + d), d)
-    vec = propagator_lognorm(c, PARITY_TIMES)
-    loop = np.array([propagator_lognorm(c, t) for t in PARITY_TIMES])
+    route = {"spectral_levels": True} if spectral else {}
+    vec = propagator_lognorm(c, PARITY_TIMES, **route)
+    loop = np.array([propagator_lognorm(c, t, **route) for t in PARITY_TIMES])
     assert vec.shape == PARITY_TIMES.shape and vec[0] == 0.0
     assert np.array_equal(vec, loop)
-    assert np.array_equal(vec, [_lognorm_reference(c, t) for t in PARITY_TIMES])
-    assert isinstance(propagator_lognorm(c, 2.5), float)
+    assert np.array_equal(vec, [_lognorm_reference(c, t, spectral) for t in PARITY_TIMES])
+    assert isinstance(propagator_lognorm(c, 2.5, **route), float)
 
 
 def _same_bits(a, b):
@@ -104,14 +126,17 @@ def _stack_cases():
     yield np.array([[_stable_matrix(rng, 3) for _ in range(3)] for _ in range(2)])
 
 
-@pytest.mark.parametrize("stack", _stack_cases(), ids=lambda s: "x".join(map(str, s.shape)))
-def test_propagator_lognorm_stack_bitwise_equals_reference(stack):
-    got = propagator_lognorm(stack[..., None, :, :], PARITY_TIMES)
+@pytest.mark.parametrize("stack, spectral", _both_routes(_stack_cases(), lambda s: "x".join(map(str, s.shape))))
+def test_propagator_lognorm_stack_bitwise_equals_reference(stack, spectral):
+    route = {"spectral_levels": True} if spectral else {}
+    got = propagator_lognorm(stack[..., None, :, :], PARITY_TIMES, **route)
     assert got.shape == stack.shape[:-2] + PARITY_TIMES.shape
-    want = np.array([[_lognorm_reference(c, t) for t in PARITY_TIMES] for c in stack.reshape(-1, *stack.shape[-2:])])
+    want = np.array(
+        [[_lognorm_reference(c, t, spectral) for t in PARITY_TIMES] for c in stack.reshape(-1, *stack.shape[-2:])]
+    )
     assert _same_bits(got.reshape(want.shape), want)
     # a scalar time drops the time axis
-    assert _same_bits(propagator_lognorm(stack, PARITY_TIMES[-1]), got[..., -1])
+    assert _same_bits(propagator_lognorm(stack, PARITY_TIMES[-1], **route), got[..., -1])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 148, oracle._LOGNORM_CHUNK])
@@ -174,6 +199,40 @@ def test_propagator_lognorm_spends_no_expm_work_at_t_zero(d, expm_matrices):
     assert _same_bits(propagator_lognorm(mats[:, None], zeros), zeros)
     assert propagator_lognorm(mats, 0.0).tolist() == [0.0] * 4
     assert expm_matrices == [4 * 3]
+
+
+def _jordan_triangular(rng, blocks):
+    """Upper triangular: one eigenvalue per Jordan block, the first block's
+    at the spectral abscissa, and a random strict upper part, nonzero on the
+    superdiagonal, so that each block of equal diagonal is one Jordan block."""
+    lam = [0.05 + 0.3j + (0.02 + 0.1j) * k for k, size in enumerate(blocks) for _ in range(size)]
+    d = len(lam)
+    return np.diag(lam) + np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 1)
+
+
+def _mpmath_lognorm(c, t):
+    """log ||exp(-C t)||_2 from a 40-digit mpmath.expm, scaled by its largest
+    entry before its spectral norm is taken in double."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(-mpmath.matrix(c.tolist()) * t)
+        peak = max(abs(x) for x in e)
+        scaled = np.array((e / peak).tolist(), dtype=complex)
+        return float(mpmath.log(peak)) + np.log(np.linalg.norm(scaled, 2))
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3,), (4,), (2, 1), (3, 1), (4, 1), (2, 2, 1), (3, 2)], ids=str)
+def test_propagator_lognorm_routes_meet_the_rounding_bound_against_mpmath(blocks):
+    # u S (12 + log2 S), S = 1 + 2 t ||C||_2, is the oracle's share of
+    # family._lognorm_sq_bound's rounding bound, halved for the unsquared
+    # log.  Both routes share the scaled exponentials; the power-of-two
+    # normaliser only drops the rounding of each level's division.
+    c = _jordan_triangular(np.random.default_rng(3100 + sum(b * 10**k for k, b in enumerate(blocks))), blocks)
+    ts = np.array([1e2, 1e4, 1e6])
+    scale = 1.0 + 2.0 * spectral_norm(c) * ts
+    tol = np.finfo(float).eps / 2 * scale * (12.0 + np.log2(scale))
+    want = np.array([_mpmath_lognorm(c, t) for t in ts])
+    for spectral in (False, True):
+        assert np.all(np.abs(propagator_lognorm(c, ts, spectral_levels=spectral) - want) <= tol)
 
 
 def test_propagator_lognorm_vector_beyond_underflow():
