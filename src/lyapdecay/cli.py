@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import os
 import re
@@ -395,36 +396,12 @@ def _field(spec: str, builtins: dict, cls):
     return cls(**kwargs)
 
 
-def _run_cd(cfg: dict, zg, ts) -> dict:
-    from . import convection_diffusion as cd
-
-    field = _field(cfg["coeffs"], {"builtin:tanh": cd.tanh_field, "builtin:trig": cd.trig_field}, cd.CoefficientField)
-    state = cd.gaussian_bump_state(cfg["K"], order=cfg["order"], v_amp=0.3)
-    return cd.theorem_bound_check(field, lambda z: state, zg, ts, order=cfg["order"])
-
-
-def _run_gt(cfg: dict, zg, ts) -> dict:
-    from . import goldstein_taylor as gt
-
-    field = _field(cfg["sigma"], {"builtin:tanh": gt.tanh_relaxation}, gt.RelaxationField)
-    state = gt.gt_bump_state(cfg["K"])
-    return gt.gt_theorem_check(field, lambda z: state, zg, ts, k_max=cfg["k_max"])
-
-
-def _run_fp(cfg: dict, zg, ts) -> dict:
-    from . import fokker_planck as fp
-
-    field = _field(cfg["drift"], {"builtin:sin": fp.sin_drift}, fp.DriftField)
-    state = lambda z: fp.fp_gaussian_state(field, z=z, K=cfg["K"])
-    return fp.fp_theorem_check(field, state, zg, ts)
-
-
-#: each model command's help and run; its JSON report holds the config and
-#: every entry of the check's result that is not an array
+#: each model command's help, module, field option and check options; its JSON
+#: report holds the config and every entry of the check's result that is not an array
 _MODELS = {
-    "model-cd": ("convection-diffusion sensitivity bound check", _run_cd),
-    "model-gt": ("two-velocity relaxation sensitivity bound check", _run_gt),
-    "model-fp": ("Fokker-Planck sensitivity bound check", _run_fp),
+    "model-cd": ("convection-diffusion sensitivity bound check", "convection_diffusion", "coeffs", ("order",)),
+    "model-gt": ("two-velocity relaxation sensitivity bound check", "goldstein_taylor", "sigma", ("k_max",)),
+    "model-fp": ("Fokker-Planck sensitivity bound check", "fokker_planck", "drift", ()),
 }
 
 
@@ -453,8 +430,13 @@ def cmd_model(args) -> int:
     ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
     if cfg.get("variant") == "diffusion":
         return _fp_diffusion(cfg, zg, ts)
-    _, run = _MODELS[args.command]
-    rep = run(cfg, zg, ts)
+    from .oracle import sweep
+
+    _, module, field_key, keys = _MODELS[args.command]
+    model = importlib.import_module(f".{module}", __package__).MODEL
+    field = _field(cfg[field_key], model.builtins, model.field_class)
+    options = {key: cfg[key] for key in keys}
+    rep = sweep(model, field, model.initial_state(field, cfg["K"], **options), zg, ts, **options)
     rows = [
         (z, t, rep["norm_sq"][i, j], rep["bound"][j], rep["ratio"][i, j])
         for i, z in enumerate(zg)
@@ -489,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze": ("Jordan structure, adapted form and envelope constant", cmd_analyze),
         "verify": ("check envelope dominance against the propagator", cmd_verify),
         "family": ("uniform-in-parameter envelopes of the 2x2 rate family", cmd_family),
-        **{name: (summary, cmd_model) for name, (summary, _) in _MODELS.items()},
+        **{name: (summary, cmd_model) for name, (summary, *_) in _MODELS.items()},
     }
     parsers = {}
     for name, (summary, func) in commands.items():

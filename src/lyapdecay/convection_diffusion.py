@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import expm_apply
 from .lyapunov import DecayEnvelope, defect_one_constant, sup_poly_exp
-from .oracle import sweep
+from .oracle import ModeModel, sweep
 
 __all__ = [
     "CoefficientField",
@@ -30,11 +29,10 @@ __all__ = [
     "first_order_envelope",
     "second_order_system",
     "second_order_envelope",
-    "evolve_spectrum",
     "fourier_coefficients",
     "gaussian_bump_state",
-    "deviation_norm_sq",
     "theorem_bound_check",
+    "MODEL",
 ]
 
 #: fold factor for (1 + x) <= kappa (1 + x^2), x >= 0
@@ -207,37 +205,6 @@ def gaussian_bump_state(K: int, order: int = 1, v_amp: float = 0.0) -> np.ndarra
     return coeffs
 
 
-def evolve_spectrum(field: CoefficientField, state: np.ndarray, z: float, t_grid) -> np.ndarray:
-    """The (2K+1, order+1) state, row j for mode k = j - K, at every time of
-    ``t_grid`` as a C-contiguous (T, 2K+1, order+1) array: one stacked matrix
-    exponential over all (mode, t) pairs, with the k = 0 mode pinned to its
-    conserved value (1, 0[, 0]), which the state must hold.  No time stepping
-    is involved, so the times are independent of each other."""
-    state = np.asarray(state, dtype=complex)
-    K = (state.shape[0] - 1) // 2
-    if abs(state[K, 0] - 1.0) > 1e-12 or np.any(np.abs(state[K, 1:]) > 1e-12):
-        raise ValueError("state is not normalized (u_0 = 1 and zero-mass sensitivities)")
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.repeat(state[None], t_grid.size, axis=0)
-    ks = [k for k in range(-K, K + 1) if k != 0]
-    if ks:
-        rows = np.array(ks) + K
-        system = first_order_system if state.shape[1] == 2 else second_order_system
-        mats = np.array([-system(field, k, z) for k in ks])
-        out[:, rows] = expm_apply(mats, state[rows], t_grid).swapaxes(0, 1)
-    return out
-
-
-def deviation_norm_sq(state: np.ndarray) -> np.ndarray:
-    """Squared distance to the steady state via Parseval, normalized as
-    sum_k |y_k|^2 / (2 pi), of one state or of each state in a stack.  The
-    zero mode is conserved (:func:`evolve_spectrum` keeps it bit for bit), so
-    its row is the steady state's and counts 0."""
-    dev = np.array(state, dtype=complex)
-    dev[..., (dev.shape[-2] - 1) // 2, :] = 0.0
-    return np.sum(np.abs(dev) ** 2, axis=(-2, -1)) / (2.0 * np.pi)
-
-
 def assembled_constants(field: CoefficientField, order: int) -> dict:
     """Uniform mode constant and k-folding factor for the global bound."""
     if order == 1:
@@ -280,15 +247,19 @@ def theorem_bound_check(
     uniform mode constant and the k-folding factor.  Returns the
     :func:`~lyapdecay.oracle.sweep` report plus the constants.
     """
+    return sweep(MODEL, field, initial_state_fn, z_grid, t_grid, order=order)
+
+
+def _envelope(field: CoefficientField, order: int = 1):
     consts = assembled_constants(field, order)
-    rep = sweep(
-        field,
-        initial_state_fn,
-        evolve_spectrum,
-        lambda s, z: deviation_norm_sq(s),
-        z_grid,
-        t_grid,
-        lambda: DecayEnvelope(consts["C_global"], field.b0, order + 1),
-        tail=lambda s: float(np.sum(np.abs(s[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
-    )
-    return {**rep, "constants": consts}
+    return {"constants": consts}, DecayEnvelope(consts["C_global"], field.b0, order + 1)
+
+
+#: (2K+1, order+1) states, row j for mode k = j - K; zero mode (1, 0[, 0])
+MODEL = ModeModel(
+    CoefficientField, {"builtin:tanh": tanh_field, "builtin:trig": trig_field}, _envelope,
+    initial_state=lambda field, K, order=1: gaussian_bump_state(K, order=order, v_amp=0.3),
+    tail=lambda s: float(np.sum(np.abs(s[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
+    systems={2: first_order_system, 3: second_order_system}, conserved=slice(None), weight=2.0 * np.pi,
+    message="state is not normalized (u_0 = 1 and zero-mass sensitivities)",
+)

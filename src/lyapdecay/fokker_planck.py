@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import expm_apply, hermitian_extremes
 from .lyapunov import DecayEnvelope, defect_one_constant
-from .oracle import sweep
+from .oracle import ModeModel, sweep
 
 __all__ = [
     "DriftField",
@@ -36,11 +36,10 @@ __all__ = [
     "fp_minor_f",
     "fp_minor_g",
     "kuniform_constant",
-    "fp_evolve",
-    "fp_deviation_norm_sq",
     "fp_theorem_check",
     "fp_gaussian_state",
     "fp_diffusion_variant",
+    "MODEL",
 ]
 
 
@@ -209,7 +208,7 @@ def kuniform_constant(field: DriftField) -> dict:
     return {"C_12": c12, "C_3": c3, "C_ge4": c4, "C_global": total, "ratio": r, "a0": field.a0}
 
 
-def fp_evolve(field: DriftField, state: np.ndarray, z: float, t_grid) -> np.ndarray:
+def _evolve(field: DriftField, state: np.ndarray, z: float, t_grid) -> np.ndarray:
     """The (2, K+1) state, rows f and g with f_0 = 1 and g_0 = 0, at every time of
     ``t_grid`` as a C-contiguous (T, 2, K+1) array: one stacked exact propagation
     for the 2x2 pairs k = 1, 2 and one for the 3x3 triples."""
@@ -237,7 +236,7 @@ def fp_evolve(field: DriftField, state: np.ndarray, z: float, t_grid) -> np.ndar
     return out
 
 
-def fp_deviation_norm_sq(field: DriftField, state: np.ndarray, z: float) -> np.ndarray:
+def _deviation_sq(field: DriftField, state: np.ndarray, z: float) -> np.ndarray:
     """Squared weighted-L2 distance of (f, g), per state of a stack, to its steady state.
 
     The g-part measures g + (alpha/sqrt 2) h_2 since the sensitivity steady
@@ -258,18 +257,12 @@ def fp_theorem_check(
     t_grid,
 ) -> dict:
     """Verify sup_z deviations against C (1 + t^2) e^{-2 a0 t} x initial."""
+    return sweep(MODEL, field, initial_state_fn, z_grid, t_grid)
+
+
+def _envelope(field: DriftField):
     consts = kuniform_constant(field)
-    rep = sweep(
-        field,
-        initial_state_fn,
-        fp_evolve,
-        lambda s, z: fp_deviation_norm_sq(field, s, z),
-        z_grid,
-        t_grid,
-        lambda: DecayEnvelope(consts["C_global"], field.a0, 2),
-        tail=lambda s: float(s[0, -1] ** 2 + s[1, -1] ** 2),
-    )
-    return {**rep, "constants": consts}
+    return {"constants": consts}, DecayEnvelope(consts["C_global"], field.a0, 2)
 
 
 class HermiteBasis:
@@ -373,3 +366,12 @@ def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.n
     v = np.array([np.conj(coupling) / 2.0, 1.0], dtype=complex)
     ext = hermitian_extremes(np.diag([1.0, 0.0]) + np.outer(v, v.conj()))
     return a_mat, DecayEnvelope(ext.lambda_max / ext.lambda_min, k - 2.0, 1)
+
+
+#: real (2, K+1) Hermite states, rows f and g, with their own evolve and deviation
+MODEL = ModeModel(
+    DriftField, {"builtin:sin": sin_drift}, _envelope,
+    initial_state=lambda field, K: lambda z: fp_gaussian_state(field, z=z, K=K),
+    tail=lambda s: float(s[0, -1] ** 2 + s[1, -1] ** 2),
+    own_evolve=_evolve, own_deviation=_deviation_sq,
+)

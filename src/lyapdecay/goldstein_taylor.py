@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import expm_apply, hermitian_extremes
+from .linalg import hermitian_extremes
 from .lyapunov import DecayEnvelope, defect_one_constant
-from .oracle import sweep
+from .oracle import ModeModel, sweep
 
 #: factor that pads the 2I limit covering the modes past k_max
 _TAIL_MARGIN = 1.1
@@ -35,8 +35,8 @@ __all__ = [
     "gt_mode_envelope",
     "gt_state_from_functions",
     "gt_bump_state",
-    "gt_deviation_norm_sq",
     "gt_theorem_check",
+    "MODEL",
 ]
 
 
@@ -265,28 +265,6 @@ def gt_bump_state(K: int) -> np.ndarray:
     )
 
 
-def gt_evolve(field: RelaxationField, state: np.ndarray, z: float, t_grid) -> np.ndarray:
-    """The (2K+1, 4) state, whose zero mode must carry the masses 1 and 0,
-    propagated to every time of ``t_grid`` as a C-contiguous (T, 2K+1, 4)
-    array, one stacked propagation over all (mode, t) pairs."""
-    state = np.asarray(state, dtype=complex)
-    K = (state.shape[0] - 1) // 2
-    if abs(state[K, 0] - 1.0) > 1e-12 or abs(state[K, 2]) > 1e-12:
-        raise ValueError("zero mode is not normalized (masses 1 and 0)")
-    mats = np.array([-gt_mode_matrix(field, k, z) for k in range(-K, K + 1)])
-    # C order, so a stacked deviation sums in the same order as one slice's
-    return expm_apply(mats, state, t_grid).swapaxes(0, 1).copy()
-
-
-def gt_deviation_norm_sq(state: np.ndarray) -> np.ndarray:
-    """sum_k |y_k - y_k_inf|^2 per state of a stack.  The zero mode's masses
-    (entries 0 and 2) are conserved (:func:`gt_evolve` keeps them bit for
-    bit), so they are the steady state's own and count 0."""
-    dev = np.array(state, dtype=complex)
-    dev[..., (dev.shape[-2] - 1) // 2, [0, 2]] = 0.0
-    return np.sum(np.abs(dev) ** 2, axis=(-2, -1))
-
-
 def gt_theorem_check(
     field: RelaxationField,
     initial_state_fn: Callable[[float], np.ndarray],
@@ -301,13 +279,19 @@ def gt_theorem_check(
     precomputed report to avoid resweeping).  Ratios use the supremum of the
     initial deviation over the z grid, as the statement does.
     """
+    return sweep(MODEL, field, initial_state_fn, z_grid, t_grid, k_max=k_max, uniform=uniform)
 
-    def envelope() -> DecayEnvelope:
-        # sweep calls this after its field check, so a field that leaves its
-        # BOUNDS is rejected before the parameter-box sweep
-        nonlocal uniform
-        uniform = uniform or gt_uniform_constant(field, k_max=k_max)
-        return DecayEnvelope(uniform["C_global"], 0.5 * field.sigma0, 2)
 
-    rep = sweep(field, initial_state_fn, gt_evolve, lambda s, z: gt_deviation_norm_sq(s), z_grid, t_grid, envelope)
-    return {**rep, "uniform": uniform}
+def _envelope(field: RelaxationField, k_max: int = 64, uniform: dict | None = None):
+    # sweep calls this after its field check: a field off its BOUNDS skips the box sweep
+    uniform = uniform or gt_uniform_constant(field, k_max=k_max)
+    return {"uniform": uniform}, DecayEnvelope(uniform["C_global"], 0.5 * field.sigma0, 2)
+
+
+#: (2K+1, 4) states, row j for mode k = j - K; the zero mode keeps its masses 1 and 0
+MODEL = ModeModel(
+    RelaxationField, {"builtin:tanh": tanh_relaxation}, _envelope,
+    initial_state=lambda field, K, **options: gt_bump_state(K),
+    systems={4: gt_mode_matrix}, conserved=[0, 2],
+    message="zero mode is not normalized (masses 1 and 0)",
+)

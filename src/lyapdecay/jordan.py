@@ -59,6 +59,10 @@ DEFAULT_RANK_TOL = 1e-8
 #: is what the rank profiles below rely on.
 DEFAULT_CLUSTER_TOL = 3e-4
 
+#: log2 of the largest ||B||^j for which a power B^j is formed: half the
+#: largest double, so the product's rounding cannot carry it past overflow
+_LOG2_LIMIT = 1023.0
+
 
 class JordanAmbiguityError(RuntimeError):
     """Rank profile inconsistent with a cluster's multiplicity."""
@@ -206,6 +210,9 @@ def _chains_for_cluster(
     power, s, vh = first
     for j in range(1, mult + 1):
         if j > 1:
+            # ||B^j|| <= ||B||^j bounds every entry and partial sum of the product
+            if j * np.log2(norm_b) > _LOG2_LIMIT:
+                raise ValueError(f"eigenvalue {lam:.6g}: the power B^{j} and its threshold ||B||^{j} overflow (||B|| = {norm_b:.6g})")
             power = power @ b
             _, s, vh = np.linalg.svd(power)
         r, ns = _rank_nullspace_abs(s, vh, rank_tol * norm_b**j)
@@ -242,6 +249,9 @@ def _chains_for_cluster(
         # ker(B^(l-1)), of the height-(l-1) vectors of the longer chains.
         avoid = [row for row in kernels[l - 1]] + [c[l - 1] for c in used]
         raw = _chain_top_down(b, l, avoid, kernels)
+        # _canonicalize squares the eigenvector's entries for its norm
+        if np.abs(raw[0]).max() > np.sqrt(np.finfo(float).max / d):
+            raise ValueError(f"eigenvalue {lam:.6g}: the top-down chain of length {l} overflows its eigenvector's norm")
         chains.append(_refine_chain(b, raw_norm_b, raw, rank_tol))
         used.append(chains[-1])
     return chains

@@ -42,7 +42,6 @@ __all__ = [
     "LyapunovForm",
     "build_form",
     "build_p",
-    "build_p_epsilon",
     "c_m_constant",
     "case2_weights",
     "decay_constant",
@@ -231,26 +230,6 @@ def build_p(form: LyapunovForm, t: float) -> np.ndarray:
             for m in range(1, b.length + 1):
                 p += w[m - 1] * _rank_one(w_vector(b, m, t))
     return 0.5 * (p + p.conj().T)
-
-
-def build_p_epsilon(structure: JordanStructure, epsilon: float) -> np.ndarray:
-    """Time-independent form satisfying C^H P + P C >= 2 (mu - epsilon) P.
-
-    Gap-defective blocks receive the case-2 ladder with tau = 2 epsilon (the
-    gap they would have if the target rate were lowered to mu - epsilon); all
-    other blocks keep their standard construction.  Requires 0 < epsilon < mu.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if epsilon >= structure.mu:
-        raise ValueError("epsilon must be below the spectral gap (degenerate rate)")
-    # a case-3 block at t = 0 with the tau = 2 epsilon ladder reversed (its
-    # largest weight on the eigenvector) has exactly the case-2 ladder's terms
-    ladders = {
-        n: case2_weights(structure.blocks[n].length, 2.0 * epsilon)[::-1]
-        for n in structure.defective_gap_indices
-    }
-    return build_p(build_form(structure, block_weights=ladders), 0.0)
 
 
 def c_m_constant(m: int) -> float:

@@ -11,17 +11,21 @@ systems assembled symbolically as polynomial-times-exponential terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .linalg import as_cmatrix, expm
+from .linalg import as_cmatrix, expm, expm_apply
 from .lyapunov import TINY, DecayEnvelope
 
 __all__ = [
     "EnvelopeReport",
+    "ModeModel",
     "check_dominance",
+    "deviation_sq",
     "dominance_ratio",
     "duhamel_solve",
+    "evolve",
     "nilpotent2_propagator_sq",
     "propagator_lognorm",
     "sharpness_order",
@@ -245,28 +249,83 @@ def _check_field_bounds(field, z_grid) -> None:
                 raise ValueError(message.format(f=name, z=z, b=bound))
 
 
-def sweep(field, initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelope, tail=None) -> dict:
+@dataclass(frozen=True)
+class ModeModel:
+    """What :func:`sweep`, :func:`evolve` and :func:`deviation_sq` read of a
+    PDE model.  ``envelope(field, **options)`` gives the report entries of its
+    constants and the global :class:`DecayEnvelope`, ``initial_state(field,
+    K, **options)`` the initial state (or a function of z), ``tail(state)``
+    the weight of the outermost modes.  A state has one row per Fourier mode
+    k = -K..K; ``systems`` maps a row's width to the mode matrix (field, k,
+    z).  The zero mode's ``conserved`` entries must hold 1, 0, ... (else
+    ``message``) and count 0 in the deviation sum_k |y_k - y_inf|^2 /
+    ``weight``; a zero mode conserved whole, ``slice(None)``, is not propagated.  Other states
+    come with ``own_evolve`` and ``own_deviation``.
+    """
+
+    field_class: type
+    builtins: dict
+    envelope: Callable
+    initial_state: Callable
+    tail: Callable | None = None
+    systems: dict | None = None
+    conserved: slice | list = ()
+    message: str = ""
+    weight: float = 1.0
+    own_evolve: Callable | None = None
+    own_deviation: Callable | None = None
+
+
+def evolve(model: ModeModel, field, state, z: float, t_grid) -> np.ndarray:
+    """``state`` at every time of ``t_grid``, one C-contiguous (T, ...) stack
+    from one :func:`expm_apply` over all (mode, t) pairs, no time stepping."""
+    if model.own_evolve is not None:
+        return model.own_evolve(field, state, z, t_grid)
+    state = np.asarray(state, dtype=complex)
+    K = (state.shape[0] - 1) // 2
+    held = state[K, model.conserved]
+    if abs(held[0] - 1.0) > 1e-12 or np.any(np.abs(held[1:]) > 1e-12):
+        raise ValueError(model.message)
+    # C order, so a stacked deviation sums in the same order as one slice's
+    out = np.repeat(state[None], np.size(t_grid), axis=0)
+    rows = [j for j in range(2 * K + 1) if j != K or model.conserved != slice(None)]
+    if rows:
+        system = model.systems[state.shape[1]]
+        mats = np.array([-system(field, j - K, z) for j in rows])
+        out[:, rows] = expm_apply(mats, state[rows], t_grid).swapaxes(0, 1)
+    return out
+
+
+def deviation_sq(model: ModeModel, field, states, z: float) -> np.ndarray:
+    """Squared (Parseval) distance of one state, or of each of a stack, to the steady
+    state; the conserved entries, kept bit for bit by :func:`evolve`, count 0."""
+    if model.own_deviation is not None:
+        return model.own_deviation(field, states, z)
+    dev = np.array(states, dtype=complex)
+    dev[..., (dev.shape[-2] - 1) // 2, model.conserved] = 0.0
+    return np.sum(np.abs(dev) ** 2, axis=(-2, -1)) / model.weight
+
+
+def sweep(model: ModeModel, field, initial_state, z_grid, t_grid, **options) -> dict:
     """Check a global bound  envelope(t) sup_z ||y(0, z) - y_inf||^2  on a
-    (z, t) grid of a mode model with coefficient ``field``.
+    (z, t) grid of ``model`` with coefficient ``field``.
 
     The times are validated first, then :func:`_check_field_bounds` holds the
-    field to its ``BOUNDS`` on the z grid; only then does ``envelope()``
-    build the :class:`DecayEnvelope` to check.  ``initial_state_fn(z)`` gives
-    the state at t = 0, ``evolve(field, state, z, t_grid)`` the stack of
-    states at every time and ``deviation_sq(states, z)`` the squared
-    (Parseval) distances of one state or a stack to the steady state.
-    ``tail(state)``, if given, is the weight of the truncation's outermost
-    modes; its supremum over the grid is reported relative to the initial
-    supremum.  ``ratio``, ``max_ratio`` and ``passed`` come from
+    field to its ``BOUNDS`` on the z grid; only then does ``model.envelope``
+    build the constants and the :class:`DecayEnvelope` to check.
+    ``initial_state`` is the state at t = 0 or a function of z giving it;
+    :func:`evolve` runs once per z and :func:`deviation_sq` takes its stack.
+    ``tail_fraction`` is the supremum of ``model.tail`` over the initial
+    supremum; ``ratio``, ``max_ratio`` and ``passed`` come from
     :func:`dominance_ratio`.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = _times(t_grid)
     _check_field_bounds(field, z_grid)
-    envelope = envelope()
-    states0 = [initial_state_fn(z) for z in z_grid]
-    initial_sup = float(max(deviation_sq(s, z) for s, z in zip(states0, z_grid)))
-    norm_sq = np.array([deviation_sq(evolve(field, s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])
+    constants, envelope = model.envelope(field, **options)
+    states0 = [initial_state(z) if callable(initial_state) else initial_state for z in z_grid]
+    initial_sup = float(max(deviation_sq(model, field, s, z) for s, z in zip(states0, z_grid)))
+    norm_sq = np.array([deviation_sq(model, field, evolve(model, field, s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])
     bound = envelope.bound(t_grid) * initial_sup
     with np.errstate(divide="ignore"):
         log_p, log_b = np.log(norm_sq), envelope.log_bound(t_grid) + np.log(initial_sup)
@@ -280,9 +339,10 @@ def sweep(field, initial_state_fn, evolve, deviation_sq, z_grid, t_grid, envelop
         "max_ratio": max_ratio,
         "passed": passed,
         "initial_sup": initial_sup,
+        **constants,
     }
-    if tail is not None:
-        tail_sup = max(tail(s) for s in states0)
+    if model.tail is not None:
+        tail_sup = max(model.tail(s) for s in states0)
         rep["tail_fraction"] = float(tail_sup / initial_sup) if initial_sup > 0 else 0.0
     return rep
 

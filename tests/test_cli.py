@@ -612,6 +612,32 @@ def test_analyze_overflowing_weights_print_one_error_line(tmp_path):
     assert proc.stderr == "error: --weights: P(0) entries must be finite: the block weights overflow it\n"
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_analyze_and_verify_name_an_overflowing_jordan_power(d, scale, matrix_file, tmp_path, capsys, monkeypatch):
+    # C = s (I + N), N the ones of the superdiagonal: B^j or its threshold
+    # ||B||^j passes the largest double, or the top-down chain's eigenvector
+    # squares past it; an overflowed power once sent NaNs to LAPACK's SVD,
+    # which hung, and the warnings before it run as errors here
+    svd = np.linalg.svd
+
+    def finite_svd(a, *args, **kwargs):
+        assert np.all(np.isfinite(a)), "a non-finite matrix reached np.linalg.svd"
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", finite_svd)
+    mfile = matrix_file(scale * (np.eye(d) + np.eye(d, k=1)))
+    rc = main(["analyze", "--matrix", mfile, "--out", str(tmp_path / "a.json")])
+    err = capsys.readouterr().err
+    if d == 2 and scale <= 1e150:  # ||B||^2 and the chain's squares stay finite
+        assert (rc, err) == (0, "")
+        return
+    assert rc == 2
+    assert re.fullmatch(r"error: eigenvalue \S+: the (power B\^\d and its threshold \|\|B\|\|\^\d|top-down chain of length \d) overflows?\b[^\n]*\n", err), err
+    assert main(["verify", "--matrix", mfile, "--out", str(tmp_path / "v.csv")]) == 2
+    assert capsys.readouterr().err == err
+
+
 #: the modules every subcommand uses, and so the only ones ``lyapdecay.cli`` imports
 _CORE_MODULES = ["lyapdecay", "lyapdecay.cli", "lyapdecay.jordan", "lyapdecay.linalg", "lyapdecay.lyapunov"]
 
@@ -694,6 +720,34 @@ def test_model_defaults_keep_recorded_digests(tmp_path, monkeypatch, expm_matric
             "this CPU, and they match SkylakeX; a stacked matmul differs between Prescott, Haswell and "
             "SkylakeX, so OPENBLAS_CORETYPE=Haswell fails here without a change in the program"
         )
+
+
+#: SHA-256 of small runs that the default digests miss: a tabulated field of
+#: each model (interpolated columns, bounds derived from them) and the trig
+#: builtin at order 2, recorded at a833bb3 before the models shared one record
+_PINNED_RUNS = {
+    "table-cd-1": (["model-cd", "--coeffs", "cd.json", "--order", "1"], "6d5e802fcbdb944c", "3d9583c9b89673b6"),
+    "table-cd-2": (["model-cd", "--coeffs", "cd.json", "--order", "2"], "c990a1f763e597ec", "53681a838284ca32"),
+    "table-gt": (["model-gt", "--sigma", "gt.json", "--k-max", "4"], "3b03a76d5ea825b0", "98b53750d324ab87"),
+    "table-fp": (["model-fp", "--drift", "fp.json"], "77f90d28b6c3d3d0", "e2729ff24d8b00c6"),
+    "trig-cd-2": (["model-cd", "--coeffs", "builtin:trig", "--order", "2"], "17da5be28f8d2b87", "8751b67da84214e4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_model_tables_and_trig_keep_recorded_digests(name, tmp_path, monkeypatch):
+    # the reports record the table and output names, so they are passed bare;
+    # the BLAS caveat of test_model_defaults_keep_recorded_digests holds here too
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LYAPDECAY_THREADS", raising=False)
+    cd_columns = {**_TABLES["model-cd"][1], "d2a": np.zeros_like(_Z), "d2b": -2.0 * np.tanh(_Z) / np.cosh(_Z) ** 2}
+    for fname, columns in (("cd.json", cd_columns), ("gt.json", _TABLES["model-gt"][1]), ("fp.json", _TABLES["model-fp"][1])):
+        (tmp_path / fname).write_text(json.dumps({"z": _Z.tolist(), **{key: col.tolist() for key, col in columns.items()}}))
+    argv, csv_digest, json_digest = _PINNED_RUNS[name]
+    grid = ["--K", "6", "--z-grid=-2:4:7", "--t-max", "5", "--t-points", "11"]
+    assert main(argv + grid + ["--out", f"{name}.csv", "--report", f"{name}.json"]) == 0
+    for suffix, digest in ((".csv", csv_digest), (".json", json_digest)):
+        assert hashlib.sha256((tmp_path / (name + suffix)).read_bytes()).hexdigest()[:16] == digest, suffix
 
 
 def test_model_defaults_build_their_initial_state_once(tmp_path, monkeypatch):

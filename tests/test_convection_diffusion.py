@@ -17,7 +17,7 @@ from lyapdecay.lyapunov import (
     sup_poly_exp,
     w_vector,
 )
-from lyapdecay.oracle import _check_field_bounds, check_dominance, duhamel_solve, nilpotent2_propagator_sq
+from lyapdecay.oracle import _check_field_bounds, check_dominance, deviation_sq, duhamel_solve, evolve, nilpotent2_propagator_sq
 
 
 @pytest.fixture(scope="module")
@@ -395,11 +395,11 @@ def test_tilde_p3_seminorm_bound(field2):
 
 def test_evolve_spectrum_identity_and_steady(field):
     state = cd.gaussian_bump_state(8, order=1, v_amp=0.2)
-    (same,) = cd.evolve_spectrum(field, state, 0.5, [0.0])
+    (same,) = evolve(cd.MODEL, field, state, 0.5, [0.0])
     np.testing.assert_allclose(same, state, atol=1e-14)
     # steady state (1, 0) is fixed
     steady = np.hstack([np.eye(9)[:, [4]], np.zeros((9, 1))]).astype(complex)
-    for out in cd.evolve_spectrum(field, steady, 0.2, [0.0, 3.0, 40.0]):
+    for out in evolve(cd.MODEL, field, steady, 0.2, [0.0, 3.0, 40.0]):
         np.testing.assert_allclose(out, steady, atol=1e-14)
 
 
@@ -411,7 +411,7 @@ def test_evolve_spectrum_single_mode_matches_duhamel(field):
     coeffs[K + 2, 1] = 0.2j
     z, ts = -0.8, [0.6, 2.5]
     m = cd.first_order_system(field, 2, z)
-    for out, t in zip(cd.evolve_spectrum(field, coeffs, z, ts), ts):
+    for out, t in zip(evolve(cd.MODEL, field, coeffs, z, ts), ts):
         np.testing.assert_allclose(out[K + 2], duhamel_solve(m, coeffs[K + 2], t), atol=1e-12)
 
 
@@ -419,7 +419,7 @@ def test_state_normalization_enforced(field):
     K = 2
     coeffs = np.zeros((2 * K + 1, 2), dtype=complex)
     with pytest.raises(ValueError, match="not normalized"):
-        cd.evolve_spectrum(field, coeffs, 0.0, [0.0])  # u_0 = 0
+        evolve(cd.MODEL, field, coeffs, 0.0, [0.0])  # u_0 = 0
 
 
 def synthesize(coeffs_k, x) -> np.ndarray:
@@ -442,7 +442,7 @@ def test_parseval_against_physical_space(field):
 
 def test_mass_conservation_is_exact(field):
     state = cd.gaussian_bump_state(8, order=1, v_amp=0.4)
-    (out,) = cd.evolve_spectrum(field, state, 1.3, [2.4])
+    (out,) = evolve(cd.MODEL, field, state, 1.3, [2.4])
     assert out[8, 0] == 1.0 + 0.0j
     assert out[8, 1] == 0.0 + 0.0j
 
@@ -532,5 +532,5 @@ def test_theorem_check_equals_per_cell_evolve(field2, order, expm_matrices, monk
     rep = cd.theorem_bound_check(field2, state, zs, ts, order=order)
     per = max(1, 500 // (60 * (order + 1) ** 2))
     assert expm_matrices == [60 * min(per, 3 - lo) for lo in range(0, 3, per)] * zs.size
-    want = [[cd.deviation_norm_sq(cd.evolve_spectrum(field2, state(z), z, [t])[0]) for t in ts] for z in zs]
+    want = [[deviation_sq(cd.MODEL, field2, evolve(cd.MODEL, field2, state(z), z, [t])[0], z) for t in ts] for z in zs]
     assert np.array_equal(rep["norm_sq"], np.array(want))

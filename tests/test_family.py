@@ -171,6 +171,24 @@ def test_grid_sup_envelope_past_a_seed_that_is_not_the_maximiser():
     assert _same_bits(grid_sup_envelope(fam, ts), np.max(loop, axis=0))
 
 
+def test_grid_sup_envelope_takes_each_input_norm_once_per_z(monkeypatch):
+    # the oracle takes ||C||_2 of every matrix it is passed: the seeds' stack
+    # holds one matrix per t, the rest one per z, not one per kept (z, t) pair
+    from lyapdecay import family
+
+    stacks = []
+
+    def counted(c, t, **kwargs):
+        stacks.append(np.shape(c)[:-2])
+        return propagator_lognorm(c, t, **kwargs)
+
+    monkeypatch.setattr(family, "propagator_lognorm", counted)
+    fam = quadratic_family(1.0, 1.0, z_grid=np.linspace(-6.0, 6.0, 241))
+    ts = np.linspace(0.0, 20.0, 100)
+    grid_sup_envelope(fam, ts)
+    assert stacks == [(100,), (241, 1)]
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(
     kind=st.sampled_from(["quadratic", "exponential"]),

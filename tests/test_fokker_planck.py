@@ -14,7 +14,7 @@ from lyapdecay.lyapunov import (
     decay_constant,
     sup_poly_exp,
 )
-from lyapdecay.oracle import check_dominance, duhamel_solve, nilpotent2_propagator_sq
+from lyapdecay.oracle import check_dominance, deviation_sq, duhamel_solve, evolve, nilpotent2_propagator_sq
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +325,7 @@ def test_gap_structure_only_modes_1_and_3_attain_rate(field):
 
 def test_g2_relaxes_to_steady_shift(field):
     st0 = fp.fp_gaussian_state(field, z=0.5, K=16)
-    (out,) = fp.fp_evolve(field, st0, 0.5, [20.0])
+    (out,) = evolve(fp.MODEL, field, st0, 0.5, [20.0])
     assert abs(out[1, 2] + field.alpha(0.5) / np.sqrt(2.0)) < 1e-12
 
 
@@ -416,19 +416,19 @@ def test_theorem_check_equals_per_cell_evolve(field):
     ts = np.linspace(0.0, 10.0, 40)
     state = lambda z: fp.fp_gaussian_state(field, z=z, K=8)
     rep = fp.fp_theorem_check(field, state, zs, ts)
-    want = [[fp.fp_deviation_norm_sq(field, fp.fp_evolve(field, state(z), z, [t])[0], z) for t in ts] for z in zs]
+    want = [[deviation_sq(fp.MODEL, field, evolve(fp.MODEL, field, state(z), z, [t])[0], z) for t in ts] for z in zs]
     assert np.array_equal(rep["norm_sq"], np.array(want))
 
 
 def test_state_normalization_enforced(field):
     with pytest.raises(ValueError, match="not normalized"):
-        fp.fp_evolve(field, np.zeros((2, 5)), 0.5, [0.0])
+        evolve(fp.MODEL, field, np.zeros((2, 5)), 0.5, [0.0])
     gs = np.zeros(5)
     gs[0] = 0.1
     f = np.zeros(5)
     f[0] = 1.0
     with pytest.raises(ValueError, match="not normalized"):
-        fp.fp_evolve(field, np.array([f, gs]), 0.5, [0.0])
+        evolve(fp.MODEL, field, np.array([f, gs]), 0.5, [0.0])
 
 
 # ----------------------------------------------------------------- diffusion

@@ -13,7 +13,6 @@ from lyapdecay.lyapunov import (
     DecayEnvelope,
     build_form,
     build_p,
-    build_p_epsilon,
     c_m_constant,
     case2_weights,
     decay_constant,
@@ -116,45 +115,6 @@ def test_case3_p0_is_the_case2_form_with_its_ladder_reversed():
                 assert form.blocks[1].case == case
                 p0[case] = build_p(form, 0.0)
             assert np.linalg.norm(p0[CASE3] - p0[CASE2]) <= 1e-15 * np.linalg.norm(p0[CASE2])
-
-
-# ---------------------------------------------------------------- P_epsilon
-
-
-def test_build_p_epsilon_geometry_proportional(geo):
-    st = jordan_chains(geo)
-    for eps in (0.1, 0.4):
-        p = build_p_epsilon(st, eps)
-        s = 1.0 / (2.0 * eps * eps)
-        want = 0.5 * np.array([[1 + s, s - 1], [s - 1, 1 + s]])
-        scale = p[0, 0].real / want[0, 0]
-        np.testing.assert_allclose(p.real, scale * want, atol=1e-12)
-        assert scale > 0
-
-
-def test_build_p_epsilon_nondefective_is_eps_independent():
-    st = jordan_chains(np.diag([1.0, 2.0]).astype(complex))
-    p1 = build_p_epsilon(st, 0.1)
-    p2 = build_p_epsilon(st, 0.4)
-    np.testing.assert_allclose(p1, p2, atol=1e-14)
-
-
-def test_build_p_epsilon_matrix_inequality_random():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        c, _ = random_structured_matrix(rng)
-        st = jordan_chains(c)
-        eps = 0.5 * st.mu
-        p = build_p_epsilon(st, eps)
-        assert verify_matrix_inequality(c, p, st.mu - eps) >= -1e-10 * np.linalg.norm(p)
-
-
-def test_build_p_epsilon_rejects_degenerate_rate(geo):
-    st = jordan_chains(geo)
-    with pytest.raises(ValueError):
-        build_p_epsilon(st, st.mu)
-    with pytest.raises(ValueError):
-        build_p_epsilon(st, -0.1)
 
 
 # ---------------------------------------------------------------- constants

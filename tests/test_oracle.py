@@ -269,11 +269,11 @@ def test_sweep_rejects_bad_times(t_grid):
         raise AssertionError("called")
 
     field = dataclasses.replace(cd.tanh_field(), b0=1.5)
-    envelope = never
+    model = dataclasses.replace(cd.MODEL, envelope=never)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        sweep(field, never, never, never, [0.0, -3.0], t_grid, envelope)
+        sweep(model, field, never, [0.0, -3.0], t_grid)
     with pytest.raises(ValueError, match=r"^b\(-3\.0\) < b0$"):
-        sweep(field, never, never, never, [0.0, -3.0], [0.0, 1.0], envelope)
+        sweep(model, field, never, [0.0, -3.0], [0.0, 1.0])
 
 
 def test_dominance_ratio_continuous_across_tiny_and_zero_where_p_is_zero():

@@ -1,8 +1,8 @@
 """The public surface resolves, every public definition has a caller, no
 module of the package takes a private name of another, and the three
-theorem checks propagate their states through the public evolve of their
-model, once per z; each evolve returns one C-contiguous stack of
-coefficient arrays, the conjugate Fourier modes k and -k share one
+theorem checks propagate their states through the one shared evolve, once
+per z; it returns one C-contiguous stack of coefficient arrays for every
+model, the conjugate Fourier modes k and -k share one
 propagator, and ``family`` runs the oracle only at the (z, t) points its
 bound admits, in a few ``expm`` calls."""
 
@@ -10,7 +10,6 @@ import ast
 import copy
 import importlib
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 from lyapdecay import convection_diffusion as cd
 from lyapdecay import fokker_planck as fp
 from lyapdecay import goldstein_taylor as gt
+from lyapdecay import oracle
 from lyapdecay.cli import main
 
 MODULES = [
@@ -45,7 +45,6 @@ ROOT = Path(__file__).resolve().parents[1]
 #: public definitions (top-level, or methods and properties of a top-level class)
 #: that no module and no acceptance criterion calls, and why they stay
 UNCALLED = {
-    "build_p_epsilon": "parked for ROADMAP item 3, which deletes it unless it calls it",
     "verify_matrix_inequality": "parked for ROADMAP item 3; bench/tracing.py counts its calls",
     "p_induced_norm": "parked for ROADMAP item 3 (the integrand of its Gronwall factor)",
     "verify_chain": "parked for ROADMAP item 3, which deletes it unless it calls it",
@@ -123,60 +122,44 @@ def test_modules_take_no_private_names_of_another():
     assert found == {}
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    orig = getattr(module, name)
-
-    def counted(field, state, z, t_grid):
-        calls.append((z, np.asarray(t_grid).size))
-        return orig(field, state, z, t_grid)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_theorem_checks_call_public_evolve_once_per_z(monkeypatch):
+    # every model check runs the one shared evolve, once per z
+    calls = []
+    orig = oracle.evolve
+
+    def counted(model, field, state, z, t_grid):
+        calls.append((model, z, np.asarray(t_grid).size))
+        return orig(model, field, state, z, t_grid)
+
+    monkeypatch.setattr(oracle, "evolve", counted)
     zs = np.array([-0.5, 0.5, 1.0])
     ts = np.linspace(0.0, 4.0, 6)
-    want = [(z, ts.size) for z in zs]
 
-    calls = _counting(monkeypatch, cd, "evolve_spectrum")
     state = lambda z: cd.gaussian_bump_state(3, order=1, v_amp=0.3)
     cd.theorem_bound_check(cd.tanh_field(), state, zs, ts, order=1)
-    assert calls == want
-
-    calls = _counting(monkeypatch, gt, "gt_evolve")
     field = gt.tanh_relaxation()
     uni = gt.gt_uniform_constant(field, k_max=2, n_sigma=2, n_dsigma=2)
     gt.gt_theorem_check(field, lambda z: gt.gt_bump_state(3), zs, ts, uniform=uni)
-    assert calls == want
-
-    calls = _counting(monkeypatch, fp, "fp_evolve")
     drift = fp.sin_drift()
     fp.fp_theorem_check(drift, lambda z: fp.fp_gaussian_state(drift, z=z, K=6), zs, ts)
-    assert calls == want
-
+    assert calls == [(model, z, ts.size) for model in (cd.MODEL, gt.MODEL, fp.MODEL) for z in zs]
 
 
 @pytest.mark.parametrize("model", ["cd-order1", "cd-order2", "gt", "fp"])
 def test_evolve_returns_contiguous_stack_with_slice_deviations(model):
     z, ts, drift = 0.4, np.linspace(0.0, 4.0, 7), fp.sin_drift()
-    state0, evolve, deviation = {
-        "cd-order1": (cd.gaussian_bump_state(3, v_amp=0.3), partial(cd.evolve_spectrum, cd.tanh_field()), cd.deviation_norm_sq),
-        "cd-order2": (
-            cd.gaussian_bump_state(3, order=2, v_amp=0.3),
-            partial(cd.evolve_spectrum, cd.trig_field()),
-            cd.deviation_norm_sq,
-        ),
-        "gt": (gt.gt_bump_state(3), partial(gt.gt_evolve, gt.tanh_relaxation()), gt.gt_deviation_norm_sq),
-        "fp": (fp.fp_gaussian_state(drift, z, K=6), partial(fp.fp_evolve, drift), lambda s: fp.fp_deviation_norm_sq(drift, s, z)),
+    state0, record, field = {
+        "cd-order1": (cd.gaussian_bump_state(3, v_amp=0.3), cd.MODEL, cd.tanh_field()),
+        "cd-order2": (cd.gaussian_bump_state(3, order=2, v_amp=0.3), cd.MODEL, cd.trig_field()),
+        "gt": (gt.gt_bump_state(3), gt.MODEL, gt.tanh_relaxation()),
+        "fp": (fp.fp_gaussian_state(drift, z, K=6), fp.MODEL, drift),
     }[model]
-    states = evolve(state0, z, ts)
+    states = oracle.evolve(record, field, state0, z, ts)
     assert states.shape == (ts.size, *state0.shape)
     assert states.flags.c_contiguous
-    stacked = deviation(states)
+    stacked = oracle.deviation_sq(record, field, states, z)
     assert stacked.shape == ts.shape
-    assert np.array_equal(stacked, [deviation(s) for s in states])
+    assert np.array_equal(stacked, [oracle.deviation_sq(record, field, s, z) for s in states])
 
 
 @pytest.mark.parametrize(
