@@ -259,7 +259,8 @@ def _envelope(field: CoefficientField, order: int = 1):
 MODEL = ModeModel(
     CoefficientField, {"builtin:tanh": tanh_field, "builtin:trig": trig_field}, _envelope,
     initial_state=lambda field, K, order=1: gaussian_bump_state(K, order=order, v_amp=0.3),
-    tail=lambda s: float(np.sum(np.abs(s[[0, 1, -2, -1], :]) ** 2) / (2.0 * np.pi)),
+    # the outermost two modes on each side, without the conserved k = 0 (at K = 1, k = -1 and 1)
+    tail=lambda field, s, z: float(np.sum(np.abs(s[[0, 1, -2, -1] if len(s) > 3 else [0, -1]]) ** 2) / (2.0 * np.pi)),
     systems={2: first_order_system, 3: second_order_system}, conserved=slice(None), weight=2.0 * np.pi,
     message="state is not normalized (u_0 = 1 and zero-mass sensitivities)",
 )

@@ -372,6 +372,9 @@ def fp_diffusion_variant(k: int, z: float, dfield: DiffusionField) -> tuple[np.n
 MODEL = ModeModel(
     DriftField, {"builtin:sin": sin_drift}, _envelope,
     initial_state=lambda field, K: lambda z: fp_gaussian_state(field, z=z, K=K),
-    tail=lambda s: float(s[0, -1] ** 2 + s[1, -1] ** 2),
+    # the outermost mode K as _deviation_sq counts it, with g_2 + alpha/sqrt 2 at K = 2
+    tail=lambda field, s, z: float(
+        s[0, -1] ** 2 + (s[1, -1] + (field.alpha(z) / np.sqrt(2.0) if s.shape[1] == 3 else 0.0)) ** 2
+    ),
     own_evolve=_evolve, own_deviation=_deviation_sq,
 )

@@ -19,15 +19,9 @@ Numerical Jordan decisions are ill-posed, so two entry points exist:
   the structure that :func:`jordan_chains` returns, and the tests build the
   model modules' known block data through it as a reference.
 
-:func:`jordan_chains` builds B = C^H - conj(lam) I for every cluster in one
-broadcast, and takes all their spectral norms, and all full SVDs of their
-first powers, from one stacked ``np.linalg.svd`` call each: a stacked call
-gives the bits of one call per matrix (``tests/test_jordan.py`` holds numpy
-to that).  Two merges would change bits.  The values-only SVD's s[0]
-differs from the full SVD's s[0], so the norm call stays apart from the
-full one.  ``np.abs`` of a complex array differs from the scalar ``abs``
-(the bits of Python's ``complex.__abs__``) with which
-:func:`cluster_eigenvalues` compares pairs, so clustering stays scalar.
+``np.abs`` of a complex array differs from the scalar ``abs`` (the bits of
+Python's ``complex.__abs__``) with which :func:`cluster_eigenvalues` compares
+pairs, so clustering stays scalar.
 """
 
 from __future__ import annotations
@@ -113,6 +107,12 @@ class JordanStructure:
         }
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """A finite positive tolerance: nan compares false with every threshold."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def cluster_eigenvalues(eigs, rel_tol: float) -> list[tuple[complex, int]]:
     """Greedy union of eigenvalues within ``rel_tol * (1 + max|lam|)``.
 
@@ -120,8 +120,7 @@ def cluster_eigenvalues(eigs, rel_tol: float) -> list[tuple[complex, int]]:
     mean of the cluster, sorted by (real, imag).  Multiplicities sum to the
     number of inputs.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    _check_tolerance("rel_tol", rel_tol)
     ev = np.asarray(eigs, dtype=complex).ravel()
     n = ev.size
     if n == 0:
@@ -147,11 +146,11 @@ def cluster_eigenvalues(eigs, rel_tol: float) -> list[tuple[complex, int]]:
     return clusters
 
 
-def _chain_top_down(b: np.ndarray, length: int, avoid: list[np.ndarray], kernels: list[np.ndarray]) -> np.ndarray:
-    """Pick a chain top in ker(B^length) independent of ``avoid`` and walk down."""
+def _chain_top_down(b: np.ndarray, length: int, avoid: list[np.ndarray], kernel: np.ndarray) -> np.ndarray:
+    """Pick a chain top in ker(B^length), given by its orthonormal basis rows
+    ``kernel``, independent of ``avoid`` and walk down."""
     d = b.shape[0]
-    k_l = kernels[length]  # orthonormal basis rows of ker(B^length)
-    cand = k_l.T  # columns
+    cand = kernel.T  # columns
     if avoid:
         a = np.column_stack(avoid)
         q, _ = np.linalg.qr(a)
@@ -190,16 +189,15 @@ def _rank_nullspace_abs(s: np.ndarray, vh: np.ndarray, abs_tol: float) -> tuple[
     return rank, vh[rank:].conj()
 
 
-def _chains_for_cluster(
-    b: np.ndarray, lam: complex, mult: int, rank_tol: float, cluster_radius: float, raw_norm_b: float, first
-) -> list[np.ndarray]:
-    """All chains for one eigenvalue cluster of C, from B = C^H - conj(lam) I.
-
-    ``raw_norm_b`` is the spectral norm of B and ``first`` holds the first
-    power I @ B with its full SVD (power, s, vh); :func:`jordan_chains`
-    computes both for every cluster at once.
-    """
+def _chains_for_cluster(b: np.ndarray, lam: complex, mult: int, rank_tol: float, cluster_radius: float) -> list[np.ndarray]:
+    """All chains for one eigenvalue cluster of C, from B = C^H - conj(lam) I."""
     d = b.shape[0]
+    # the first power is the product I @ B, not B: the two can differ in the
+    # sign of a zero entry, which moves the SVD's last bits, and the recorded
+    # outputs hold the product's
+    power = np.eye(d, dtype=complex) @ b
+    _, s, vh = np.linalg.svd(power)
+    raw_norm_b = s[0]  # the spectral norm of B
     # B of a scalar cluster is pure rounding noise; anything below the
     # clustering resolution cannot be distinguished from zero, so the radius
     # provides the scale floor for the rank thresholds
@@ -207,7 +205,6 @@ def _chains_for_cluster(
     # Rank profile of powers; number of blocks of length >= j is rank(B^(j-1)) - rank(B^j).
     ranks = [d]
     kernels = [np.zeros((0, d), dtype=complex)]
-    power, s, vh = first
     for j in range(1, mult + 1):
         if j > 1:
             # ||B^j|| <= ||B||^j bounds every entry and partial sum of the product
@@ -248,7 +245,7 @@ def _chains_for_cluster(
         # A new top must leave ker(B^(l-1)) and be independent, modulo
         # ker(B^(l-1)), of the height-(l-1) vectors of the longer chains.
         avoid = [row for row in kernels[l - 1]] + [c[l - 1] for c in used]
-        raw = _chain_top_down(b, l, avoid, kernels)
+        raw = _chain_top_down(b, l, avoid, kernels[l])
         # _canonicalize squares the eigenvector's entries for its norm
         if np.abs(raw[0]).max() > np.sqrt(np.finfo(float).max / d):
             raise ValueError(f"eigenvalue {lam:.6g}: the top-down chain of length {l} overflows its eigenvector's norm")
@@ -288,26 +285,20 @@ def jordan_chains(
 
     The eigenvalues are computed and clustered with ``cluster_rel_tol``,
     which also sets the radius of the cluster refinement and must be
-    positive (:func:`cluster_eigenvalues` checks it).  ``rel_tol`` governs
-    rank decisions.
+    finite and positive.  ``rel_tol`` governs rank decisions and must be
+    finite and positive too.
     """
+    _check_tolerance("rel_tol", rel_tol)
+    _check_tolerance("cluster_rel_tol", cluster_rel_tol)
     m = as_cmatrix(c)
     clusters = cluster_eigenvalues(np.linalg.eigvals(m), cluster_rel_tol)
     radius = cluster_rel_tol * (1.0 + max(abs(lam) for lam, _ in clusters))
-    # B = C^H - conj(lam) I of every cluster, its spectral norm and the full
-    # SVD of its first power, each in one stacked call (same bits as one call
-    # per cluster; the module docstring says which merges would change them)
     eye = np.eye(m.shape[0])
-    bs = m.conj().T - np.conj([lam for lam, _ in clusters])[:, None, None] * eye
-    raw_norms = np.linalg.svd(bs, compute_uv=False)[:, 0]
-    firsts = eye.astype(complex) @ bs
-    _, s1, vh1 = np.linalg.svd(firsts)
-    blocks: list[JordanBlock] = []
-    for i, (lam, mult) in enumerate(clusters):
-        first = (firsts[i], s1[i], vh1[i])
-        for chain in _chains_for_cluster(bs[i], lam, mult, rel_tol, radius, raw_norms[i], first):
-            blocks.append(JordanBlock(eigenvalue=complex(lam), chain=chain))
-    return structure_from_chains([(b.eigenvalue, b.chain) for b in blocks], gap_rel_tol=rel_tol)
+    pairs = []
+    for lam, mult in clusters:
+        b = m.conj().T - np.conj(lam) * eye
+        pairs += [(lam, chain) for chain in _chains_for_cluster(b, lam, mult, rel_tol, radius)]
+    return structure_from_chains(pairs, gap_rel_tol=rel_tol)
 
 
 def structure_from_chains(
@@ -321,8 +312,10 @@ def structure_from_chains(
     analytic chains assembled here.  Chains are taken as given (no
     normalization is imposed), and their width is the dimension: every chain
     must have it, and the chain lengths must sum to it.  Gap membership uses
-    the tolerance ``gap_rel_tol * (1 + |mu|)``.
+    the tolerance ``gap_rel_tol * (1 + |mu|)``, and ``gap_rel_tol`` must be
+    finite and positive.
     """
+    _check_tolerance("gap_rel_tol", gap_rel_tol)
     blocks = tuple(
         JordanBlock(eigenvalue=complex(lam), chain=np.atleast_2d(np.asarray(chain, dtype=complex)))
         for lam, chain in blocks_data

@@ -254,13 +254,14 @@ class ModeModel:
     """What :func:`sweep`, :func:`evolve` and :func:`deviation_sq` read of a
     PDE model.  ``envelope(field, **options)`` gives the report entries of its
     constants and the global :class:`DecayEnvelope`, ``initial_state(field,
-    K, **options)`` the initial state (or a function of z), ``tail(state)``
-    the weight of the outermost modes.  A state has one row per Fourier mode
-    k = -K..K; ``systems`` maps a row's width to the mode matrix (field, k,
-    z).  The zero mode's ``conserved`` entries must hold 1, 0, ... (else
-    ``message``) and count 0 in the deviation sum_k |y_k - y_inf|^2 /
-    ``weight``; a zero mode conserved whole, ``slice(None)``, is not propagated.  Other states
-    come with ``own_evolve`` and ``own_deviation``.
+    K, **options)`` the initial state (or a function of z), ``tail(field,
+    state, z)`` the part of the deviation in the outermost modes.  A state
+    has one row per Fourier mode k = -K..K; ``systems`` maps a row's width to
+    the mode matrix (field, k, z).  The zero mode's ``conserved`` entries must
+    hold 1, 0, ... (else ``message``) and count 0 in the deviation sum_k
+    |y_k - y_inf|^2 / ``weight``; a zero mode conserved whole,
+    ``slice(None)``, is not propagated.  Other states come with
+    ``own_evolve`` and ``own_deviation``.
     """
 
     field_class: type
@@ -342,7 +343,7 @@ def sweep(model: ModeModel, field, initial_state, z_grid, t_grid, **options) -> 
         **constants,
     }
     if model.tail is not None:
-        tail_sup = max(model.tail(s) for s in states0)
+        tail_sup = max(model.tail(field, s, z) for s, z in zip(states0, z_grid))
         rep["tail_fraction"] = float(tail_sup / initial_sup) if initial_sup > 0 else 0.0
     return rep
 

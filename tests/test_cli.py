@@ -243,6 +243,32 @@ def test_model_fp_runs(tmp_path):
     assert {"C_12", "C_3", "C_ge4", "C_global"} <= set(report["constants"])
 
 
+@pytest.mark.parametrize("command, K", [("model-cd", 1), ("model-fp", 2)])
+def test_model_tail_fraction_is_a_share_of_the_deviation_at_small_K(tmp_path, command, K):
+    # cd's outermost two modes on each side, at K = 1, are the whole deviation
+    # (the conserved k = 0 counts 0, not twice); fp's g_2 counts as its
+    # deviation g_2 + alpha/sqrt 2 at K = 2
+    rep = tmp_path / "m.json"
+    argv = [command, "--K", str(K), "--z-grid=0:3:4", "--t-points", "3", "--out", str(tmp_path / "m.csv"), "--report", str(rep)]
+    assert main(argv) == 0
+    got = json.loads(rep.read_text())["tail_fraction"]
+    if command == "model-cd":
+        assert got == pytest.approx(1.0, rel=1e-12)
+        return
+    from lyapdecay import fokker_planck as fp
+    from lyapdecay.oracle import deviation_sq
+
+    field = fp.MODEL.builtins["builtin:sin"]()
+    tails, devs = [], []
+    for z in np.linspace(0.0, 3.0, 4):
+        (f0, f1, f2), (g0, g1, g2) = fp.fp_gaussian_state(field, z=z, K=2)
+        tails.append(f2**2 + (g2 + field.alpha(z) / np.sqrt(2.0)) ** 2)
+        devs.append(f1**2 + g1**2 + tails[-1])
+        assert deviation_sq(fp.MODEL, field, np.array([[f0, f1, f2], [g0, g1, g2]]), z) == pytest.approx(devs[-1], rel=1e-12)
+    assert got == pytest.approx(max(tails) / max(devs), rel=1e-12)
+    assert 0.0 < got < 1.0
+
+
 def test_model_fp_diffusion_variant(tmp_path):
     rc = main(
         [

@@ -10,7 +10,14 @@ from lyapdecay.jordan import (
     verify_chain,
 )
 
-from conftest import adjoint_from_chains, chain_matrix, defect1_matrix, geometry_matrix, random_structured_matrix
+from conftest import (
+    adjoint_from_chains,
+    chain_matrix,
+    defect1_matrix,
+    geometry_matrix,
+    jordan_matrix,
+    random_structured_matrix,
+)
 
 
 def test_cluster_forced_merge():
@@ -187,24 +194,54 @@ def test_structure_serialization_round_trip():
     np.testing.assert_allclose(chain, st.blocks[0].chain)
 
 
-def test_stacked_svds_keep_the_bits_of_one_call_per_cluster():
-    # jordan_chains builds every cluster's B = C^H - conj(lam) I in one
-    # broadcast and takes their norms and first-power SVDs from one stacked
-    # call each; a numpy whose stacked calls change bits must fail here
-    rng = np.random.default_rng(23)
-    for d in range(2, 9):
-        for scale in (1e-6, 1.0, 1e4):
-            c = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            ch, lams = c.conj().T, np.linalg.eigvals(c)
-            eye = np.eye(d)
-            bs = ch - np.conj(lams)[:, None, None] * eye
-            norms = np.linalg.svd(bs, compute_uv=False)
-            firsts = eye.astype(complex) @ bs
-            stacked = np.linalg.svd(firsts)
-            for i, lam in enumerate(lams):
-                b = ch - np.conj(complex(lam)) * np.eye(d)
-                first = np.eye(d, dtype=complex) @ b
-                assert bs[i].tobytes() == b.tobytes() and firsts[i].tobytes() == first.tobytes()
-                assert norms[i].tobytes() == np.linalg.svd(b, compute_uv=False).tobytes()
-                for got, want in zip(stacked, np.linalg.svd(first)):
-                    assert got[i].tobytes() == want.tobytes()
+#: one argument of each library entry point that takes a tolerance
+_TOLERANCE_CALLS = {
+    "jordan_chains-rel_tol": ("rel_tol", lambda tol: jordan_chains(defect1_matrix(1.0), rel_tol=tol)),
+    "jordan_chains-cluster_rel_tol": ("cluster_rel_tol", lambda tol: jordan_chains(defect1_matrix(1.0), cluster_rel_tol=tol)),
+    "cluster_eigenvalues-rel_tol": ("rel_tol", lambda tol: cluster_eigenvalues([1.0, 1.0], rel_tol=tol)),
+    "structure_from_chains-gap_rel_tol": (
+        "gap_rel_tol",
+        lambda tol: structure_from_chains([(1.0, [[1.0, 0.0], [0.0, 1.0]])], gap_rel_tol=tol),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("call", sorted(_TOLERANCE_CALLS))
+def test_tolerances_must_be_finite_and_positive(call, bad):
+    # nan fails every threshold test, so it would pass J_2 as two length-1
+    # blocks or leave every block out of the gap set
+    name, run = _TOLERANCE_CALLS[call]
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
+        run(bad)
+
+
+def test_jordan_chains_takes_one_full_svd_per_cluster_power_and_chain_top(monkeypatch):
+    # each cluster's rank profile is one loop: the full SVD of its first power
+    # also gives ||B||, so no values-only SVD is taken and nothing is stacked
+    rng = np.random.default_rng(31)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    shared = [(0.7 + 0.2j, 2), (0.7 + 0.2j, 1)]  # one cluster of two blocks
+    cases = [(geometry_matrix(), [(0.5, 2)]), ((u @ jordan_matrix(shared) @ u.conj().T).conj().T, shared)]
+    cases += [random_structured_matrix(rng, d=d) for d in (2, 3, 4, 5, 6, 7)]
+    svd, calls = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a), args, kwargs))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for c, blocks in cases:
+        calls.clear()
+        st = jordan_chains(c)
+        d = c.shape[0]
+        assert sorted(b.length for b in st.blocks) == sorted(l for _, l in blocks)
+        lengths: dict[complex, list[int]] = {}
+        for lam, l in blocks:
+            lengths.setdefault(lam, []).append(l)
+        assert all(args == () and kwargs.get("compute_uv", True) for _, args, kwargs in calls)
+        powers = [shape for shape, _, kwargs in calls if kwargs == {}]
+        tops = [shape for shape, _, kwargs in calls if kwargs == {"full_matrices": False}]
+        assert len(powers) + len(tops) == len(calls)
+        assert powers == [(d, d)] * sum(max(ls) for ls in lengths.values())
+        assert len(tops) == len(blocks) and all(len(shape) == 2 and shape[0] == d for shape in tops)
