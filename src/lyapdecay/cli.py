@@ -214,6 +214,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config must hold a JSON object, got {type(cfg).__name__}")
+        unknown = sorted(set(cfg) - set(_OPTIONS[args.command]))
+        if unknown:
+            raise ValueError(f"config keys {unknown} are not options of {args.command}")
     resolved, given = {}, set()
     for key, opt in _OPTIONS[args.command].items():
         value = getattr(args, key)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_cmatrix, spectral_norm
+from .linalg import as_cmatrix, hermitian_extremes, spectral_norm
 from .oracle import propagator_lognorm
 
 __all__ = [
@@ -156,10 +156,10 @@ def _lognorm_sq_bound(mats, c_norm, ts) -> tuple[np.ndarray, np.ndarray]:
     b = -2 omega_k t_j, with omega = lambda_min((C + C^H)/2) the logarithmic
     norm's lower bound: ||exp(-C t)||_2 <= exp(-omega t) for every square C
     (Soderlind, BIT 46 (2006)).  All omegas come from one stacked
-    ``np.linalg.eigvalsh`` call.  ``tol`` is u S (24 + 2 log2 S), with u the
-    unit roundoff and S = 1 + 2 t max_k ||C_k||_2, which bounds |b|, the
-    |log| of the oracle and 2^m for its m squarings at every point of the
-    time.  It adds up:
+    :func:`~lyapdecay.linalg.hermitian_extremes` call.  ``tol`` is
+    u S (24 + 2 log2 S), with u the unit roundoff and
+    S = 1 + 2 t max_k ||C_k||_2, which bounds |b|, the |log| of the oracle
+    and 2^m for its m squarings at every point of the time.  It adds up:
 
     * eigvalsh is backward stable: the computed omega is off by a few
       u ||C||_2, so b is off by at most 6 u S, the product's rounding
@@ -179,7 +179,7 @@ def _lognorm_sq_bound(mats, c_norm, ts) -> tuple[np.ndarray, np.ndarray]:
     no warning: the oracle rejects that time.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = np.linalg.eigvalsh(0.5 * mats + 0.5 * mats.conj().swapaxes(-1, -2))[:, 0]
+        omega = hermitian_extremes(mats).lambda_min
         scale = 1.0 + 2.0 * np.max(c_norm) * ts
         return -2.0 * omega[:, None] * ts, np.finfo(float).eps / 2 * scale * (24.0 + 2.0 * np.log2(scale))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import JordanBlock, JordanStructure
-from .linalg import as_cmatrix, is_hermitian
+from .linalg import as_cmatrix, hermitian_extremes, is_hermitian, spectral_norm
 
 __all__ = [
     "CASE1",
@@ -113,13 +113,13 @@ class DecayEnvelope:
         normal double, else exp(log_bound(t)): there the linear factors would
         lose digits or give inf * 0."""
         t, log_bound = np.asarray(t, dtype=float), self.log_bound(t)
-        decay = np.exp(-2.0 * self.mu * t)
         with np.errstate(over="ignore", invalid="ignore"):
+            decay = np.exp(-2.0 * (self.mu * t))
             alg = 1.0 + self.a * t**self.q if self.M > 1 else 1.0
             return np.where(decay >= TINY, self.C_const * alg * decay, np.exp(log_bound))[()]
 
     def log_bound(self, t):
-        """log of the envelope, finite for every finite t (no overflow in t^q)."""
+        """log of the envelope, finite for every finite t where 2 mu t is a double (no overflow in t^q)."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
@@ -132,7 +132,9 @@ class DecayEnvelope:
                 np.log1p(self.a * np.where(small, t, 0.0) ** q),
                 q * logt + np.log(self.a) + np.log1p(np.exp(-q * logt) / self.a),
             )
-        return np.log(self.C_const) + log_alg - 2.0 * self.mu * t
+        # mu t first: 2 mu alone may overflow, and inf * 0 at t = 0 is nan
+        with np.errstate(over="ignore"):
+            return np.log(self.C_const) + log_alg - 2.0 * (self.mu * t)
 
     def scaled(self, s: float) -> "DecayEnvelope":
         """The envelope in time s t, as a mode system dy/dt = -s C y takes it from C."""
@@ -252,16 +254,18 @@ def decay_constant(structure: JordanStructure, form: LyapunovForm) -> DecayEnvel
 
     M = 1: C = lambda_max / lambda_min.  M >= 2:
     C = 2 lambda_max / lambda_min * c_M * max over gap-defective blocks of
-    sum_m beta^m / min_{k<=m} beta^k.
+    sum_m beta^m / min_{k<=m} beta^k.  A C that overflows raises ValueError.
     """
     lambda_min, lambda_max = _p0_extremes(form)
     m_def = structure.max_defective_block
-    if m_def == 1:
-        return DecayEnvelope(lambda_max / lambda_min, structure.mu, 1)
-    factor = max(
-        _weight_sum_term(form.blocks[n].weights) for n in structure.defective_gap_indices
-    )
-    c = 2.0 * lambda_max / lambda_min * c_m_constant(m_def) * factor
+    c = lambda_max / lambda_min
+    if m_def > 1:
+        factor = max(
+            _weight_sum_term(form.blocks[n].weights) for n in structure.defective_gap_indices
+        )
+        c = 2.0 * lambda_max / lambda_min * c_m_constant(m_def) * factor
+    if not math.isfinite(c):
+        raise ValueError("the envelope constant C overflows: cond(P(0)) or a ratio of the weights is too large")
     return DecayEnvelope(c, structure.mu, m_def)
 
 
@@ -277,8 +281,8 @@ def _p0_extremes(form: LyapunovForm) -> tuple[float, float]:
     and positive definite.
 
     :func:`build_p` returns 0.5 (p + p^H), which is exactly Hermitian in
-    floating point, so :func:`~lyapdecay.linalg.hermitian_extremes`'s
-    symmetry check and second symmetrisation would change no bit here.
+    floating point, so the Hermitian part that
+    :func:`~lyapdecay.linalg.hermitian_extremes` takes is P(0) bit for bit.
     Weights near the largest double overflow P(0); that is this error, not a
     numpy warning.
     """
@@ -286,12 +290,13 @@ def _p0_extremes(form: LyapunovForm) -> tuple[float, float]:
         p0 = build_p(form, 0.0)
     if not np.all(np.isfinite(p0)):
         raise ValueError("P(0) entries must be finite: the block weights overflow it")
-    w = np.linalg.eigvalsh(p0)
-    if w[0] <= 0:
+    ext = hermitian_extremes(p0)
+    if ext.lambda_min <= 0:
         raise ValueError("P(0) is not positive definite")
-    return float(w[0]), float(w[-1])
+    return ext
 
 
+@np.errstate(over="ignore")  # a sum that overflows is decay_constant's error
 def _weight_sum_term(betas: np.ndarray) -> float:
     running = np.minimum.accumulate(betas)
     return float(np.sum(betas / running))
@@ -304,7 +309,7 @@ def verify_matrix_inequality(c, p, rate: float) -> float:
     if not is_hermitian(pm, rel_tol=1e-10):
         raise ValueError("P must be Hermitian")
     q = cm.conj().T @ pm + pm @ cm - 2.0 * rate * pm
-    return float(np.linalg.eigvalsh(0.5 * (q + q.conj().T))[0])
+    return hermitian_extremes(q).lambda_min
 
 
 def lower_bound_lemma_gap(vectors, xis, theta: float, t: float, x) -> float:
@@ -401,4 +406,4 @@ def p_induced_norm(c, p) -> float:
         raise ValueError("P must be positive definite")
     sq = q @ np.diag(np.sqrt(w)) @ q.conj().T
     inv_sq = q @ np.diag(1.0 / np.sqrt(w)) @ q.conj().T
-    return float(np.linalg.norm(sq @ as_cmatrix(c) @ inv_sq, 2))
+    return spectral_norm(sq @ as_cmatrix(c) @ inv_sq)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_cmatrix, expm, expm_apply
+from .linalg import as_cmatrix, expm, expm_apply, spectral_norm
 from .lyapunov import TINY, DecayEnvelope
 
 __all__ = [
@@ -54,19 +54,14 @@ class EnvelopeReport:
     times: np.ndarray
     log_prop: np.ndarray
     log_bound: np.ndarray
+    #: exp of log_prop and of log_bound, inf or 0 past the double range
+    propagator_sq: np.ndarray
+    bound: np.ndarray
     ratio: np.ndarray
     max_ratio: float
     #: log of max_ratio, finite where max_ratio overflows to inf
     max_log_ratio: float
     dominated: bool
-
-    @property
-    def propagator_sq(self) -> np.ndarray:
-        return np.exp(self.log_prop)
-
-    @property
-    def bound(self) -> np.ndarray:
-        return np.exp(self.log_bound)
 
     def to_rows(self):
         return zip(self.times, self.propagator_sq, self.bound, self.ratio)
@@ -114,7 +109,7 @@ def propagator_lognorm(c, t, *, spectral_levels=False) -> float | np.ndarray:
     shape = np.broadcast_shapes(cm.shape[:-2], ts.shape)
     d = cm.shape[-1]
     mats = cm.reshape(-1, d, d)
-    c_norm = _norm2(mats)
+    c_norm = spectral_norm(mats)
     index = np.broadcast_to(np.arange(mats.shape[0]).reshape(cm.shape[:-2]), shape).ravel()
     times = np.broadcast_to(ts, shape).ravel()
     out = np.zeros(times.shape)
@@ -125,12 +120,6 @@ def propagator_lognorm(c, t, *, spectral_levels=False) -> float | np.ndarray:
         k = index[point]
         out[point] = _lognorm_ladder(mats[k], c_norm[k], times[point], spectral_levels)
     return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def _norm2(a) -> np.ndarray:
-    """:func:`linalg.spectral_norm` of a stack without the input checks, which
-    would cost each of the ladder's per-level norms about 14 us."""
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
 def _pow2_norm(a) -> np.ndarray:
@@ -144,8 +133,8 @@ def _pow2_norm(a) -> np.ndarray:
 def _lognorm_ladder(mats, c_norm, t, spectral_levels) -> np.ndarray:
     """log ||exp(-C_k t_k)||_2 for matrices ``mats`` with spectral norms
     ``c_norm`` at positive times ``t``, one per point, squaring counts mixed;
-    each level is normalised by :func:`_norm2` if ``spectral_levels``, else
-    by :func:`_pow2_norm`.
+    each level is normalised by :func:`spectral_norm` if ``spectral_levels``,
+    else by :func:`_pow2_norm`.
 
     A ValueError names the first point where ||C||_2 t passes 2^1023, so
     that 2^m overflows, or where a norm of the ladder is 0: exp(-C t) is
@@ -160,13 +149,13 @@ def _lognorm_ladder(mats, c_norm, t, spectral_levels) -> np.ndarray:
     for level in range(int(m.max())):
         idx = np.nonzero(m > level)[0]
         part = a[idx]
-        nrm = _norm2(part) if spectral_levels else _pow2_norm(part)
+        nrm = spectral_norm(part) if spectral_levels else _pow2_norm(part)
         if not nrm.all():
             raise _ladder_error(nrm, c_norm[idx], t[idx], f"the norm at squaring {level} underflows to 0")
         part = part / nrm[:, None, None]
         a[idx] = part @ part
         log_acc[idx] = 2.0 * (log_acc[idx] + np.log(nrm))
-    nrm = _norm2(a)
+    nrm = spectral_norm(a)
     if not nrm.all():
         raise _ladder_error(nrm, c_norm, t, "the norm of the last squaring underflows to 0")
     return log_acc + np.log(nrm)
@@ -182,12 +171,12 @@ def dominance_ratio(p, log_p, b, log_b) -> tuple[np.ndarray, float, bool]:
     """Ratios of propagator values ``p`` to bound values ``b``, their maximum
     and the verdict: dominated iff that maximum is <= 1 + DOMINANCE_SLACK.
 
-    Where ``p`` and ``b`` are normal doubles the ratio is p / b; elsewhere it
-    is exp(log_p - log_b), which keeps the digits a subnormal side has lost
-    and stays finite where both sides underflow.  Where log_p = -inf (p is
-    exactly 0) it is 0.  The arrays broadcast.
+    Where ``p`` and ``b`` are finite normal doubles the ratio is p / b;
+    elsewhere it is exp(log_p - log_b): it keeps the digits a subnormal side
+    has lost, is finite where both sides underflow and no inf/inf where both
+    overflow.  Where log_p = -inf (p is exactly 0) it is 0.  Arrays broadcast.
     """
-    live = np.minimum(p, b) >= TINY
+    live = (np.minimum(p, b) >= TINY) & np.isfinite(np.maximum(p, b))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(log_p == -np.inf, 0.0, np.where(live, p / b, np.exp(log_p - log_b)))
     max_ratio = float(np.max(ratio))
@@ -214,11 +203,14 @@ def check_dominance(c, bound, times) -> EnvelopeReport:
     log_prop = 2.0 * propagator_lognorm(as_cmatrix(c), times)
     log_bound = _log_bound_values(bound, times)
     with np.errstate(over="ignore"):
-        ratio, max_ratio, dominated = dominance_ratio(np.exp(log_prop), log_prop, np.exp(log_bound), log_bound)
+        p, b = np.exp(log_prop), np.exp(log_bound)
+    ratio, max_ratio, dominated = dominance_ratio(p, log_prop, b, log_bound)
     return EnvelopeReport(
         times=times,
         log_prop=log_prop,
         log_bound=log_bound,
+        propagator_sq=p,
+        bound=b,
         ratio=ratio,
         max_ratio=max_ratio,
         max_log_ratio=float(np.max(log_prop - log_bound)),

@@ -399,6 +399,12 @@ def _exit_code(argv):
         (["analyze", "--weights", "{}"], None, "--weights"),
         (["analyze", "--weights", "[null]"], None, "--weights"),
         (["analyze", "--weights", "[[1.0]"], None, "--weights"),
+        # keys that are not the command's options: each ran with the defaults
+        (["verify"], {"tmax": 5}, "tmax"),
+        (["verify"], {"t-max": 7}, "t-max"),
+        (["analyze"], {"matrix": "m.json"}, "matrix"),
+        (["verify"], {"c_const": 1, "t_max": 5}, "['c_const']"),
+        (["model-cd"], {"k_max": 3}, "k_max"),
     ],
 )
 def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
@@ -636,6 +642,18 @@ def test_analyze_overflowing_weights_print_one_error_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: --weights: P(0) entries must be finite: the block weights overflow it\n"
+
+
+def test_analyze_overflowing_envelope_constant_prints_one_error_line(matrix_file, tmp_path, capsys):
+    # the weight ratio 1 / 1e-320 overflows C, which was written as "C_const": Infinity;
+    # pytest's filterwarnings = error turns any numpy warning into a failure
+    out = tmp_path / "a.json"
+    argv = ["analyze", "--matrix", matrix_file(np.array([[1.0, 1.0], [0.0, 1.0]])), "--weights", "[[1e-320, 1]]"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --weights: the envelope constant C overflows: cond(P(0)) or a ratio of the weights is too large\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e150, 1e160, 1e200, 1e300])
@@ -925,6 +943,34 @@ def test_verify_reports_finite_log_ratio_past_overflow(matrix_file, tmp_path, ca
     assert "inf" not in err
     log_ratio = float(err.split("max_log_ratio = ")[1])
     assert 709.0 < log_ratio < np.inf
+
+
+def test_verify_ratio_is_zero_where_both_sides_overflow(matrix_file, tmp_path, capsys):
+    # e^{4t} dominates e^{2t}: at t = 1000 both overflow, and p / b was inf / inf = nan
+    argv = ["verify", "--matrix", matrix_file(np.array([[-1.0]])), "--c-const", "1", "--mu", "-2", "--m", "1"]
+    out = tmp_path / "v.csv"
+    assert main(argv + ["--t-max", "1000", "--points", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[-1] == "1.0000000000000000e+03,inf,inf,0.0000000000000000e+00"
+
+
+def test_verify_envelope_rate_near_the_largest_double_reads_no_nan(matrix_file, tmp_path, capsys):
+    # 2 mu overflows; 2 mu t at t = 0 was inf * 0 = nan
+    argv = ["verify", "--matrix", matrix_file(np.array([[1.0, 1.0], [0.0, 1.0]])), "--c-const", "1", "--mu", "9e307"]
+    out = tmp_path / "v.csv"
+    assert main(argv + ["--m", "2", "--points", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "dominance violated: max_log_ratio = inf\n"
+    rows = out.read_text().splitlines()
+    assert rows[1] == ",".join(["0.0000000000000000e+00"] + ["1.0000000000000000e+00"] * 3)
+    assert "nan" not in "".join(rows)
+
+
+@pytest.mark.parametrize("command", ["model-cd", "model-gt"])
+def test_builtin_tanh_fields_take_wide_z_grids_without_warnings(command, tmp_path):
+    # cosh(z)^2 overflows past |z| = 355; pytest's filterwarnings = error
+    # turns the overflow warning it gave into a failure
+    argv = [command, "--z-grid=-800:800:3", "--K", "1", "--t-points", "2"]
+    assert main(argv + ["--out", str(tmp_path / "m.csv"), "--report", str(tmp_path / "m.json")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -368,8 +368,11 @@ def test_spectral_norm_of_a_stack_has_the_bits_of_single_calls(shape):
     rng = np.random.default_rng(11)
     stack = rng.normal(size=(*shape, 3, 3)) + 1j * rng.normal(size=(*shape, 3, 3))
     got = spectral_norm(stack)
-    want = np.array([np.linalg.norm(a, 2) for a in stack.reshape(-1, 3, 3)]).reshape(shape)
-    assert got.shape == shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    singles = [spectral_norm(a) for a in stack.reshape(-1, 3, 3)]
+    assert all(isinstance(x, float) for x in singles)
+    for want in (singles, [np.linalg.norm(a, 2) for a in stack.reshape(-1, 3, 3)]):
+        want = np.array(want).reshape(shape)
+        assert got.shape == shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert isinstance(spectral_norm(np.eye(3)), float)
 
 
@@ -428,9 +431,27 @@ def test_hermitian_extremes_geometry_form_at_zero():
     assert ext.lambda_max == pytest.approx(1.0, rel=1e-10)
 
 
-def test_hermitian_extremes_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        hermitian_extremes(np.array([[1.0, 1.0], [0.0, 1.0]]))
+def test_hermitian_extremes_takes_the_hermitian_part_and_rejects_non_finite():
+    # the Hermitian part of [[1, 1], [0, 1]] is [[1, 1/2], [1/2, 1]]
+    assert hermitian_extremes(np.array([[1.0, 1.0], [0.0, 1.0]])) == (0.5, 1.5)
+    # eigvalsh alone reads a NaN matrix as [0, -0] without raising
+    for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.full((2, 2, 2), np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_extremes(bad)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3), (0,)])
+def test_hermitian_extremes_of_a_stack_has_the_bits_of_single_calls(shape):
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(*shape, 4, 4)) + 1j * rng.normal(size=(*shape, 4, 4))
+    flat = stack.reshape(-1, 4, 4)
+    flat[::2] += flat[::2].conj().swapaxes(-1, -2)  # every other matrix Hermitian
+    got = hermitian_extremes(stack)
+    singles = [hermitian_extremes(a) for a in flat]
+    for k, part in enumerate(got):
+        want = np.array([single[k] for single in singles]).reshape(shape)
+        assert part.shape == shape and np.array_equal(part.view(np.uint64), want.view(np.uint64))
+    assert all(isinstance(x, float) for single in singles for x in single)
 
 
 def test_hermitian_extremes_rayleigh_bounds():

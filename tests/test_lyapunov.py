@@ -545,9 +545,9 @@ def test_sup_poly_exp_against_mpmath():
 
 
 
-def test_p_is_exactly_hermitian_so_p0_extremes_skips_the_check():
-    # _p0_extremes calls eigvalsh on build_p(form, 0) without
-    # hermitian_extremes's symmetry check and second symmetrisation
+def test_p_is_exactly_hermitian_so_its_hermitian_part_keeps_the_bits():
+    # hermitian_extremes takes the Hermitian part 0.5 (p + p^H), which is
+    # build_p's P bit for bit, so _p0_extremes reads the extremes of P(0) itself
     rng = np.random.default_rng(29)
     for _ in range(6):
         d = 6

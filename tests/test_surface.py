@@ -122,6 +122,37 @@ def test_modules_take_no_private_names_of_another():
     assert found == {}
 
 
+def _linalg_bypasses(tree) -> list:
+    """Lines that reach LAPACK's eigenvalue or singular value routines past
+    ``linalg``: a reference to ``eigvalsh``, a values-only ``svd`` or a
+    matrix 2-norm of ``np.linalg``."""
+    found = []
+    for node in ast.walk(tree):
+        if getattr(node, "attr", getattr(node, "name", None)) == "eigvalsh":  # np.linalg.eigvalsh or an import
+            found.append((node.lineno, "eigvalsh"))
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        # the option, its position and the value that asks for singular values only
+        option = {"svd": ("compute_uv", 2, False), "norm": ("ord", 1, 2)}.get(node.func.attr)
+        if option is not None:
+            key, position, value = option
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            arg = keywords.get(key, node.args[position] if len(node.args) > position else None)
+            if isinstance(arg, ast.Constant) and arg.value == value:
+                found.append((node.lineno, f"{node.func.attr} {key}={value}"))
+    return found
+
+
+def test_only_linalg_calls_eigvalsh_values_only_svd_or_matrix_2_norm():
+    # linalg's spectral_norm and hermitian_extremes answer these for every module
+    found = {
+        path.stem: hits
+        for path in sorted((ROOT / "src" / "lyapdecay").glob("*.py"))
+        if path.stem != "linalg" and (hits := _linalg_bypasses(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
 def test_theorem_checks_call_public_evolve_once_per_z(monkeypatch):
     # every model check runs the one shared evolve, once per z
     calls = []
