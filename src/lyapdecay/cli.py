@@ -129,6 +129,12 @@ def _count(text) -> int:
     return int(text)
 
 
+def _is_double(x) -> bool:
+    """Whether JSON value ``x`` is an int or a float (a JSON true is a bool,
+    not the number 1) within the range of finite doubles."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 class _Opt(NamedTuple):
     """A config-able option: its flag converter, default and allowed values."""
 
@@ -269,8 +275,10 @@ def cmd_analyze(args) -> int:
             weights = json.loads(weights)
         except json.JSONDecodeError:
             pass  # still a str: rejected below
-        # a null entry would silently keep that block's default weights
-        if not isinstance(weights, list) or None in weights:
+        # each block's weights are a list of numbers, or one number for a
+        # length-1 block; a null entry would silently keep its default weights
+        ok = isinstance(weights, list) and all(_is_double(w) or isinstance(w, list) and all(map(_is_double, w)) for w in weights)
+        if not ok:
             raise ValueError(f"--weights must be 'heuristic' or a JSON list of per-block weight lists, got {args.weights!r}")
     structure, form, env = _analysis_pipeline(
         matrix, cfg["rel_tol"], cfg["cluster_tol"], weights
@@ -337,9 +345,10 @@ def cmd_family(args) -> int:
     ts = np.linspace(0.0, cfg["t_max"], cfg["points"])
     log_sup = fam.grid_sup_envelope(family, ts)
     sup = np.exp(log_sup)
-    # the envelope p(t) exp(-2 mu_min t) and its log, which survives underflow
-    pre = np.array([family.prefactor(t) for t in ts])
-    env, log_env = pre * np.exp(-2.0 * family.mu_min * ts), np.log(pre) - 2.0 * family.mu_min * ts
+    # the envelope p(t) exp(-2 mu_min t) and its log, which survives underflow;
+    # DecayEnvelope forms mu t first, as 2 mu_min alone may overflow
+    pre, decay = np.array([family.prefactor(t) for t in ts]), DecayEnvelope(1.0, family.mu_min, 1)
+    env, log_env = pre * decay.bound(ts), np.log(pre) + decay.log_bound(ts)
     ratio, _, passed = dominance_ratio(sup, log_sup, env, log_env)
     _write_csv(cfg["out"], ["t", "grid_sup_propagator_sq", "envelope", "ratio"], zip(ts, sup, env, ratio))
     return EXIT_OK if passed else EXIT_BOUND_VIOLATION
@@ -354,9 +363,7 @@ def _column(data: dict, key: str, size: int | None = None) -> np.ndarray:
     if key not in data:
         raise ValueError(f"table {key} is missing")
     col = data[key]
-    # finite JSON numbers of exact types: a JSON true is a bool, not the number 1
-    finite = isinstance(col, list) and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in col)
-    if not finite or (size is not None and len(col) != size):
+    if not (isinstance(col, list) and all(map(_is_double, col))) or (size is not None and len(col) != size):
         want = "a list of numbers" if size is None else f"a list of {size} numbers, one per z"
         raise ValueError(f"table {key} must be {want}")
     return np.array(col, dtype=float)
@@ -393,7 +400,7 @@ def _field(spec: str, builtins: dict, cls):
         if value is None and column in columns:
             value = float(_DERIVED[kind](columns[column]))
         if value is not None:
-            if type(value) not in (int, float) or not np.isfinite(value):
+            if not _is_double(value):
                 raise ValueError(f"bound {bound} must be a finite number, got {value!r}")
             kwargs[bound] = float(value)
     return cls(**kwargs)
@@ -498,7 +505,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, JordanAmbiguityError) as exc:
+    except (ValueError, OSError, JordanAmbiguityError) as exc:
         # NotPositiveStableError is a ValueError and lands here as well
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

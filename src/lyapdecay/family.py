@@ -65,8 +65,9 @@ class ParamFamily:
         num = np.array([
             (self.mu_of_z(z + hz) - self.mu_of_z(z - hz)) / (2 * hz) for z, hz in zip(zin, h)
         ])
-        scale = 1.0 + np.abs(ana) + np.abs(num)
-        if np.max(np.abs(num - ana) / scale) > 1e-4:
+        # halved, so that neither side overflows where |mu'| nears the largest double
+        scale = 0.5 + 0.5 * np.abs(ana) + 0.5 * np.abs(num)
+        if np.max(np.abs(0.5 * num - 0.5 * ana) / scale) > 1e-4:
             raise ValueError("dmu_of_z is inconsistent with mu_of_z (central differences)")
         object.__setattr__(self, "z_grid", zg)
 

@@ -10,6 +10,7 @@ systems assembled symbolically as polynomial-times-exponential terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -305,7 +306,8 @@ def sweep(model: ModeModel, field, initial_state, z_grid, t_grid, **options) -> 
 
     The times are validated first, then :func:`_check_field_bounds` holds the
     field to its ``BOUNDS`` on the z grid; only then does ``model.envelope``
-    build the constants and the :class:`DecayEnvelope` to check.
+    build the constants and the :class:`DecayEnvelope` to check; a constant
+    that overflows is a ValueError naming the field's bounds.
     ``initial_state`` is the state at t = 0 or a function of z giving it;
     :func:`evolve` runs once per z and :func:`deviation_sq` takes its stack.
     ``tail_fraction`` is the supremum of ``model.tail`` over the initial
@@ -315,7 +317,14 @@ def sweep(model: ModeModel, field, initial_state, z_grid, t_grid, **options) -> 
     z_grid = np.asarray(z_grid, dtype=float)
     t_grid = _times(t_grid)
     _check_field_bounds(field, z_grid)
-    constants, envelope = model.envelope(field, **options)
+    try:  # an overflow is the one error below, not a numpy warning
+        with np.errstate(over="raise", invalid="raise"):
+            constants, envelope = model.envelope(field, **options)
+    except (OverflowError, FloatingPointError):
+        envelope = None
+    if envelope is None or not np.isfinite(envelope.C_const):
+        bounds = ", ".join(f"{bound} = {getattr(field, bound)!r}" for bound, _, _ in field.BOUNDS)
+        raise ValueError(f"the global constant C_global overflows at the bounds {bounds}")
     states0 = [initial_state(z) if callable(initial_state) else initial_state for z in z_grid]
     initial_sup = float(max(deviation_sq(model, field, s, z) for s, z in zip(states0, z_grid)))
     norm_sq = np.array([deviation_sq(model, field, evolve(model, field, s0, z, t_grid), z) for s0, z in zip(states0, z_grid)])
@@ -368,107 +377,51 @@ def nilpotent2_propagator_sq(rate: float, eps: float, t) -> np.ndarray:
     return np.exp(-2.0 * rate * t) * (1.0 + 0.5 * s2 + np.sqrt(s2 + 0.25 * s2 * s2))
 
 
-class _PolyExp:
-    """Sum of p(t) * exp(-lam * t) terms, keyed by the decay rate lam."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def mode(cls, lam: complex, coeffs) -> "_PolyExp":
-        return cls({complex(lam): np.asarray(coeffs, dtype=complex)})
-
-    def __call__(self, t: float) -> complex:
-        return sum(
-            np.polynomial.polynomial.polyval(t, poly) * np.exp(-lam * t)
-            for lam, poly in self.terms.items()
-        )
-
-    def scaled(self, factor: complex) -> "_PolyExp":
-        return _PolyExp({lam: factor * poly for lam, poly in self.terms.items()})
-
-    def plus(self, other: "_PolyExp") -> "_PolyExp":
-        out = {lam: poly.copy() for lam, poly in self.terms.items()}
-        for lam, poly in other.terms.items():
-            key = self._match(out, lam)
-            if key is None:
-                out[lam] = poly.copy()
-            else:
-                a, b = out[key], poly
-                if a.size < b.size:
-                    a = np.pad(a, (0, b.size - a.size))
-                else:
-                    b = np.pad(b, (0, a.size - b.size))
-                out[key] = a + b
-        return _PolyExp(out)
-
-    @staticmethod
-    def _match(table, lam, tol=1e-12):
-        for key in table:
-            if abs(key - lam) <= tol * (1.0 + abs(lam)):
-                return key
-        return None
-
-    def convolved(self, lam: complex) -> "_PolyExp":
-        """int_0^t exp(-lam (t - s)) self(s) ds, in closed form."""
-        out = _PolyExp()
-        for mu, poly in self.terms.items():
-            key = self._match({lam: None}, mu)
-            if key is not None:
-                # same rate: each s^j integrates to t^(j+1)/(j+1)
-                new = np.concatenate(([0.0], poly / (np.arange(poly.size) + 1.0)))
-                out = out.plus(_PolyExp.mode(lam, new))
-            else:
-                delta = lam - mu  # exp(-lam t) int_0^t s^j exp(delta s) ds
-                for j, cj in enumerate(poly):
-                    if cj == 0:
-                        continue
-                    # int s^j e^{delta s} ds = e^{delta t} P_j(t) - P_j(0) with
-                    # P_j coefficients (-1)^(j-i) j!/(i! delta^(j-i+1))
-                    pj = np.array(
-                        [
-                            (-1.0) ** (j - i)
-                            * _falling(j, i)
-                            / delta ** (j - i + 1)
-                            for i in range(j + 1)
-                        ],
-                        dtype=complex,
-                    )
-                    out = out.plus(_PolyExp.mode(mu, cj * pj))
-                    out = out.plus(_PolyExp.mode(lam, np.array([-cj * pj[0]])))
-        return out
+#: duhamel_solve takes rates within _RATE_TOL (1 + |rate|) of each other for one rate
+_RATE_TOL = 1e-12
 
 
-def _falling(j: int, i: int) -> float:
-    """j! / i! (product of integers i+1..j)."""
-    out = 1.0
-    for n in range(i + 1, j + 1):
-        out *= n
-    return out
+def _merge(terms: dict, rate: complex, poly) -> None:
+    """Add poly(t) e^{-rate t} to ``terms`` (rate -> polynomial coefficients),
+    under the first key within _RATE_TOL (1 + |rate|) of ``rate``, if any."""
+    key = next((k for k in terms if abs(k - rate) <= _RATE_TOL * (1.0 + abs(rate))), rate)
+    terms[key] = np.polynomial.polynomial.polyadd(terms.get(key, [0j]), poly)
 
 
 def duhamel_solve(a, y0, t: float) -> np.ndarray:
     """Solve dy/dt = -A y for lower-triangular A by variation of constants.
 
-    Every component is represented exactly as a sum of polynomial-times-
-    exponential terms, built row by row: the diagonal entry fixes the
-    relaxation rate and the strictly lower entries feed already-solved
-    components through the convolution integral.  Matches exp(-A t) y0 to
-    roundoff and shares no code with the matrix exponential.
+    Each component is a dict rate -> polynomial coefficients, the sum of
+    p(t) e^{-rate t}, built row by row: row i starts at y0[i] e^{-lam t}
+    (lam = A[i, i]) and adds, for each coupling A[i, j] != 0, the
+    convolution of -A[i, j] times component j with e^{-lam t}.  For a term
+    s^k e^{-mu s} that is
+
+        int_0^t e^{-lam (t - s)} s^k e^{-mu s} ds = e^{-lam t} t^(k+1)/(k+1)
+
+    if mu = lam (to within _RATE_TOL), else e^{-mu t} P(t) -
+    e^{-lam t} P(0) with P(t) = sum_i (-1)^(k-i) k!/i! t^i / (lam - mu)^(k-i+1).
+    Matches exp(-A t) y0 to roundoff and shares no code with the matrix
+    exponential.
     """
     am = as_cmatrix(a)
     d = am.shape[0]
     if np.any(np.abs(np.triu(am, 1)) > 1e-13 * max(np.linalg.norm(am), 1.0)):
         raise ValueError("matrix must be lower triangular")
     y0 = np.asarray(y0, dtype=complex)
-    sols: list[_PolyExp] = []
+    sols: list[dict] = []
     for i in range(d):
         lam = am[i, i]
-        expr = _PolyExp.mode(lam, [y0[i]])
-        for j in range(i):
-            if am[i, j] != 0:
-                expr = expr.plus(sols[j].scaled(-am[i, j]).convolved(lam))
-        sols.append(expr)
-    return np.array([s(t) for s in sols])
+        terms = {lam: np.array([y0[i]])}
+        for j in np.flatnonzero(am[i, :i]):
+            for mu, poly in sols[j].items():
+                poly = -am[i, j] * poly
+                if abs(lam - mu) <= _RATE_TOL * (1.0 + abs(mu)):
+                    _merge(terms, lam, np.concatenate(([0.0], poly / np.arange(1.0, poly.size + 1))))
+                    continue
+                for k in np.flatnonzero(poly):
+                    p = [(-1.0) ** (k - n) * math.perm(k, k - n) / (lam - mu) ** (k - n + 1) for n in range(k + 1)]
+                    _merge(terms, mu, poly[k] * np.array(p))
+                    _merge(terms, lam, [-poly[k] * p[0]])
+        sols.append(terms)
+    return np.array([sum(np.polynomial.polynomial.polyval(t, p) * np.exp(-r * t) for r, p in s.items()) for s in sols])

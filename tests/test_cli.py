@@ -405,6 +405,12 @@ def _exit_code(argv):
         (["analyze"], {"matrix": "m.json"}, "matrix"),
         (["verify"], {"c_const": 1, "t_max": 5}, "['c_const']"),
         (["model-cd"], {"k_max": 3}, "k_max"),
+        # block weights that are not finite JSON numbers: a true ran as 1.0 and
+        # a numeric string as its number; an int past the double range crashed
+        (["analyze", "--weights", "[[true], [1]]"], None, "--weights"),
+        (["analyze", "--weights", "[true, 1]"], None, "--weights"),
+        (["analyze", "--weights", '[["1"], ["2"]]'], None, "--weights"),
+        (["analyze", "--weights", f"[[{10**400}], [1]]"], None, "--weights"),
     ],
 )
 def test_malformed_option_exits_2_naming_it(argv, config, named, matrix_file, tmp_path, capsys):
@@ -541,6 +547,16 @@ def test_output_to_a_directory_exits_2(matrix_file, tmp_path, capsys):
     assert main(["analyze", "--matrix", matrix_file(np.eye(2)), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Is a directory" in err and "Traceback" not in err
+
+
+def test_key_error_is_a_program_bug_not_invalid_input(matrix_file, monkeypatch):
+    # nothing raises KeyError on purpose: it once printed as "error: ..." with exit 2
+    def broken(matrix):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "load_matrix_json", broken)
+    with pytest.raises(KeyError):
+        main(["analyze", "--matrix", matrix_file(np.eye(2))])
 
 
 def test_config_value_gives_the_bytes_of_the_same_flag(tmp_path, monkeypatch):
@@ -890,6 +906,9 @@ def test_family_overflowing_rate_prints_one_error_line(argv, name, z, tmp_path, 
         (["--family", "exponential", "--beta", "-1.5", "--z-max", "300"], "underflows to 0"),
         # t ||C||_2 is finite at 1e300 but overflows here; each t is finite
         (["--t-max", "1e308"], "||C||_2 t exceeds 2^1023"),
+        # mu' near the largest double once overflowed the central-difference check first
+        (["--alpha", "5e307", "--z-max", "1.5", "--t-max", "1e-305", "--points", "4", "--z-points", "7"],
+         "||C||_2 t exceeds 2^1023"),
     ],
 )
 def test_family_past_the_oracle_ladder_prints_one_error_line(argv, cause, tmp_path, capsys):
@@ -917,6 +936,18 @@ def test_verify_past_the_oracle_ladder_prints_one_error_line(t_max, cause, matri
     (line,) = capsys.readouterr().err.splitlines()
     assert re.fullmatch(r"error: log \|\|exp\(-C t\)\|\|_2 at t = \S+, \|\|C\|\|_2 = \S+: " + cause, line)
     assert not (tmp_path / "v.csv").exists()
+
+
+def test_family_envelope_rate_near_the_largest_double_reads_no_nan(tmp_path):
+    # 2 mu_min overflows before t multiplies it: the t = 0 envelope read nan
+    # after a RuntimeWarning, which pytest's filterwarnings = error fails on
+    out = tmp_path / "f.csv"
+    argv = ["family", "--family", "constant", "--mu-min", "9e307", "--t-max", "1e-300", "--points", "3", "--z-points", "3"]
+    # exit 1: the oracle's rounding at mu t = 4.5e7 passes DOMINANCE_SLACK
+    assert main(argv + ["--out", str(out)]) == 1
+    rows = out.read_text().splitlines()
+    assert rows[1] == ",".join(["0.0000000000000000e+00"] + ["1.0000000000000000e+00"] * 3)
+    assert "nan" not in "".join(rows)
 
 
 def test_family_ratio_finite_where_both_sides_underflow(tmp_path):
@@ -1014,6 +1045,8 @@ def _table_run(tmp_path, command, option, table, *extra):
         ("[[2.0], [3.0], [1.0]]", 2),
         ("5", 2),
         ('[{"a": 1}, [1]]', 2),
+        # a length-1 block's weight may stand alone
+        ("[2.0, [3]]", 0),
     ],
 )
 def test_analyze_weights_one_per_chain_vector(matrix_file, capsys, weights, rc_want):
@@ -1055,6 +1088,9 @@ def test_model_table_null_bound_is_derived_and_string_bound_rejected(tmp_path, c
     assert _table_run(tmp_path, command, option, {**table, key: "0.5"}, *extra) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    # an int past the double range: np.isfinite raised TypeError, exit 1 with a traceback
+    assert _table_run(tmp_path, command, option, {**table, key: 10**400}, *extra) == 2
+    assert capsys.readouterr().err == f"error: bound {key} must be a finite number, got {10**400!r}\n"
 
 
 #: one table per model; on the z grid 0..6 the cd columns span b in [2, 3)
@@ -1172,6 +1208,29 @@ def test_model_table_columns_hold_only_finite_json_numbers(tmp_path, capsys, com
         assert _table_run(tmp_path, command, option, bad) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"error: table {key} must be {want}"
+
+
+@pytest.mark.parametrize(
+    "command, option, columns, bound, extra",
+    [
+        ("model-cd", "--coeffs", {"a": 1, "b": 1, "da": 0, "db": 0}, "sup_da", []),
+        ("model-fp", "--drift", {"a": 1, "da": 0}, "sup_da", []),
+        ("model-gt", "--sigma", {"sigma": 1, "dsigma": 0}, "L", ["--k-max", "2"]),
+    ],
+    ids=["cd", "fp", "gt"],
+)
+def test_model_table_bound_overflowing_the_global_constant_prints_one_error_line(
+    tmp_path, capsys, command, option, columns, bound, extra
+):
+    # cd and fp raised OverflowError from a square or fourth power (exit 1 and
+    # a traceback); gt warned from its dyads and then named non-finite entries
+    table = {"z": [-1, 0, 1], **{name: [value] * 3 for name, value in columns.items()}, bound: 1e200}
+    argv = ["--K", "2", "--z-grid=-1:1:3", "--t-points", "2", "--out", str(tmp_path / "m.csv")]
+    (tmp_path / "t.json").write_text(json.dumps(table))
+    assert main([command, option, str(tmp_path / "t.json"), *argv, *extra]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: the global constant C_global overflows at the bounds ") and f"{bound} = 1e+200" in line
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_model_gt_rejects_a_table_below_sigma0_before_its_uniform_constant(tmp_path, capsys, monkeypatch):

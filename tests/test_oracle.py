@@ -404,6 +404,27 @@ def test_duhamel_matches_expm_random_triangular():
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_duhamel_polynomial_term_meets_a_second_rate(d):
+    # diagonal (a, a, b, ...): row 1 holds t e^{-a t} with a zero constant
+    # coefficient (y0[1] = 0), which rows 2.. convolve at their own rates;
+    # A[d-1, 0] = 0 is a zero coupling.  Reference: 40-digit mpmath.expm.
+    rng = np.random.default_rng(350 + d)
+    for _ in range(10):
+        a = np.tril(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), -1)
+        rates = rng.uniform(0.2, 2.0, size=d - 1) + 1j * rng.normal(size=d - 1)
+        np.fill_diagonal(a, np.concatenate([rates[:1], rates]))
+        a[d - 1, 0] = 0.0
+        y0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        y0[1] = 0.0
+        t = rng.uniform(0.1, 3.0)
+        with mpmath.workdps(40):
+            e = mpmath.expm(mpmath.matrix(-t * a))
+            want = np.array([complex(mpmath.fsum(e[i, j] * y0[j] for j in range(d))) for i in range(d)])
+        got = duhamel_solve(a, y0, t)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
 def test_duhamel_rejects_non_triangular():
     with pytest.raises(ValueError):
         duhamel_solve(np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2), 1.0)
