@@ -29,6 +29,7 @@ __all__ = [
     "first_order_envelope",
     "second_order_system",
     "second_order_envelope",
+    "assembled_constants",
     "fourier_coefficients",
     "gaussian_bump_state",
     "theorem_bound_check",

@@ -28,7 +28,6 @@ __all__ = [
     "tanh_relaxation",
     "gt_eigenvalues",
     "gt_mode_matrix",
-    "gt_chains",
     "gt_p_from_params",
     "gt_case1_p_from_params",
     "gt_uniform_constant",
@@ -133,31 +132,6 @@ def _dyad_sum(branches) -> np.ndarray:
     """Hermitian part of sum v v^H over each branch's (..., 4) vector stacks, branch by branch."""
     p = sum(sum(v[..., :, None] * v[..., None, :].conj() for v in vs) for vs in branches)
     return 0.5 * (p + np.swapaxes(p, -1, -2).conj())
-
-
-def gt_chains(field: RelaxationField, k: int, z: float):
-    """Adjoint chains of the 4x4 mode matrix as (eigenvalue, chain) pairs.
-
-    For d_z sigma != 0 there are two length-2 blocks (one per eigenvalue
-    branch); otherwise four eigenvectors.  Block eigenvalues are those of the
-    mode matrix itself, so a chain labelled with lambda_- satisfies the
-    adjoint relation with lambda_+.
-    """
-    if k == 0:
-        raise ValueError("the zero mode is handled by its decaying subblock")
-    s, sz = field.sigma(z), field.dsigma(z)
-    lp, lm = gt_eigenvalues(s, k)
-    if sz != 0.0:
-        return [
-            (np.conj(lp), [_v0(lm, k), (2.0 / sz) * _v1_scaled(lm, k, sz)]),
-            (np.conj(lm), [_v0(lp, k), (2.0 / sz) * _v1_scaled(lp, k, sz)]),
-        ]
-    return [
-        (np.conj(lp), [_v0(lm, k)]),
-        (np.conj(lm), [_v0(lp, k)]),
-        (np.conj(lp), [_v2(lm, k)]),
-        (np.conj(lm), [_v2(lp, k)]),
-    ]
 
 
 def gt_p_from_params(sigma, sigma_z, k: int) -> np.ndarray:

@@ -40,7 +40,6 @@ __all__ = [
     "cluster_eigenvalues",
     "jordan_chains",
     "structure_from_chains",
-    "verify_chain",
 ]
 
 #: relative tolerance for rank decisions (fraction of the largest singular value)
@@ -344,16 +343,3 @@ def structure_from_chains(
         defective_gap_indices=i_mu,
         dim=d,
     )
-
-
-def verify_chain(c, structure: JordanStructure) -> float:
-    """Max residual of the chain relations over all blocks and links."""
-    ch = as_cmatrix(c).conj().T
-    worst = 0.0
-    for b in structure.blocks:
-        lam_bar = np.conj(b.eigenvalue)
-        prev = np.zeros(structure.dim, dtype=complex)
-        for v in b.chain:
-            worst = max(worst, float(np.linalg.norm(ch @ v - lam_bar * v - prev)))
-            prev = v
-    return worst

@@ -199,12 +199,6 @@ def spectral_norm(a) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def is_hermitian(a, rel_tol: float = 1e-12) -> bool:
-    m = as_cmatrix(a)
-    scale = max(np.linalg.norm(m, "fro"), 1e-300)
-    return bool(np.linalg.norm(m - m.conj().T, "fro") <= rel_tol * scale + 1e-300)
-
-
 def hermitian_extremes(p) -> HermitianSpectrum:
     """Smallest and largest eigenvalue of the Hermitian part (p + p^H)/2 of one
     matrix, as floats, or of each matrix of a stack ``(..., d, d)``, as arrays,

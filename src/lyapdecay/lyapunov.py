@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import JordanBlock, JordanStructure
-from .linalg import as_cmatrix, hermitian_extremes, is_hermitian, spectral_norm
+from .linalg import as_cmatrix, hermitian_extremes
 
 __all__ = [
     "CASE1",
@@ -46,13 +46,10 @@ __all__ = [
     "case2_weights",
     "decay_constant",
     "defect_one_constant",
-    "improved_defect1_envelope",
     "lower_bound_lemma_gap",
-    "p_induced_norm",
     "p_norm_sq",
     "suggest_case3_weights",
     "sup_poly_exp",
-    "verify_matrix_inequality",
     "w_vector",
 ]
 
@@ -302,16 +299,6 @@ def _weight_sum_term(betas: np.ndarray) -> float:
     return float(np.sum(betas / running))
 
 
-def verify_matrix_inequality(c, p, rate: float) -> float:
-    """Smallest eigenvalue of C^H P + P C - 2 rate P (P must be Hermitian)."""
-    cm = as_cmatrix(c)
-    pm = as_cmatrix(p)
-    if not is_hermitian(pm, rel_tol=1e-10):
-        raise ValueError("P must be Hermitian")
-    q = cm.conj().T @ pm + pm @ cm - 2.0 * rate * pm
-    return hermitian_extremes(q).lambda_min
-
-
 def lower_bound_lemma_gap(vectors, xis, theta: float, t: float, x) -> float:
     """Slack of the lower bound for a polynomial-combination rank-one norm.
 
@@ -349,19 +336,6 @@ def lower_bound_lemma_gap(vectors, xis, theta: float, t: float, x) -> float:
     return float(lhs - bound)
 
 
-def improved_defect1_envelope(form: LyapunovForm, block_index: int) -> DecayEnvelope:
-    """Refined bound 2 (1 + (beta^2/beta^1) t^2) exp(-2 mu t) for a defect-one gap block.
-
-    The bound controls |x(t)|^2 in the P_n(0)-norm of that block; it is a
-    Euclidean bound whenever P(0) is a multiple of the identity (as for the
-    weight choice that normalizes P(0) = I).
-    """
-    fb = form.blocks[block_index]
-    if fb.case != CASE3 or fb.block.length != 2:
-        raise ValueError("refined bound requires a defect-one block in the time-dependent case")
-    return DecayEnvelope(2.0, fb.block.eigenvalue.real, 2, a=float(fb.weights[1] / fb.weights[0]))
-
-
 def sup_poly_exp(q: int, c: float) -> float:
     """sup over t >= 0 of (1 + t^q) exp(-c t), for integer q >= 1 and c > 0.
 
@@ -396,14 +370,3 @@ def suggest_case3_weights(block: JordanBlock) -> np.ndarray:
 def p_norm_sq(x, p) -> float:
     x = np.asarray(x, dtype=complex)
     return float(np.real(x.conj() @ (as_cmatrix(p) @ x)))
-
-
-def p_induced_norm(c, p) -> float:
-    """Matrix norm of C induced by the P-inner product: ||P^1/2 C P^-1/2||_2."""
-    pm = as_cmatrix(p)
-    w, q = np.linalg.eigh(0.5 * (pm + pm.conj().T))
-    if w[0] <= 0:
-        raise ValueError("P must be positive definite")
-    sq = q @ np.diag(np.sqrt(w)) @ q.conj().T
-    inv_sq = q @ np.diag(1.0 / np.sqrt(w)) @ q.conj().T
-    return spectral_norm(sq @ as_cmatrix(c) @ inv_sq)

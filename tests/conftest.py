@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical matrices and a structured random-matrix factory."""
+"""Shared fixtures: canonical matrices, a structured random-matrix factory
+and reference chains with their residual check."""
 
 import contextlib
 import importlib
@@ -7,6 +8,7 @@ import pkgutil
 import numpy as np
 import pytest
 
+from lyapdecay import goldstein_taylor as gt
 from lyapdecay.jordan import structure_from_chains
 from lyapdecay.linalg import as_cmatrix
 
@@ -105,6 +107,45 @@ def adjoint_from_chains(st) -> np.ndarray:
     """C^H = V J V^-1, the adjoint of the matrix whose chains ``st`` holds."""
     v = chain_matrix(st)
     return v @ jordan_matrix((b.eigenvalue, b.length) for b in st.blocks) @ np.linalg.inv(v)
+
+
+def verify_chain(c, structure) -> float:
+    """Max residual of the chain relations over all blocks and links."""
+    ch = as_cmatrix(c).conj().T
+    worst = 0.0
+    for b in structure.blocks:
+        lam_bar = np.conj(b.eigenvalue)
+        prev = np.zeros(structure.dim, dtype=complex)
+        for v in b.chain:
+            worst = max(worst, float(np.linalg.norm(ch @ v - lam_bar * v - prev)))
+            prev = v
+    return worst
+
+
+def gt_chains(field, k: int, z: float):
+    """Adjoint chains of the relaxation model's 4x4 mode matrix as (eigenvalue,
+    chain) pairs, built from the module's closed-form vectors.
+
+    For d_z sigma != 0 there are two length-2 blocks (one per eigenvalue
+    branch); otherwise four eigenvectors.  Block eigenvalues are those of the
+    mode matrix itself, so a chain labelled with lambda_- satisfies the
+    adjoint relation with lambda_+.
+    """
+    if k == 0:
+        raise ValueError("the zero mode is handled by its decaying subblock")
+    s, sz = field.sigma(z), field.dsigma(z)
+    lp, lm = gt.gt_eigenvalues(s, k)
+    if sz != 0.0:
+        return [
+            (np.conj(lp), [gt._v0(lm, k), (2.0 / sz) * gt._v1_scaled(lm, k, sz)]),
+            (np.conj(lm), [gt._v0(lp, k), (2.0 / sz) * gt._v1_scaled(lp, k, sz)]),
+        ]
+    return [
+        (np.conj(lp), [gt._v0(lm, k)]),
+        (np.conj(lm), [gt._v0(lp, k)]),
+        (np.conj(lp), [gt._v2(lm, k)]),
+        (np.conj(lm), [gt._v2(lp, k)]),
+    ]
 
 
 def _partition(rng, d, max_len=3):

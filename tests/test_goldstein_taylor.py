@@ -3,10 +3,12 @@ import pytest
 
 from lyapdecay import goldstein_taylor as gt
 from lyapdecay import linalg
-from lyapdecay.jordan import structure_from_chains, verify_chain
+from lyapdecay.jordan import structure_from_chains
 from lyapdecay.linalg import expm, hermitian_extremes, spectral_norm
 from lyapdecay.lyapunov import build_form, build_p, p_norm_sq
 from lyapdecay.oracle import check_dominance, deviation_sq, evolve
+
+from conftest import gt_chains, verify_chain
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +67,13 @@ def test_chain_residuals_random(field):
         k = int(rng.integers(1, 10)) * (1 if rng.uniform() < 0.5 else -1)
         z = float(rng.uniform(-2.5, 2.5))
         d = gt.gt_mode_matrix(field, k, z)
-        st = structure_from_chains(gt.gt_chains(field, k, z))
+        st = structure_from_chains(gt_chains(field, k, z))
         assert verify_chain(d, st) < 1e-9
 
 
 def test_nondefective_chains_are_four_eigenvectors():
     f = gt.RelaxationField(lambda z: 1.0, lambda z: 0.0, 1.0, 1.0, 0.0)
-    chains = gt.gt_chains(f, 1, 0.0)
+    chains = gt_chains(f, 1, 0.0)
     assert len(chains) == 4 and all(len(c) == 1 for _, c in chains)
     lp, lm = gt.gt_eigenvalues(1.0, 1)
     assert lp == pytest.approx(0.5 + 1j * np.sqrt(3) / 2)
@@ -206,7 +208,7 @@ def test_mode_envelope_matches_chain_route_on_default_grid(field):
         sz = field.dsigma(z)
         weights = np.array([1.0, sz * sz / 4.0])
         for k in [k for k in range(-K, K + 1) if k]:
-            st = structure_from_chains(gt.gt_chains(field, k, z))
+            st = structure_from_chains(gt_chains(field, k, z))
             want = decay_constant(st, build_form(st, block_weights={0: weights, 1: weights}))
             got = gt.gt_mode_envelope(field, k, z)
             assert (got.M, got.mu) == (want.M, want.mu), (k, z)
@@ -220,7 +222,7 @@ def test_nondefective_mode_envelope_matches_chain_route():
     for s in (0.5, 1.0, 1.5):
         flat = gt.RelaxationField(lambda z, s=s: s, lambda z: 0.0, s, s, 0.0)
         for k in (1, -2, 5):
-            st = structure_from_chains(gt.gt_chains(flat, k, 0.0))
+            st = structure_from_chains(gt_chains(flat, k, 0.0))
             want = decay_constant(st, build_form(st))
             got = gt.gt_mode_envelope(flat, k, 0.0)
             assert (got.M, got.mu) == (1, want.mu) == (1, s / 2.0), (s, k)
@@ -243,7 +245,7 @@ def test_mode_p_norm_decay_inequality(field):
         k = int(rng.integers(1, 6))
         z = float(rng.uniform(-2, 2))
         d = gt.gt_mode_matrix(field, k, z)
-        st = structure_from_chains(gt.gt_chains(field, k, z))
+        st = structure_from_chains(gt_chains(field, k, z))
         sz = field.dsigma(z)
         form = build_form(
             st,

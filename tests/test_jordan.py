@@ -7,7 +7,6 @@ from lyapdecay.jordan import (
     cluster_eigenvalues,
     jordan_chains,
     structure_from_chains,
-    verify_chain,
 )
 
 from conftest import (
@@ -15,8 +14,10 @@ from conftest import (
     chain_matrix,
     defect1_matrix,
     geometry_matrix,
+    gt_chains,
     jordan_matrix,
     random_structured_matrix,
+    verify_chain,
 )
 
 
@@ -111,7 +112,7 @@ def test_verify_chain_exact_and_perturbed():
 
 
 def test_verify_chain_model_supplied_chains():
-    from lyapdecay.goldstein_taylor import gt_chains, gt_mode_matrix, tanh_relaxation
+    from lyapdecay.goldstein_taylor import gt_mode_matrix, tanh_relaxation
 
     field = tanh_relaxation()
     rng = np.random.default_rng(4)

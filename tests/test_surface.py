@@ -1,4 +1,6 @@
-"""The public surface resolves, every public definition has a caller, no
+"""The public surface resolves, each module's ``__all__`` lists every public
+definition, every public definition has a caller in the package or the
+acceptance suite (with no exceptions), no
 module of the package takes a private name of another, and the three
 theorem checks propagate their states through the one shared evolve, once
 per z; it returns one C-contiguous stack of coefficient arrays for every
@@ -42,15 +44,17 @@ def test_module_all_resolves(name):
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: public definitions (top-level, or methods and properties of a top-level class)
-#: that no module and no acceptance criterion calls, and why they stay
-UNCALLED = {
-    "verify_matrix_inequality": "parked for ROADMAP item 3; bench/tracing.py counts its calls",
-    "p_induced_norm": "parked for ROADMAP item 3 (the integrand of its Gronwall factor)",
-    "verify_chain": "parked for ROADMAP item 3, which deletes it unless it calls it",
-    "improved_defect1_envelope": "parked for ROADMAP item 3, which deletes it unless it calls it",
-    "gt_chains": "the tests' reference chains of the relaxation modes, built on module internals",
-}
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_lists_every_public_definition(name):
+    tree = ast.parse((ROOT / "src" / "lyapdecay" / f"{name}.py").read_text())
+    public = {
+        stmt.name
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    }
+    unlisted = sorted(public - set(importlib.import_module(f"lyapdecay.{name}").__all__))
+    assert not unlisted, f"public definitions missing from __all__: {unlisted}"
 
 
 def _referenced(stmt):
@@ -90,9 +94,7 @@ def test_public_definitions_have_a_caller():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
         and count[stmt.name] == int(stmt.name in r)  # only its own definition refers to it
     }
-    missing, stale = sorted(uncalled - set(UNCALLED)), sorted(set(UNCALLED) - uncalled)
-    assert not missing, f"public definitions with no caller: {missing}"
-    assert not stale, f"called now, so drop them from UNCALLED: {stale}"
+    assert not uncalled, f"public definitions with no caller: {sorted(uncalled)}"
 
 
 def _private_imports(tree) -> set:
